@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -75,17 +74,11 @@ def _parse_theta(text: str) -> Vec2:
         raise ParseError(f"direction coordinates must be integers: {text!r}") from exc
 
 
-def _thread_diagnostic() -> list:
-    raw = os.environ.get("DELZANT_THREADS")
-    if raw is None:
-        return []
-    try:
-        count = int(raw)
-    except ValueError:
-        return [f"ignoring DELZANT_THREADS={raw!r} (not an integer)"]
-    if count > 1:
-        return [f"DELZANT_THREADS={count} requested; enumeration is deterministic and runs on one thread"]
-    return []
+def _bound(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_validate(args) -> CommandResult:
@@ -325,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="seeded random Delzant polygon")
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--bound", type=_bound, default=5)
     p.add_argument("--twist", action="store_true", help="apply a random unimodular map")
     _add_io_arguments(p, reads_stdin=False)
     p.set_defaults(handler=_cmd_random)
@@ -355,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--bound", type=int, default=4)
+    p.add_argument("--bound", type=_bound, default=4)
     p.add_argument("--twist", action="store_true")
     _add_io_arguments(p, reads_stdin=False)
     p.set_defaults(handler=_cmd_roundtrip)
@@ -376,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="parallel-pair census over bounded parameters")
     p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_bound, required=True)
     p.add_argument("--max-instances", type=int, default=5_000_000)
     _add_io_arguments(p, reads_stdin=False)
     p.set_defaults(handler=_cmd_census)
@@ -411,12 +404,11 @@ def _emit(result: CommandResult, args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    diagnostics = _thread_diagnostic()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = args.handler(args)
-        diagnostics.extend(str(w.message) for w in caught)
+        diagnostics = [str(w.message) for w in caught]
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         for cls, code in _ERROR_CODES:
             if isinstance(exc, cls):

@@ -1,12 +1,16 @@
 """The inverse map: finite candidate sets from hearable data, and exact
 half-space rebuilds.
 
-Reconstruction works purely over the rationals.  From spectral data it
-enumerates which normal classes are doubled, the signs of the class
-representatives, and the length splits inside each parallel pair; closure
-is a small exact linear system, with a one-parameter family resolved
-against the area when three pairs are present.  Every surviving candidate
-is validated and must reproduce the input data exactly.
+Reconstruction is exact.  From spectral data it enumerates which normal
+classes are doubled, the signs of the class representatives, and the
+length splits inside each parallel pair.  Each branch is decided in a fixed
+order: integer closure (a small linear system, with a one-parameter family
+resolved against the area when three pairs are present), then the signed
+normal fan (convex and smooth, by integer determinants), then the area of
+the chained edges, and only then verification of the one polygon it can
+bound, which must be Delzant and reproduce the input data exactly.
+:func:`build_most_obtuse` is the paper's per-branch builder; the tests use
+it as the reference for the enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .errors import (
@@ -28,7 +32,7 @@ from .errors import (
 from .geometry import Polygon, detect_subpolygons, polygon_from_halfplanes, validate_delzant
 from .polytope3 import Polytope3
 from .spectral import HalfSpaceSystem, SpectralData, spectral_data
-from .vectors import Vec2, Vec3, is_primitive_integer
+from .vectors import Vec2, Vec3, canonical_unsigned, is_primitive_integer
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,8 @@ def build_most_obtuse(edge_list: SignedEdgeList) -> Polygon:
     in the forward half-plane whose interior angle with the previous edge is
     most obtuse, i.e. whose direction turns the least.  Comparisons are
     exact cross products, so edges of wildly different lengths are handled
-    uniformly.
+    uniformly.  This is the reference builder: :func:`enumerate_candidates`
+    reaches the same outcome for every traced branch without calling it.
     """
     e1 = edge_list.edges[0]
     # The CCW outward normal of e1 is its -90 degree rotation; if the anchor
@@ -170,11 +175,6 @@ class CandidateSet:
         return any(c.canonical_key() == key for c in self.candidates)
 
 
-def _solve_two(w1: Vec2, w2: Vec2, rhs: Vec2) -> tuple[Fraction, Fraction]:
-    det = Fraction(w1.cross(w2))
-    return Fraction(rhs.cross(w2)) / det, Fraction(w1.cross(rhs)) / det
-
-
 def _rational_sqrt(value: Fraction) -> Fraction | None:
     if value < 0:
         return None
@@ -223,16 +223,17 @@ def _angle_order(directions: Sequence[Vec2]) -> list[int]:
     return sorted(range(len(directions)), key=cmp_to_key(compare))
 
 
-def _signed_chain_area(edges: Sequence[Vec2]) -> Fraction:
-    """Signed shoelace area of the chain 0, e0, e0+e1, ... (no validity check)."""
-    x = Fraction(0)
-    y = Fraction(0)
-    total = Fraction(0)
+def _chain(edges: Sequence[Vec2]) -> tuple[list[tuple], Fraction | int]:
+    """Vertices 0, e0, e0+e1, ... of a chain of edges, with twice its
+    signed shoelace area (no validity check)."""
+    points = []
+    x = y = twice = 0
     for e in edges:
+        points.append((x, y))
         nx, ny = x + e.x, y + e.y
-        total += x * ny - nx * y
+        twice += x * ny - nx * y
         x, y = nx, ny
-    return total / 2
+    return points, twice
 
 
 @dataclass(frozen=True)
@@ -316,7 +317,7 @@ def _family_from_parts(
 
     def area_at(t: Fraction) -> Fraction:
         edges = multiset(t)
-        return _signed_chain_area([edges[i] for i in order])
+        return Fraction(_chain([edges[i] for i in order])[1], 2)
 
     f0 = area_at(Fraction(0))
     f1 = area_at(Fraction(1))
@@ -387,6 +388,34 @@ def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fr
     return tuple(t for t in roots if lo < t < hi)
 
 
+def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[tuple, tuple] | None:
+    """Canonical keys of the polygon chained along ``edges`` and of its point
+    reflection; None when the polygon does not have the area ``twice_area / 2``.
+
+    ``edges`` are integer vectors in counterclockwise order, counted over
+    ``den``.  A key is the vertex list from the lex-min vertex, translated to
+    the origin, written as ``(denominator, x0, y0, x1, y1, ...)`` in lowest
+    terms, so two polygons are translates of each other exactly when their
+    keys agree.
+    """
+    points, twice = _chain(edges)
+    if twice * twice_area.denominator != twice_area.numerator * den * den:
+        return None
+    n = len(points)
+    keys = []
+    # The reflection -P starts at the image of P's lex-max vertex.
+    for sign, start in ((1, points.index(min(points))), (-1, points.index(max(points)))):
+        x0, y0 = points[start]
+        flat = []
+        for k in range(start, start + n):
+            x, y = points[k % n]
+            flat.append(sign * (x - x0))
+            flat.append(sign * (y - y0))
+        g = gcd(den, *flat)
+        keys.append((den // g,) + tuple(v // g for v in flat))
+    return keys[0], keys[1]
+
+
 def enumerate_candidates(
     data: SpectralData,
     max_parallel_pairs: int = 3,
@@ -395,10 +424,27 @@ def enumerate_candidates(
     """All translation classes of Delzant polygons with the given data.
 
     Enumerates doubled-class assignments (all of them by default; the
-    stored per-class counts are only used when ``trust_counts`` is set),
-    signs of the class representatives, and exact closure solutions for the
-    length splits; three-pair branches are pinned against the area.  Every
-    emitted candidate validates Delzant and reproduces ``data`` exactly.
+    stored per-class counts are only used when ``trust_counts`` is set) and
+    signs of the class representatives.  Each branch is then decided in
+    this order, in integers up to the last step:
+
+    1. closure: the length splits solve a small exact linear system, and
+       three-pair branches are pinned against the area (``no_closure``); a
+       split that is not positive on both sides is ``inadmissible_split``;
+    2. fan: the branch's signed edge directions, in angular order, must
+       turn strictly left at every vertex (``no_convex_ordering``) with
+       determinant 1 (``dropped_invalid``);
+    3. area: the edges chained in that order must enclose the data's area
+       (``dropped_mismatch``);
+    4. verification: the surviving polygon is built once, in canonical
+       form, and emitted only if it validates Delzant and reproduces
+       ``data`` exactly.
+
+    Every branch that reaches step 2 is recorded twice, once per
+    ``anchor`` of :func:`build_most_obtuse`, the reference builder: anchor
+    ``a`` on a branch whose first class has sign ``s`` builds the chained
+    polygon when ``a * s > 0`` and its point reflection otherwise, and both
+    share one outcome.
     """
     r = len(data.classes)
     d = data.vertex_count
@@ -413,17 +459,50 @@ def enumerate_candidates(
         raise ValueError("data carries no per-class edge counts to trust")
     if data.counts_known and sum(c.edge_count for c in data.classes) != d:
         raise ReconstructionInfeasibleError("per-class edge counts do not sum to the vertex count")
-
+    if trust_counts and any(c.edge_count not in (1, 2) for c in data.classes):
+        raise ReconstructionInfeasibleError("per-class edge counts must be 1 or 2")
     normals = [c.normal for c in data.classes]
-    dirs = [n.perp_ccw() for n in normals]
-    sums = [c.length_sum for c in data.classes]
+    # Only distinct canonical primitive normals and positive sums can ever
+    # match the data of a polygon; the integer steps below rely on both.
+    if len(set(normals)) != r or any(
+        c.length_sum <= 0 or not is_primitive_integer(c.normal) or canonical_unsigned(c.normal) != c.normal
+        for c in data.classes
+    ):
+        raise ReconstructionInfeasibleError(
+            "normal classes need distinct canonical primitive normals and positive length sums"
+        )
+
+    dirs = [Vec2(-int(n.y), int(n.x)) for n in normals]
+    sums = [Fraction(c.length_sum) for c in data.classes]
+    scale = lcm(*(s.denominator for s in sums))
+    int_sums = [s.numerator * (scale // s.denominator) for s in sums]
+    twice_area = 2 * Fraction(data.area)
+    # Every branch's fan is a subsequence of this one angular order.
+    signed = [(i, s) for i in range(r) for s in (1, -1)]
+    fan = [signed[k] for k in _angle_order([dirs[i] * s for i, s in signed])]
     if trust_counts:
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
         choices = list(combinations(range(r), p))
 
-    records: list[dict] = []
+    records: list[tuple] = []
+    verdicts: dict[tuple, str] = {}
     emitted: dict[tuple, Polygon] = {}
+
+    def verify(key: tuple) -> str:
+        if key not in verdicts:
+            den = key[0]
+            polygon = Polygon(
+                [Vec2(Fraction(key[k], den), Fraction(key[k + 1], den)) for k in range(1, len(key), 2)]
+            )
+            if not validate_delzant(polygon):
+                verdicts[key] = "dropped_invalid"
+            elif not spectral_data(polygon).matches(data, with_counts=trust_counts):
+                verdicts[key] = "dropped_mismatch"
+            else:
+                verdicts[key] = "emitted"
+                emitted[key] = polygon
+        return verdicts[key]
 
     for choice in choices:
         chosen = set(choice)
@@ -434,27 +513,36 @@ def enumerate_candidates(
             for b, i in enumerate(singles):
                 if bits >> b & 1:
                     signs[i] = -1
-            rhs = Vec2(Fraction(0), Fraction(0))
+            # (rx, ry) / scale is what the doubled-class split differences
+            # must sum to.  A solution lists those differences as integer
+            # numerators over a common denominator q, a multiple of scale.
+            rx = ry = 0
             for i in singles:
-                rhs = rhs - dirs[i] * (signs[i] * sums[i])
-            # rhs is what the doubled-class split differences must sum to.
-            solutions: list[tuple[tuple[Fraction, ...], Fraction | None]] = []
+                rx -= dirs[i].x * signs[i] * int_sums[i]
+                ry -= dirs[i].y * signs[i] * int_sums[i]
+            solutions: list[tuple[tuple[int, ...], int, Fraction | None]] = []
             degenerate = None
             if p == 0:
-                if rhs.is_zero():
-                    solutions.append(((), None))
+                if rx == 0 and ry == 0:
+                    solutions.append(((), scale, None))
             elif p == 1:
                 w = dirs[choice[0]]
-                if rhs.cross(w) == 0:
-                    delta = (Fraction(rhs.x) / w.x) if w.x != 0 else (Fraction(rhs.y) / w.y)
-                    solutions.append(((delta,), None))
-            elif p == 2:
-                d1, d2 = _solve_two(dirs[choice[0]], dirs[choice[1]], rhs)
-                solutions.append(((d1, d2), None))
+                if rx * w.y == ry * w.x:
+                    # w is primitive, so the multiple of w is an integer.
+                    solutions.append((((rx // w.x) if w.x != 0 else (ry // w.y),), scale, None))
             else:
+                # Solve with the first two doubled directions (Cramer's rule).
+                w1, w2 = dirs[choice[0]], dirs[choice[1]]
+                det = w1.cross(w2)
+                sign = 1 if det > 0 else -1
+                pair = (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx))
+                q = scale * abs(det)
+            if p == 2:
+                solutions.append((pair, q, None))
+            elif p == 3:
                 ws = tuple(dirs[i] for i in choice)
                 ss = tuple(sums[i] for i in choice)
-                base = _solve_two(ws[0], ws[1], rhs) + (Fraction(0),)
+                base = (Fraction(pair[0], q), Fraction(pair[1], q), Fraction(0))
                 fixed = tuple(dirs[i] * (signs[i] * sums[i]) for i in singles)
                 family = _family_from_parts(ws, ss, base, fixed)
                 if family is not None:
@@ -464,7 +552,9 @@ def enumerate_candidates(
                         degenerate = (family, exc)
                         ts = ()
                     for t in ts:
-                        solutions.append((family.splits_at(t), t))
+                        deltas = family.splits_at(t)
+                        q = lcm(scale, *(x.denominator for x in deltas))
+                        solutions.append((tuple(x.numerator * (q // x.denominator) for x in deltas), q, t))
             if degenerate is not None:
                 # Constant area along the family only matters if its members
                 # actually are Delzant polygons with this data; validity is
@@ -486,80 +576,59 @@ def enumerate_candidates(
                         "the candidate set is not finite",
                         interval=exc.interval,
                     )
-                records.append(
-                    dict(doubled=doubled_normals, signs=tuple(signs), splits=(),
-                         parameter=None, anchor=0, outcome="degenerate_dead", key=None)
-                )
+                records.append((doubled_normals, tuple(signs), (), None, 0, "degenerate_dead", None))
                 continue
             if not solutions:
-                records.append(
-                    dict(doubled=doubled_normals, signs=tuple(signs), splits=(),
-                         parameter=None, anchor=0, outcome="no_closure", key=None)
-                )
+                records.append((doubled_normals, tuple(signs), (), None, 0, "no_closure", None))
                 continue
-            for deltas, parameter in solutions:
-                splits = []
-                admissible = True
-                for i, delta in zip(choice, deltas):
-                    lam = (sums[i] + delta) / 2
-                    mu = (sums[i] - delta) / 2
-                    if lam <= 0 or mu <= 0:
-                        admissible = False
-                    splits.append((lam, mu))
-                if not admissible:
-                    records.append(
-                        dict(doubled=doubled_normals, signs=tuple(signs), splits=tuple(splits),
-                             parameter=parameter, anchor=0, outcome="inadmissible_split", key=None)
-                    )
+            turns = None
+            for numerators, q, parameter in solutions:
+                m = q // scale
+                delta = dict(zip(choice, numerators))
+                splits = tuple(
+                    (Fraction(int_sums[i] * m + n, 2 * q), Fraction(int_sums[i] * m - n, 2 * q))
+                    for i, n in delta.items()
+                )
+                head = (doubled_normals, tuple(signs), splits, parameter)
+                if any(abs(n) >= int_sums[i] * m for i, n in delta.items()):
+                    records.append(head + (0, "inadmissible_split", None))
                     continue
-                edges: list[Vec2] = []
-                for i in range(r):
-                    if i in chosen:
-                        lam, mu = splits[choice.index(i)]
-                        edges.append(dirs[i] * lam)
-                        edges.append(dirs[i] * (-mu))
-                    else:
-                        edges.append(dirs[i] * (signs[i] * sums[i]))
+                if turns is None:
+                    ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
+                    turns = [
+                        s * t * dirs[i].cross(dirs[j])
+                        for (i, s), (j, t) in zip(ring, ring[1:] + ring[:1])
+                    ]
+                keys = None
+                if min(turns) <= 0:
+                    outcome = "no_convex_ordering"
+                elif any(t != 1 for t in turns):
+                    outcome = "dropped_invalid"
+                else:
+                    # Lengths over 2q: a doubled class with integer sum S and
+                    # numerator n has S m + n forward and S m - n back.
+                    keys = _fan_chain(
+                        [
+                            dirs[i] * (s * int_sums[i] * m + delta[i] if i in delta else 2 * s * m * int_sums[i])
+                            for i, s in ring
+                        ],
+                        2 * q,
+                        twice_area,
+                    )
+                    outcome = "dropped_mismatch"
                 for anchor in (1, -1):
-                    record = dict(doubled=doubled_normals, signs=tuple(signs), splits=tuple(splits),
-                                  parameter=parameter, anchor=anchor, key=None)
-                    try:
-                        poly = build_most_obtuse(SignedEdgeList(tuple(edges), normals[0] * anchor))
-                    except ReconstructionInfeasibleError:
-                        record["outcome"] = "no_convex_ordering"
-                        records.append(record)
+                    if keys is None:
+                        records.append(head + (anchor, outcome, None))
                         continue
-                    if not validate_delzant(poly):
-                        record["outcome"] = "dropped_invalid"
-                        records.append(record)
-                        continue
-                    if not spectral_data(poly).matches(data, with_counts=trust_counts):
-                        record["outcome"] = "dropped_mismatch"
-                        records.append(record)
-                        continue
-                    canon = poly.canonical()
-                    key = tuple(canon.vertices)
-                    emitted.setdefault(key, canon)
-                    record["outcome"] = "emitted"
-                    record["key"] = key
-                    records.append(record)
+                    key = keys[0] if anchor * signs[0] > 0 else keys[1]
+                    verdict = verify(key)
+                    records.append(head + (anchor, verdict, key if verdict == "emitted" else None))
 
     if not emitted:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
-    ordered_keys = sorted(emitted)
+    ordered_keys = sorted(emitted, key=lambda key: emitted[key].vertices)
     index_of = {key: i for i, key in enumerate(ordered_keys)}
-    trace = tuple(
-        AssignmentRecord(
-            doubled=rec["doubled"],
-            signs=rec["signs"],
-            splits=rec["splits"],
-            parameter=rec["parameter"],
-            anchor=rec["anchor"],
-            outcome=rec["outcome"],
-            candidate_index=index_of.get(rec["key"]),
-        )
-        for rec in records
-    )
+    trace = tuple(AssignmentRecord(*rec[:6], candidate_index=index_of.get(rec[6])) for rec in records)
     return CandidateSet(candidates=tuple(emitted[key] for key in ordered_keys), trace=trace)
 
 

@@ -16,7 +16,7 @@ from .geometry import Polygon
 from .polytope3 import Polytope3
 from .reconstruct import AssignmentRecord, CandidateSet
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, NormalClass, SpectralData
-from .vectors import Vec2, format_rational, parse_rational
+from .vectors import Vec2, canonical_unsigned, format_rational, is_primitive_integer, parse_rational
 from .zoo import ZooCensus
 
 
@@ -147,6 +147,10 @@ def spectral_from_json(doc: dict) -> SpectralData:
                     raise ParseError(f"class {index}: count must be 1 or 2")
         except (KeyError, ValueError, TypeError, IndexError) as exc:
             raise ParseError(f"class {index} is malformed: {exc}") from exc
+        if not is_primitive_integer(normal) or canonical_unsigned(normal) != normal:
+            raise ParseError(
+                f"class {index}: normal {list(normal)} must be primitive with its first nonzero coordinate positive"
+            )
         if length_sum <= 0:
             raise ParseError(f"class {index}: length sum must be positive")
         classes.append(NormalClass(normal=normal, length_sum=length_sum, edge_count=count))

@@ -220,8 +220,24 @@ def test_in_and_out_files(tmp_path, monkeypatch, capsys):
     assert json.loads(dst.read_text())["d"] == 4
 
 
-def test_thread_env_diagnostic(monkeypatch, capsys):
-    monkeypatch.setenv("DELZANT_THREADS", "8")
-    code, _, err = run(["validate", "--json"], SQUARE, monkeypatch, capsys)
-    assert code == 0
-    assert "DELZANT_THREADS" in err
+@pytest.mark.parametrize("normal", [[2, 0], [-1, 0]])
+def test_reconstruct_rejects_noncanonical_normal_exit_5(normal, monkeypatch, capsys):
+    data = json.dumps({"d": 3, "classes": [{"normal": [0, 1], "lengthSum": "1/1"},
+                                           {"normal": [1, 1], "lengthSum": "1/1"},
+                                           {"normal": normal, "lengthSum": "1/1"}],
+                       "area": "1/2"})
+    code, out, err = run(["reconstruct"], data, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert f"normal {normal}" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["census", "--edges", "4"],
+    ["random", "--edges", "5", "--seed", "1"],
+    ["roundtrip", "--edges", "5", "--seed", "1", "--trials", "1"],
+])
+def test_bound_below_one_exit_2(command, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--bound", "0"])
+    assert exit_info.value.code == 2
+    assert "--bound: must be at least 1, got 0" in capsys.readouterr().err

@@ -177,6 +177,17 @@ class TestEnumerateCandidates:
         with pytest.raises(ReconstructionInfeasibleError):
             enumerate_candidates(data)
 
+    @pytest.mark.parametrize("normals, counts", [
+        (((1, 0), (2, 0)), (2, 2)),
+        (((0, 1), (-1, 0)), (2, 2)),
+        (((0, 1), (1, 0), (1, 1)), (3, 1, 0)),
+    ])
+    def test_rejects_classes_no_polygon_can_have(self, normals, counts):
+        classes = tuple(NormalClass(Vec2(*n), Fraction(2), k) for n, k in zip(normals, counts))
+        data = SpectralData(vertex_count=4, classes=classes, area=Fraction(1))
+        with pytest.raises(ReconstructionInfeasibleError):
+            enumerate_candidates(data, trust_counts=True)
+
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 7))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_contains_source(self, seed, d):
@@ -185,6 +196,53 @@ class TestEnumerateCandidates:
         if data.parallel_pairs > 3:
             return
         assert p in enumerate_candidates(data)
+
+
+def _reference_outcome(data, record, trust_counts):
+    """Decide one traced branch the slow way: rebuild its edge multiset and
+    run the per-branch most-obtuse builder with the record's anchor."""
+    splits = dict(zip(record.doubled, record.splits))
+    edges = []
+    for c, sign in zip(data.classes, record.signs):
+        w = c.normal.perp_ccw()
+        if tuple(c.normal) in splits:
+            lam, mu = splits[tuple(c.normal)]
+            edges += [w * lam, w * -mu]
+        else:
+            edges.append(w * (sign * c.length_sum))
+    try:
+        polygon = build_most_obtuse(SignedEdgeList(tuple(edges), data.classes[0].normal * record.anchor))
+    except ReconstructionInfeasibleError:
+        return "no_convex_ordering", None
+    if not validate_delzant(polygon):
+        return "dropped_invalid", None
+    if not spectral_data(polygon).matches(data, with_counts=trust_counts):
+        return "dropped_mismatch", None
+    return "emitted", polygon.canonical()
+
+
+class TestTraceOracle:
+    """The builder behind every anchored trace record reproduces its outcome
+    and, when emitted, its candidate."""
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("trust_counts", [False, True])
+    def test_anchored_records_match_build_most_obtuse(self, d, trust_counts):
+        checked = 0
+        for seed in range(8):
+            data = spectral_data(random_delzant(d, seed, 4, twist=seed % 2 == 1))
+            if data.parallel_pairs > 3:
+                continue
+            candidates = enumerate_candidates(data, trust_counts=trust_counts)
+            for record in candidates.trace:
+                if record.anchor == 0:
+                    continue
+                outcome, polygon = _reference_outcome(data, record, trust_counts)
+                assert record.outcome == outcome
+                if outcome == "emitted":
+                    assert candidates.candidates[record.candidate_index] == polygon
+                checked += 1
+        assert checked > 0
 
 
 class TestThreePairFamily:
