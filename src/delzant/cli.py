@@ -204,15 +204,19 @@ def _cmd_roundtrip(args) -> CommandResult:
             results.append(row)
             continue
         probe = polygon
-        if not reconstruct.is_generic(probe):
-            try:
+        # A budget hit fails this trial only: in the genericity test itself
+        # (too many edges for the subpolygon search) or while perturbing.
+        outcome = "genericity_budget"
+        try:
+            if not reconstruct.is_generic(probe):
+                outcome = "perturbation_failed"
                 probe = zoo.perturb_generic(probe)
                 row["perturbed"] = True
-            except BudgetExceededError:
-                row["outcome"] = "perturbation_failed"
-                failures += 1
-                results.append(row)
-                continue
+        except BudgetExceededError:
+            row["outcome"] = outcome
+            failures += 1
+            results.append(row)
+            continue
         candidates = reconstruct.enumerate_candidates(spectral.spectral_data(probe))
         contained = probe in candidates
         row["candidates"] = len(candidates)

@@ -4,11 +4,13 @@ half-space rebuilds.
 Reconstruction is exact.  From spectral data it enumerates which normal
 classes are doubled, the signs of the class representatives, and the
 length splits inside each parallel pair.  Each branch is decided in a fixed
-order: integer closure (a small linear system, with a one-parameter family
-resolved against the area when three pairs are present), then the signed
-normal fan (convex and smooth, by integer determinants), then the area of
-the chained edges, and only then verification of the one polygon it can
-bound, which must be Delzant and reproduce the input data exactly.
+order: integer closure (a small linear system; with three pairs a
+one-parameter family is left, whose area is an integer quadratic summed
+along the branch's normal fan and solved exactly against the data's area),
+then the signed normal fan (convex and smooth, by integer determinants),
+then the area of the chained edges, and only then verification of the one
+polygon it can bound, which must be Delzant and reproduce the input data
+exactly.
 :func:`build_most_obtuse` is the paper's per-branch builder; the tests use
 it as the reference for the enumeration.
 """
@@ -185,19 +187,20 @@ def _rational_sqrt(value: Fraction) -> Fraction | None:
     return None
 
 
-def _quadratic_roots(b2: Fraction, b1: Fraction, b0: Fraction) -> list[Fraction]:
-    """Rational roots of b2 t^2 + b1 t + b0 = 0 (empty if none)."""
+def _quadratic_roots(b2, b1, b0) -> list[Fraction]:
+    """Rational roots of b2 x^2 + b1 x + b0 = 0, ascending (empty if none);
+    the coefficients are ``int`` or ``Fraction``."""
     if b2 == 0:
         if b1 == 0:
             return []
-        return [-b0 / b1]
+        return [Fraction(-b0, b1)]
     disc = b1 * b1 - 4 * b2 * b0
     root = _rational_sqrt(disc)
     if root is None:
         return []
     if root == 0:
-        return [-b1 / (2 * b2)]
-    return sorted([(-b1 - root) / (2 * b2), (-b1 + root) / (2 * b2)])
+        return [Fraction(-b1, 2 * b2)]
+    return sorted([Fraction(-b1 - root, 2 * b2), Fraction(-b1 + root, 2 * b2)])
 
 
 def _angle_order(directions: Sequence[Vec2]) -> list[int]:
@@ -279,19 +282,65 @@ class ThreePairFamily:
         return self.base_area + a * t + b * t * t
 
 
-def _family_from_parts(
+def _family_kernel(w1: Vec2, w2: Vec2, w3: Vec2) -> tuple[int, int, int]:
+    """The primitive relation ``alpha`` with ``sum alpha_k w_k = 0``, first
+    entry positive.  The directions are pairwise non-parallel, so no entry
+    is zero."""
+    raw = (w2.cross(w3), w3.cross(w1), w1.cross(w2))
+    g = gcd(*raw) if raw[0] > 0 else -gcd(*raw)
+    return (raw[0] // g, raw[1] // g, raw[2] // g)
+
+
+def _family_quadratic(
+    dirs: Sequence[Vec2],
+    ring: Sequence[tuple[int, int]],
+    int_sums: Sequence[int],
+    m: int,
+    base: dict[int, int],
+    kernel: dict[int, int],
+) -> tuple[int, int, int]:
+    """Twice the area along a three-pair family, times ``(2q)^2``, as the
+    integer quadratic ``K0 + K1 u + K2 u^2`` in ``u = q t``.
+
+    The edges are read along ``ring``, the (class, sign) pairs of the
+    polygon in angular order, each edge ``w (c + u a) / (2q)`` with
+    ``w = dirs[i]``.  A doubled class ``i`` (a key of ``base`` and
+    ``kernel``) has ``c = s S m + base[i]`` and ``a = kernel[i]`` for both
+    signs ``s``; a single class has ``c = 2 s S m`` and ``a = 0``, where
+    ``S m = int_sums[i] * m`` is the class sum times ``q``.  The edges close
+    up for every ``u``, so twice the area is ``sum_{x<y} e_x x e_y``.
+    """
+    k0 = k1 = k2 = 0
+    cx = cy = ax = ay = 0  # sum of w c and of w a over the edges so far
+    for i, s in ring:
+        w = dirs[i]
+        if i in base:
+            c, a = s * int_sums[i] * m + base[i], kernel[i]
+        else:
+            c, a = 2 * s * int_sums[i] * m, 0
+        pc = cx * w.y - cy * w.x
+        pa = ax * w.y - ay * w.x
+        k0 += pc * c
+        k1 += pc * a + pa * c
+        k2 += pa * a
+        cx += w.x * c
+        cy += w.y * c
+        ax += w.x * a
+        ay += w.y * a
+    return k0, k1, k2
+
+
+def _family(
     directions: tuple[Vec2, Vec2, Vec2],
     sums: tuple[Fraction, Fraction, Fraction],
     base_splits: tuple[Fraction, Fraction, Fraction],
+    kernel: tuple[int, int, int],
     fixed_edges: tuple[Vec2, ...],
+    q: int,
+    quadratic: tuple[int, int, int],
 ) -> ThreePairFamily | None:
-    """Assemble the family; None when no parameter value is admissible."""
-    w1, w2, w3 = directions
-    raw = (int(w2.cross(w3)), int(w3.cross(w1)), int(w1.cross(w2)))
-    g = gcd(*(abs(a) for a in raw))
-    kernel = tuple(a // g for a in raw)
-    if next(a for a in kernel if a != 0) < 0:
-        kernel = tuple(-a for a in kernel)
+    """The family whose area is ``quadratic`` (from :func:`_family_quadratic`,
+    in ``u = q t``); None when no parameter value is admissible."""
     lo, hi = None, None
     for delta, alpha, s in zip(base_splits, kernel, sums):
         # |delta + t alpha| < s
@@ -300,38 +349,15 @@ def _family_from_parts(
         hi = bounds[1] if hi is None else min(hi, bounds[1])
     if lo >= hi:
         return None
-
-    def multiset(t: Fraction) -> list[Vec2]:
-        edges = list(fixed_edges)
-        for w, s, d0, alpha in zip(directions, sums, base_splits, kernel):
-            delta = d0 + t * alpha
-            edges.append(w * ((s + delta) / 2))
-            edges.append(w * (-(s - delta) / 2))
-        return edges
-
-    # The angular order is read off at the interval midpoint, where every
-    # edge length is strictly positive; it then stays fixed for all t, which
-    # makes the chained shoelace value a global quadratic in t.
-    sample = multiset((lo + hi) / 2)
-    order = _angle_order(sample)
-
-    def area_at(t: Fraction) -> Fraction:
-        edges = multiset(t)
-        return Fraction(_chain([edges[i] for i in order])[1], 2)
-
-    f0 = area_at(Fraction(0))
-    f1 = area_at(Fraction(1))
-    fm1 = area_at(Fraction(-1))
-    coeff_a = (f1 - fm1) / 2
-    coeff_b = (f1 + fm1) / 2 - f0
+    k0, k1, k2 = quadratic
     return ThreePairFamily(
         directions=directions,
         sums=sums,
         base_splits=base_splits,
         kernel=kernel,
         fixed_edges=fixed_edges,
-        base_area=f0,
-        area_coefficients=(coeff_a, coeff_b),
+        base_area=Fraction(k0, 8 * q * q),
+        area_coefficients=(Fraction(k1, 8 * q), Fraction(k2, 8)),
         admissible_interval=(lo, hi),
     )
 
@@ -341,25 +367,34 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
     data = spectral_data(polygon)
     if data.parallel_pairs != 3:
         raise ValueError(f"polygon has {data.parallel_pairs} parallel pairs, need exactly 3")
-    doubled = [c for c in data.classes if c.edge_count == 2]
-    singles = [c for c in data.classes if c.edge_count == 1]
-    directions = tuple(c.normal.perp_ccw() for c in doubled)
-    sums = tuple(c.length_sum for c in doubled)
-    splits = []
-    for c, w in zip(doubled, directions):
-        plus = minus = None
-        for e in polygon.edges:
-            if e.direction == w:
-                plus = e.lattice_length
-            elif e.direction == -w:
-                minus = e.lattice_length
-        splits.append(plus - minus)
-    fixed = []
-    for c in singles:
-        w = c.normal.perp_ccw()
-        edge = next(e for e in polygon.edges if e.direction in (w, -w))
-        fixed.append(edge.vector)
-    family = _family_from_parts(directions, sums, tuple(splits), tuple(fixed))
+    classes = data.classes
+    dirs = [c.normal.perp_ccw() for c in classes]
+    signed = {}
+    for i, w in enumerate(dirs):
+        signed[w], signed[-w] = (i, 1), (i, -1)
+    # Keyed by (class, sign) in the polygon's counterclockwise order, the ring.
+    edges = {signed[e.direction]: e for e in polygon.edges}
+    choice = [i for i, c in enumerate(classes) if c.edge_count == 2]
+    splits = tuple(edges[i, 1].lattice_length - edges[i, -1].lattice_length for i in choice)
+    q = lcm(*(c.length_sum.denominator for c in classes), *(x.denominator for x in splits))
+    kernel = _family_kernel(*(dirs[i] for i in choice))
+    quadratic = _family_quadratic(
+        dirs,
+        list(edges),
+        [int(c.length_sum * q) for c in classes],
+        1,
+        {i: int(x * q) for i, x in zip(choice, splits)},
+        dict(zip(choice, kernel)),
+    )
+    family = _family(
+        tuple(dirs[i] for i in choice),
+        tuple(classes[i].length_sum for i in choice),
+        splits,
+        kernel,
+        tuple(edges[key].vector for key in sorted(edges) if key[0] not in choice),
+        q,
+        quadratic,
+    )
     if family is None:
         raise ReconstructionInfeasibleError("polygon's own splits are not admissible")
     if family.base_area != polygon.area:
@@ -429,7 +464,8 @@ def enumerate_candidates(
     this order, in integers up to the last step:
 
     1. closure: the length splits solve a small exact linear system, and
-       three-pair branches are pinned against the area (``no_closure``); a
+       three-pair branches are pinned against the area by the integer
+       quadratic of :func:`_family_quadratic` (``no_closure``); a
        split that is not positive on both sides is ``inadmissible_split``;
     2. fan: the branch's signed edge directions, in angular order, must
        turn strictly left at every vertex (``no_convex_ordering``) with
@@ -508,6 +544,8 @@ def enumerate_candidates(
         chosen = set(choice)
         singles = [i for i in range(r) if i not in chosen]
         doubled_normals = tuple(tuple(normals[i]) for i in choice)
+        if p == 3:
+            kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
         for bits in range(1 << len(singles)):
             signs = [1] * r
             for b, i in enumerate(singles):
@@ -521,7 +559,7 @@ def enumerate_candidates(
                 rx -= dirs[i].x * signs[i] * int_sums[i]
                 ry -= dirs[i].y * signs[i] * int_sums[i]
             solutions: list[tuple[tuple[int, ...], int, Fraction | None]] = []
-            degenerate = None
+            ring = degenerate = None
             if p == 0:
                 if rx == 0 and ry == 0:
                     solutions.append(((), scale, None))
@@ -540,30 +578,41 @@ def enumerate_candidates(
             if p == 2:
                 solutions.append((pair, q, None))
             elif p == 3:
-                ws = tuple(dirs[i] for i in choice)
-                ss = tuple(sums[i] for i in choice)
-                base = (Fraction(pair[0], q), Fraction(pair[1], q), Fraction(0))
-                fixed = tuple(dirs[i] * (signs[i] * sums[i]) for i in singles)
-                family = _family_from_parts(ws, ss, base, fixed)
-                if family is not None:
-                    try:
-                        ts = solve_three_pair_parameter(family, data.area)
-                    except DegenerateFamilyError as exc:
-                        degenerate = (family, exc)
-                        ts = ()
-                    for t in ts:
-                        deltas = family.splits_at(t)
-                        q = lcm(scale, *(x.denominator for x in deltas))
-                        solutions.append((tuple(x.numerator * (q // x.denominator) for x in deltas), q, t))
+                # The third split is free: numerators base + u kernel over q,
+                # where u = q t.  Pin u against the area, in integers.
+                m = q // scale
+                base = dict(zip(choice, pair + (0,)))
+                ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
+                k0, k1, k2 = _family_quadratic(dirs, ring, int_sums, m, base, kernel)
+                # With twice_area = N / D the area condition is
+                # D (K0 + K1 u + K2 u^2) = N (2q)^2.
+                den = twice_area.denominator
+                target = twice_area.numerator * 4 * q * q
+                if k1 == 0 and k2 == 0:
+                    if k0 * den == target:
+                        degenerate = _family(
+                            tuple(dirs[i] for i in choice),
+                            tuple(sums[i] for i in choice),
+                            tuple(Fraction(base[i], q) for i in choice),
+                            tuple(kernel.values()),
+                            tuple(dirs[i] * (signs[i] * sums[i]) for i in singles),
+                            q,
+                            (k0, k1, k2),
+                        )
+                else:
+                    for u in _quadratic_roots(den * k2, den * k1, den * k0 - target):
+                        un, ud = u.numerator, u.denominator
+                        numerators = tuple(base[i] * ud + un * kernel[i] for i in choice)
+                        if all(abs(n) < int_sums[i] * m * ud for i, n in zip(choice, numerators)):
+                            solutions.append((numerators, q * ud, u / q))
             if degenerate is not None:
                 # Constant area along the family only matters if its members
                 # actually are Delzant polygons with this data; validity is
                 # constant along the family (the directions never change), so
                 # one probe at the midpoint decides.
-                family, exc = degenerate
-                lo, hi = family.admissible_interval
+                lo, hi = degenerate.admissible_interval
                 try:
-                    probe = family.polygon_at((lo + hi) / 2)
+                    probe = degenerate.polygon_at((lo + hi) / 2)
                 except ReconstructionInfeasibleError:
                     probe = None
                 if (
@@ -574,7 +623,7 @@ def enumerate_candidates(
                     raise DegenerateFamilyError(
                         "a three-pair branch matches the data along a whole interval; "
                         "the candidate set is not finite",
-                        interval=exc.interval,
+                        interval=(lo, hi),
                     )
                 records.append((doubled_normals, tuple(signs), (), None, 0, "degenerate_dead", None))
                 continue
@@ -594,7 +643,8 @@ def enumerate_candidates(
                     records.append(head + (0, "inadmissible_split", None))
                     continue
                 if turns is None:
-                    ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
+                    if ring is None:
+                        ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
                     turns = [
                         s * t * dirs[i].cross(dirs[j])
                         for (i, s), (j, t) in zip(ring, ring[1:] + ring[:1])

@@ -32,6 +32,21 @@ def _load_document(data: Union[bytes, str]) -> dict:
     return doc
 
 
+def _read_int(value, what: str) -> int:
+    """A JSON integer as it is: floats, booleans and strings are rejected,
+    never coerced (``bool`` is a subclass of ``int``, hence the exact type)."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _read_ints(value, count: int, what: str) -> tuple[int, ...]:
+    """A JSON list of exactly ``count`` integers, read as :func:`_read_int` does."""
+    if not isinstance(value, list) or len(value) != count or any(type(c) is not int for c in value):
+        raise ParseError(f"{what} must be a list of {count} integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def _signed_area_is_negative(points) -> bool:
     total = Fraction(0)
     for i, p in enumerate(points):
@@ -130,23 +145,25 @@ def spectral_to_json(data: SpectralData) -> dict:
 
 def spectral_from_json(doc: dict) -> SpectralData:
     try:
-        d = int(doc["d"])
+        d = _read_int(doc["d"], "'d'")
         raw_classes = doc["classes"]
         area = parse_rational(str(doc["area"]))
-    except (KeyError, ValueError, TypeError) as exc:
+    except KeyError as exc:
         raise ParseError(f"spectral data needs 'd', 'classes' and 'area': {exc}") from exc
+    if not isinstance(raw_classes, list):
+        raise ParseError(f"'classes' must be a list, got {json.dumps(raw_classes)}")
     classes = []
     for index, entry in enumerate(raw_classes):
+        if not isinstance(entry, dict):
+            raise ParseError(f"class {index} must be an object, got {json.dumps(entry)}")
         try:
-            normal = Vec2(int(entry["normal"][0]), int(entry["normal"][1]))
+            normal = Vec2(*_read_ints(entry["normal"], 2, f"class {index}: normal"))
             length_sum = parse_rational(str(entry["lengthSum"]))
-            count = entry.get("count")
-            if count is not None:
-                count = int(count)
-                if count not in (1, 2):
-                    raise ParseError(f"class {index}: count must be 1 or 2")
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
+        except KeyError as exc:
             raise ParseError(f"class {index} is malformed: {exc}") from exc
+        count = entry.get("count")
+        if count is not None and _read_int(count, f"class {index}: count") not in (1, 2):
+            raise ParseError(f"class {index}: count must be 1 or 2")
         if not is_primitive_integer(normal) or canonical_unsigned(normal) != normal:
             raise ParseError(
                 f"class {index}: normal {list(normal)} must be primitive with its first nonzero coordinate positive"
@@ -181,21 +198,21 @@ def halfspace_to_json(system: HalfSpaceSystem) -> dict:
 
 def halfspace_from_json(doc: dict) -> HalfSpaceSystem:
     dim = doc.get("dim")
-    if dim not in (2, 3):
+    if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"expected dim 2 or 3, got {dim!r}")
     raw = doc.get("entries")
     if not isinstance(raw, list):
         raise ParseError("'entries' must be a list")
     entries = []
     for index, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise ParseError(f"entry {index} must be an object, got {json.dumps(entry)}")
         try:
-            normal = tuple(int(c) for c in entry["normal"])
+            normal = _read_ints(entry["normal"], dim, f"entry {index}: normal")
             offset = parse_rational(str(entry["offset"]))
             volume = parse_rational(str(entry["volume"]))
-        except (KeyError, ValueError, TypeError) as exc:
+        except KeyError as exc:
             raise ParseError(f"entry {index} is malformed: {exc}") from exc
-        if len(normal) != dim:
-            raise ParseError(f"entry {index}: normal has {len(normal)} coordinates, expected {dim}")
         entries.append(HalfSpaceEntry(normal=normal, offset=offset, volume=volume))
     return HalfSpaceSystem(dim=dim, entries=tuple(entries))
 

@@ -241,3 +241,55 @@ def test_bound_below_one_exit_2(command, monkeypatch, capsys):
         main(command + ["--bound", "0"])
     assert exit_info.value.code == 2
     assert "--bound: must be at least 1, got 0" in capsys.readouterr().err
+
+
+def test_reconstruct_classes_not_a_list_exit_5(monkeypatch, capsys):
+    code, out, err = run(["reconstruct"], '{"d": 4, "classes": 5, "area": "1/1"}', monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert "'classes' must be a list" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", 4.7),
+    ("d", "4"),
+    ("normal", [0.9, 1]),
+    ("normal", [True, 1]),
+    ("normal", ["0", 1]),
+    ("count", True),
+    ("count", 1.0),
+])
+def test_reconstruct_rejects_non_integer_fields_exit_5(field, value, monkeypatch, capsys):
+    doc = {"d": 3, "classes": [{"normal": [0, 1], "lengthSum": "1/1", "count": 1},
+                               {"normal": [1, 0], "lengthSum": "1/1", "count": 1},
+                               {"normal": [1, 1], "lengthSum": "1/1", "count": 1}],
+           "area": "1/2"}
+    if field == "d":
+        doc["d"] = value
+    else:
+        doc["classes"][0][field] = value
+    code, out, err = run(["reconstruct"], json.dumps(doc), monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert f"got {json.dumps(value)}" in err
+
+
+@pytest.mark.parametrize("normal", [[1.5, 0], [1, False], ["1", 0], [1, 0, 0]])
+def test_bundle_reconstruct_rejects_non_integer_normal_exit_5(normal, monkeypatch, capsys):
+    doc = json.dumps({"dim": 2, "entries": [
+        {"normal": normal, "offset": "1/1", "volume": "1/1"},
+        {"normal": [0, 1], "offset": "1/1", "volume": "1/1"},
+        {"normal": [-1, -1], "offset": "0/1", "volume": "1/1"},
+    ]})
+    code, out, err = run(["bundle-reconstruct"], doc, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert f"normal must be a list of 2 integers, got {json.dumps(normal)}" in err
+
+
+def test_roundtrip_genericity_budget_is_per_trial(monkeypatch, capsys):
+    code, out, err = run(["roundtrip", "--edges", "20", "--seed", "1", "--trials", "5", "--json"],
+                         None, monkeypatch, capsys)
+    assert code == 3
+    doc = json.loads(out)
+    outcomes = [row["outcome"] for row in doc["results"]]
+    assert len(outcomes) == 5 and "genericity_budget" in outcomes
+    assert doc["failures"] == outcomes.count("genericity_budget")
+    assert "trials failed" in err

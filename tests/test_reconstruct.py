@@ -1,7 +1,9 @@
 """The inverse map: builder, candidate enumeration, three-pair families,
 genericity, and half-space reconstruction."""
 
+import importlib
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from delzant import (
     three_pair_family,
     validate_delzant,
 )
+from delzant.reconstruct import _angle_order
 from delzant.spectral import NormalClass, SpectralData
 
 SQUARE_EDGES = (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1))
@@ -243,6 +246,107 @@ class TestTraceOracle:
                     assert candidates.candidates[record.candidate_index] == polygon
                 checked += 1
         assert checked > 0
+
+
+def _reference_family(data, doubled, signs):
+    """One three-pair branch built the slow way, all in Fraction: the split
+    differences solve the closure with the third one 0, the edge order is
+    read off at the midpoint of the admissible interval, and the area is the
+    chained shoelace in that order.  Returns (kernel, base splits, sums,
+    interval, area) or None when no parameter is admissible."""
+    ws = [Vec2(*n).perp_ccw() for n in doubled]
+    sums = [next(c.length_sum for c in data.classes if tuple(c.normal) == n) for n in doubled]
+    fixed = [
+        c.normal.perp_ccw() * (s * c.length_sum)
+        for c, s in zip(data.classes, signs)
+        if tuple(c.normal) not in doubled
+    ]
+    r = -sum(fixed, Vec2(0, 0))
+    det = ws[0].cross(ws[1])
+    base = (Fraction(r.cross(ws[1]), det), Fraction(ws[0].cross(r), det), Fraction(0))
+    raw = (ws[1].cross(ws[2]), ws[2].cross(ws[0]), ws[0].cross(ws[1]))
+    g = gcd(*raw)
+    kernel = tuple(a // g if raw[0] > 0 else -a // g for a in raw)
+    lo = max(min((-s - b) / a, (s - b) / a) for s, b, a in zip(sums, base, kernel))
+    hi = min(max((-s - b) / a, (s - b) / a) for s, b, a in zip(sums, base, kernel))
+    if lo >= hi:
+        return None
+
+    def multiset(t):
+        edges = list(fixed)
+        for w, s, b, a in zip(ws, sums, base, kernel):
+            delta = b + t * a
+            edges += [w * ((s + delta) / 2), w * (-(s - delta) / 2)]
+        return edges
+
+    order = _angle_order(multiset((lo + hi) / 2))
+
+    def area(t):
+        edges = multiset(Fraction(t))
+        x = y = twice = 0
+        for e in (edges[i] for i in order):
+            twice += x * (y + e.y) - (x + e.x) * y
+            x, y = x + e.x, y + e.y
+        return twice / 2
+
+    return kernel, base, sums, (lo, hi), area
+
+
+class TestThreePairOracle:
+    """Every three-pair branch against the Fraction construction it replaced:
+    the integer area quadratic agrees with the chained area at t = -1, 0, 1,
+    and every pinned parameter gives the family's splits and the data's area."""
+
+    @pytest.mark.parametrize("d", range(6, 10))
+    @pytest.mark.parametrize("twist", [False, True])
+    def test_branches_match_fraction_reference(self, d, twist, monkeypatch):
+        module = importlib.import_module("delzant.reconstruct")
+        calls = []
+
+        def spy(*args):
+            calls.append((args, real(*args)))
+            return calls[-1][1]
+
+        real = module._family_quadratic
+        monkeypatch.setattr(module, "_family_quadratic", spy)
+        polygons = branches = pinned = 0
+        for seed in range(200):
+            data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+            if data.parallel_pairs != 3:
+                continue
+            polygons += 1
+            calls.clear()
+            candidates = enumerate_candidates(data)
+            scale = lcm(*(c.length_sum.denominator for c in data.classes))
+            for (dirs, ring, int_sums, m, base, kernel), (k0, k1, k2) in calls:
+                doubled = tuple(tuple(data.classes[i].normal) for i in base)
+                signs = [1] * len(data.classes)
+                for i, s in ring:
+                    if i not in base:
+                        signs[i] = s
+                reference = _reference_family(data, doubled, signs)
+                if reference is None:
+                    continue
+                ref_kernel, ref_base, _, _, area = reference
+                q = m * scale
+                assert tuple(kernel.values()) == ref_kernel
+                assert tuple(Fraction(n, q) for n in base.values()) == ref_base
+                for t in (-1, 0, 1):
+                    assert area(t) == Fraction(k0 + k1 * q * t + k2 * q * q * t * t, 8 * q * q)
+                branches += 1
+            for record in candidates.trace:
+                if record.parameter is None:
+                    continue
+                t = record.parameter
+                kernel, base, sums, (lo, hi), area = _reference_family(data, record.doubled, record.signs)
+                assert lo < t < hi
+                deltas = [b + t * a for b, a in zip(base, kernel)]
+                assert record.splits == tuple(((s + x) / 2, (s - x) / 2) for s, x in zip(sums, deltas))
+                assert area(t) == data.area
+                pinned += 1
+            if polygons == 3:
+                break
+        assert polygons == 3 and branches > 0 and pinned > 0
 
 
 class TestThreePairFamily:
