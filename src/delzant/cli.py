@@ -277,8 +277,7 @@ def _cmd_render(args) -> CommandResult:
     overlay = None
     if args.overlay:
         with open(args.overlay, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        overlay = serialize.candidates_from_json(doc).candidates
+            overlay = serialize.parse_candidates(handle.read()).candidates
     return CommandResult(EXIT_OK, raw=render.render_svg(polygon, overlay))
 
 

@@ -50,7 +50,10 @@ class DegenerateFamilyError(UnsupportedAmbiguityError):
     """A three-pair family whose area does not depend on the free parameter.
 
     ``interval`` is the open admissibility interval of the parameter; every
-    value in it yields a polygon with the same spectral data.
+    value in it yields a polygon with the same spectral data.  Only
+    ``solve_three_pair_parameter`` raises it, and only for a hand-built
+    ``ThreePairFamily``: the area of every family the library builds is a
+    proper quadratic in the parameter.
     """
 
     def __init__(self, message, interval=None):

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StructuralPolygonError
-from .vectors import Vec3, as_scalar, primitive_part
+from .vectors import Vec2, Vec3, angle_order, as_scalar, primitive_part
 
 
 class Facet(NamedTuple):
@@ -70,9 +70,8 @@ class Polytope3:
         facets = []
         for u, c in sorted(planes.values(), key=lambda pair: (tuple(pair[0]), pair[1])):
             members = [i for i, p in enumerate(pts) if u.dot(p) == c]
-            ordered = _order_facet_cycle([pts[i] for i in members], u)
-            cycle = tuple(members[i] for i in ordered)
-            facets.append(Facet(u, c, cycle, _lattice_area([pts[i] for i in cycle], u)))
+            ordered, area = _order_facet_cycle([pts[i] for i in members], u)
+            facets.append(Facet(u, c, tuple(members[i] for i in ordered), area))
         return tuple(facets)
 
     def vertex_set(self) -> frozenset:
@@ -88,8 +87,14 @@ class Polytope3:
         return f"Polytope3[{len(self.vertices)} vertices, {len(self.facets)} facets]"
 
 
-def _order_facet_cycle(points: list[Vec3], normal: Vec3) -> list[int]:
-    """Indices of ``points`` in cyclic order, counterclockwise seen from outside."""
+def _order_facet_cycle(points: list[Vec3], normal: Vec3) -> tuple[list[int], Fraction]:
+    """Indices of ``points`` in cyclic order, counterclockwise seen from
+    outside, and the lattice area of the facet they span.
+
+    The vector area ("spin") of the facet is parallel to the primitive
+    normal; its component along the normal, halved, measures area in
+    multiples of the fundamental cell of the plane lattice.
+    """
     if len(points) < 3:
         raise StructuralPolygonError("facet with fewer than 3 vertices")
     drop = max(range(3), key=lambda a: abs(normal[a]))
@@ -98,45 +103,12 @@ def _order_facet_cycle(points: list[Vec3], normal: Vec3) -> list[int]:
     n = len(flat)
     cx = sum(q[0] for q in flat) / n
     cy = sum(q[1] for q in flat) / n
-    rel = [(q[0] - cx, q[1] - cy) for q in flat]
-
-    def half(v) -> int:
-        # 0 for the upper half-plane (y > 0 or y == 0, x > 0), 1 below.
-        if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-            return 0
-        return 1
-
-    def less(a: int, b: int) -> bool:
-        ha, hb = half(rel[a]), half(rel[b])
-        if ha != hb:
-            return ha < hb
-        cr = rel[a][0] * rel[b][1] - rel[a][1] * rel[b][0]
-        return cr > 0
-
-    order = list(range(n))
-    # Insertion sort with the exact comparator; facets are tiny.
-    for i in range(1, n):
-        j = i
-        while j > 0 and less(order[j], order[j - 1]):
-            order[j], order[j - 1] = order[j - 1], order[j]
-            j -= 1
+    order = angle_order([Vec2(q[0] - cx, q[1] - cy) for q in flat])
     cycle = [points[i] for i in order]
     spin = Vec3(0, 0, 0)
     for i in range(1, len(cycle) - 1):
         spin = spin + (cycle[i] - cycle[0]).cross(cycle[i + 1] - cycle[0])
-    if spin.dot(normal) < 0:
+    along = Fraction(spin.dot(normal))
+    if along < 0:
         order.reverse()
-    return order
-
-
-def _lattice_area(cycle: list[Vec3], normal: Vec3) -> Fraction:
-    """Lattice area of a planar facet with primitive normal ``normal``.
-
-    The vector area of the facet is parallel to the normal; its component
-    along the normal, halved, measures area in multiples of the fundamental
-    cell of the plane lattice.
-    """
-    spin = Vec3(0, 0, 0)
-    for i in range(1, len(cycle) - 1):
-        spin = spin + (cycle[i] - cycle[0]).cross(cycle[i + 1] - cycle[0])
-    return abs(Fraction(spin.dot(normal)) / Fraction(normal.dot(normal))) / 2
+    return order, abs(along) / (2 * normal.dot(normal))

@@ -34,7 +34,7 @@ from .errors import (
 from .geometry import Polygon, detect_subpolygons, polygon_from_halfplanes, validate_delzant
 from .polytope3 import Polytope3
 from .spectral import HalfSpaceSystem, SpectralData, spectral_data
-from .vectors import Vec2, Vec3, canonical_unsigned, is_primitive_integer
+from .vectors import Vec2, Vec3, angle_order, canonical_unsigned, is_primitive_integer
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,6 @@ def build_most_obtuse(edge_list: SignedEdgeList) -> Polygon:
     e1 = edge_list.edges[0]
     # The CCW outward normal of e1 is its -90 degree rotation; if the anchor
     # sits on the other side the traversal runs clockwise instead.
-    side = e1.perp_cw().cross(edge_list.anchor_normal)
-    if side != 0:
-        raise ReconstructionInfeasibleError("anchor normal is not perpendicular to the first edge")
     orient = 1 if e1.perp_cw().dot(edge_list.anchor_normal) > 0 else -1
     pool = list(edge_list.edges[1:])
     ordered = [e1]
@@ -203,29 +200,6 @@ def _quadratic_roots(b2, b1, b0) -> list[Fraction]:
     return sorted([Fraction(-b1 - root, 2 * b2), Fraction(-b1 + root, 2 * b2)])
 
 
-def _angle_order(directions: Sequence[Vec2]) -> list[int]:
-    """Indices sorted counterclockwise by direction angle, from (1, 0)."""
-    ref = Vec2(1, 0)
-
-    def bucket(v: Vec2) -> int:
-        c = ref.cross(v)
-        if c == 0:
-            return 0 if v.x > 0 else 2
-        return 1 if c > 0 else 3
-
-    def compare(i: int, j: int) -> int:
-        a, b = directions[i], directions[j]
-        ba, bb = bucket(a), bucket(b)
-        if ba != bb:
-            return -1 if ba < bb else 1
-        c = a.cross(b)
-        if c == 0:
-            return 0
-        return -1 if c > 0 else 1
-
-    return sorted(range(len(directions)), key=cmp_to_key(compare))
-
-
 def _chain(edges: Sequence[Vec2]) -> tuple[list[tuple], Fraction | int]:
     """Vertices 0, e0, e0+e1, ... of a chain of edges, with twice its
     signed shoelace area (no validity check)."""
@@ -273,7 +247,7 @@ class ThreePairFamily:
     def polygon_at(self, t) -> Polygon:
         """The family member at parameter ``t`` (must be admissible)."""
         edges = self.edge_multiset(t)
-        order = _angle_order([e for e in edges])
+        order = angle_order(edges)
         return _chain_polygon([edges[i] for i in order])
 
     def predicted_area(self, t) -> Fraction:
@@ -330,38 +304,6 @@ def _family_quadratic(
     return k0, k1, k2
 
 
-def _family(
-    directions: tuple[Vec2, Vec2, Vec2],
-    sums: tuple[Fraction, Fraction, Fraction],
-    base_splits: tuple[Fraction, Fraction, Fraction],
-    kernel: tuple[int, int, int],
-    fixed_edges: tuple[Vec2, ...],
-    q: int,
-    quadratic: tuple[int, int, int],
-) -> ThreePairFamily | None:
-    """The family whose area is ``quadratic`` (from :func:`_family_quadratic`,
-    in ``u = q t``); None when no parameter value is admissible."""
-    lo, hi = None, None
-    for delta, alpha, s in zip(base_splits, kernel, sums):
-        # |delta + t alpha| < s
-        bounds = sorted(((-s - delta) / alpha, (s - delta) / alpha))
-        lo = bounds[0] if lo is None else max(lo, bounds[0])
-        hi = bounds[1] if hi is None else min(hi, bounds[1])
-    if lo >= hi:
-        return None
-    k0, k1, k2 = quadratic
-    return ThreePairFamily(
-        directions=directions,
-        sums=sums,
-        base_splits=base_splits,
-        kernel=kernel,
-        fixed_edges=fixed_edges,
-        base_area=Fraction(k0, 8 * q * q),
-        area_coefficients=(Fraction(k1, 8 * q), Fraction(k2, 8)),
-        admissible_interval=(lo, hi),
-    )
-
-
 def three_pair_family(polygon: Polygon) -> ThreePairFamily:
     """The family through a polygon with exactly three parallel pairs."""
     data = spectral_data(polygon)
@@ -376,9 +318,10 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
     edges = {signed[e.direction]: e for e in polygon.edges}
     choice = [i for i, c in enumerate(classes) if c.edge_count == 2]
     splits = tuple(edges[i, 1].lattice_length - edges[i, -1].lattice_length for i in choice)
+    sums = tuple(classes[i].length_sum for i in choice)
     q = lcm(*(c.length_sum.denominator for c in classes), *(x.denominator for x in splits))
     kernel = _family_kernel(*(dirs[i] for i in choice))
-    quadratic = _family_quadratic(
+    k0, k1, k2 = _family_quadratic(
         dirs,
         list(edges),
         [int(c.length_sum * q) for c in classes],
@@ -386,17 +329,21 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
         {i: int(x * q) for i, x in zip(choice, splits)},
         dict(zip(choice, kernel)),
     )
-    family = _family(
-        tuple(dirs[i] for i in choice),
-        tuple(classes[i].length_sum for i in choice),
-        splits,
-        kernel,
-        tuple(edges[key].vector for key in sorted(edges) if key[0] not in choice),
-        q,
-        quadratic,
-    )
-    if family is None:
+    # t is admissible when |delta + t alpha| < s for every doubled class.
+    bounds = [sorted(((-s - x) / a, (s - x) / a)) for x, a, s in zip(splits, kernel, sums)]
+    lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
+    if lo >= hi:
         raise ReconstructionInfeasibleError("polygon's own splits are not admissible")
+    family = ThreePairFamily(
+        directions=tuple(dirs[i] for i in choice),
+        sums=sums,
+        base_splits=splits,
+        kernel=kernel,
+        fixed_edges=tuple(edges[key].vector for key in sorted(edges) if key[0] not in choice),
+        base_area=Fraction(k0, 8 * q * q),
+        area_coefficients=(Fraction(k1, 8 * q), Fraction(k2, 8)),
+        admissible_interval=(lo, hi),
+    )
     if family.base_area != polygon.area:
         raise AssertionError("family anchor does not reproduce the source polygon's area")
     return family
@@ -408,7 +355,10 @@ def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fr
     For a family anchored at a polygon of the target area this is {0} plus
     at most one further root.  When the area is constant along the family
     and equal to the target, every parameter works and a
-    :class:`DegenerateFamilyError` carrying the interval is raised.
+    :class:`DegenerateFamilyError` carrying the interval is raised.  No
+    family from :func:`three_pair_family` is constant (its ``u^2``
+    coefficient never vanishes, see :func:`enumerate_candidates`), so only a
+    hand-built :class:`ThreePairFamily` can raise it.
     """
     target = Fraction(target_area)
     coeff_a, coeff_b = family.area_coefficients
@@ -515,7 +465,7 @@ def enumerate_candidates(
     twice_area = 2 * Fraction(data.area)
     # Every branch's fan is a subsequence of this one angular order.
     signed = [(i, s) for i in range(r) for s in (1, -1)]
-    fan = [signed[k] for k in _angle_order([dirs[i] * s for i, s in signed])]
+    fan = [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
     if trust_counts:
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
@@ -559,7 +509,7 @@ def enumerate_candidates(
                 rx -= dirs[i].x * signs[i] * int_sums[i]
                 ry -= dirs[i].y * signs[i] * int_sums[i]
             solutions: list[tuple[tuple[int, ...], int, Fraction | None]] = []
-            ring = degenerate = None
+            ring = None
             if p == 0:
                 if rx == 0 and ry == 0:
                     solutions.append(((), scale, None))
@@ -584,49 +534,21 @@ def enumerate_candidates(
                 base = dict(zip(choice, pair + (0,)))
                 ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
                 k0, k1, k2 = _family_quadratic(dirs, ring, int_sums, m, base, kernel)
+                # K2 != 0, so the area is never constant along a family:
+                # along the ring the u-parts of the doubled edges are
+                # v_a, v_b, v_c, v_a, v_b, v_c (v_k = kernel[k] w_k; single
+                # edges have none), and v_a + v_b + v_c = 0 gives
+                # K2 = sum_{x<y} v_x x v_y = 2 v_a x v_b
+                #    = 2 kernel[a] kernel[b] (w_a x w_b), with no factor 0.
                 # With twice_area = N / D the area condition is
                 # D (K0 + K1 u + K2 u^2) = N (2q)^2.
                 den = twice_area.denominator
                 target = twice_area.numerator * 4 * q * q
-                if k1 == 0 and k2 == 0:
-                    if k0 * den == target:
-                        degenerate = _family(
-                            tuple(dirs[i] for i in choice),
-                            tuple(sums[i] for i in choice),
-                            tuple(Fraction(base[i], q) for i in choice),
-                            tuple(kernel.values()),
-                            tuple(dirs[i] * (signs[i] * sums[i]) for i in singles),
-                            q,
-                            (k0, k1, k2),
-                        )
-                else:
-                    for u in _quadratic_roots(den * k2, den * k1, den * k0 - target):
-                        un, ud = u.numerator, u.denominator
-                        numerators = tuple(base[i] * ud + un * kernel[i] for i in choice)
-                        if all(abs(n) < int_sums[i] * m * ud for i, n in zip(choice, numerators)):
-                            solutions.append((numerators, q * ud, u / q))
-            if degenerate is not None:
-                # Constant area along the family only matters if its members
-                # actually are Delzant polygons with this data; validity is
-                # constant along the family (the directions never change), so
-                # one probe at the midpoint decides.
-                lo, hi = degenerate.admissible_interval
-                try:
-                    probe = degenerate.polygon_at((lo + hi) / 2)
-                except ReconstructionInfeasibleError:
-                    probe = None
-                if (
-                    probe is not None
-                    and validate_delzant(probe)
-                    and spectral_data(probe).matches(data, with_counts=trust_counts)
-                ):
-                    raise DegenerateFamilyError(
-                        "a three-pair branch matches the data along a whole interval; "
-                        "the candidate set is not finite",
-                        interval=(lo, hi),
-                    )
-                records.append((doubled_normals, tuple(signs), (), None, 0, "degenerate_dead", None))
-                continue
+                for u in _quadratic_roots(den * k2, den * k1, den * k0 - target):
+                    un, ud = u.numerator, u.denominator
+                    numerators = tuple(base[i] * ud + un * kernel[i] for i in choice)
+                    if all(abs(n) < int_sums[i] * m * ud for i, n in zip(choice, numerators)):
+                        solutions.append((numerators, q * ud, u / q))
             if not solutions:
                 records.append((doubled_normals, tuple(signs), (), None, 0, "no_closure", None))
                 continue
@@ -718,10 +640,7 @@ def is_generic(polygon: Polygon, max_parallel_pairs: int = 3) -> GenericityRepor
             candidate_count=None,
         )
     subs = detect_subpolygons(polygon).subsets
-    try:
-        candidates = enumerate_candidates(data, max_parallel_pairs=max_parallel_pairs)
-    except DegenerateFamilyError:
-        return GenericityReport(False, False, subs, (), None)
+    candidates = enumerate_candidates(data, max_parallel_pairs=max_parallel_pairs)
     assignments = tuple(sorted({rec.doubled for rec in candidates.trace if rec.outcome == "emitted"}))
     bound = 2 if p <= 2 else 4
     generic = not subs and len(assignments) == 1 and len(candidates) <= bound
@@ -758,7 +677,7 @@ def _reconstruct_polygon(system: HalfSpaceSystem) -> Polygon:
     for n in normals:
         if not is_primitive_integer(n):
             raise InconsistentSystemError(f"normal {tuple(n)} is not a primitive integer vector")
-    order = _angle_order(normals)
+    order = angle_order(normals)
     sorted_normals = [normals[i] for i in order]
     sorted_entries = [entries[i] for i in order]
     m = len(order)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from fractions import Fraction
 from typing import Union
 
 from .errors import OrientationWarning, ParseError, StructuralPolygonError
@@ -40,19 +39,23 @@ def _read_int(value, what: str) -> int:
     return value
 
 
+def _read_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {json.dumps(value)}")
+    return value
+
+
+def _read_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {json.dumps(value)}")
+    return value
+
+
 def _read_ints(value, count: int, what: str) -> tuple[int, ...]:
     """A JSON list of exactly ``count`` integers, read as :func:`_read_int` does."""
     if not isinstance(value, list) or len(value) != count or any(type(c) is not int for c in value):
         raise ParseError(f"{what} must be a list of {count} integers, got {json.dumps(value)}")
     return tuple(value)
-
-
-def _signed_area_is_negative(points) -> bool:
-    total = Fraction(0)
-    for i, p in enumerate(points):
-        q = points[(i + 1) % len(points)]
-        total += p[0] * q[1] - q[0] * p[1]
-    return total < 0
 
 
 def polygon_to_json(polygon: Polygon) -> dict:
@@ -63,8 +66,9 @@ def polygon_to_json(polygon: Polygon) -> dict:
 
 
 def polygon_from_json(doc: dict) -> Polygon:
-    if doc.get("dim") != 2:
-        raise ParseError(f"expected dim 2, got {doc.get('dim')!r}")
+    dim = doc.get("dim")
+    if type(dim) is not int or dim != 2:
+        raise ParseError(f"expected dim 2, got {dim!r}")
     raw = doc.get("vertices")
     if not isinstance(raw, list) or len(raw) < 3:
         raise ParseError("'vertices' must be a list of at least 3 coordinate pairs")
@@ -79,12 +83,14 @@ def polygon_from_json(doc: dict) -> Polygon:
     if len(set(points)) != len(points):
         dup = next(p for i, p in enumerate(points) if p in points[:i])
         raise ParseError(f"repeated vertex ({dup.x}, {dup.y})")
-    if _signed_area_is_negative(points):
-        warnings.warn("vertices were clockwise; reversing to CCW", OrientationWarning, stacklevel=2)
     try:
-        return Polygon(points)
+        polygon = Polygon(points)
     except StructuralPolygonError as exc:
         raise ParseError(str(exc)) from exc
+    # Polygon reverses the points exactly when every turn is clockwise.
+    if polygon.vertices != tuple(points):
+        warnings.warn("vertices were clockwise; reversing to CCW", OrientationWarning, stacklevel=2)
+    return polygon
 
 
 def parse_polygon(data: Union[bytes, str]) -> Polygon:
@@ -108,10 +114,10 @@ def polytope_to_json(polytope: Union[Polygon, Polytope3]) -> dict:
 
 def polytope_from_json(doc: dict) -> Union[Polygon, Polytope3]:
     dim = doc.get("dim")
+    if type(dim) is not int or dim not in (2, 3):
+        raise ParseError(f"expected dim 2 or 3, got {dim!r}")
     if dim == 2:
         return polygon_from_json(doc)
-    if dim != 3:
-        raise ParseError(f"expected dim 2 or 3, got {dim!r}")
     raw = doc.get("vertices")
     if not isinstance(raw, list) or len(raw) < 4:
         raise ParseError("'vertices' must list at least 4 points for a 3-polytope")
@@ -150,12 +156,9 @@ def spectral_from_json(doc: dict) -> SpectralData:
         area = parse_rational(str(doc["area"]))
     except KeyError as exc:
         raise ParseError(f"spectral data needs 'd', 'classes' and 'area': {exc}") from exc
-    if not isinstance(raw_classes, list):
-        raise ParseError(f"'classes' must be a list, got {json.dumps(raw_classes)}")
     classes = []
-    for index, entry in enumerate(raw_classes):
-        if not isinstance(entry, dict):
-            raise ParseError(f"class {index} must be an object, got {json.dumps(entry)}")
+    for index, entry in enumerate(_read_list(raw_classes, "'classes'")):
+        _read_object(entry, f"class {index}")
         try:
             normal = Vec2(*_read_ints(entry["normal"], 2, f"class {index}: normal"))
             length_sum = parse_rational(str(entry["lengthSum"]))
@@ -200,13 +203,9 @@ def halfspace_from_json(doc: dict) -> HalfSpaceSystem:
     dim = doc.get("dim")
     if type(dim) is not int or dim not in (2, 3):
         raise ParseError(f"expected dim 2 or 3, got {dim!r}")
-    raw = doc.get("entries")
-    if not isinstance(raw, list):
-        raise ParseError("'entries' must be a list")
     entries = []
-    for index, entry in enumerate(raw):
-        if not isinstance(entry, dict):
-            raise ParseError(f"entry {index} must be an object, got {json.dumps(entry)}")
+    for index, entry in enumerate(_read_list(doc.get("entries"), "'entries'")):
+        _read_object(entry, f"entry {index}")
         try:
             normal = _read_ints(entry["normal"], dim, f"entry {index}: normal")
             offset = parse_rational(str(entry["offset"]))
@@ -240,27 +239,42 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     }
 
 
+def _record_from_json(entry, index: int) -> AssignmentRecord:
+    what = f"trace record {index}"
+    _read_object(entry, what)
+    doubled = _read_list(entry.get("doubled", []), f"{what}: doubled")
+    signs = _read_list(entry.get("signs", []), f"{what}: signs")
+    splits = _read_list(entry.get("splits", []), f"{what}: splits")
+    if any(not isinstance(pair, list) or len(pair) != 2 for pair in splits):
+        raise ParseError(f"{what}: splits must be pairs of rationals, got {json.dumps(splits)}")
+    parameter, outcome, candidate = entry.get("parameter"), entry.get("outcome", ""), entry.get("candidate")
+    if not isinstance(outcome, str):
+        raise ParseError(f"{what}: outcome must be a string, got {json.dumps(outcome)}")
+    if candidate is not None:
+        _read_int(candidate, f"{what}: candidate")
+    return AssignmentRecord(
+        doubled=tuple(_read_ints(n, 2, f"{what}: doubled normal") for n in doubled),
+        signs=tuple(_read_int(x, f"{what}: sign") for x in signs),
+        splits=tuple((parse_rational(str(a)), parse_rational(str(b))) for a, b in splits),
+        parameter=None if parameter is None else parse_rational(str(parameter)),
+        anchor=_read_int(entry.get("anchor", 0), f"{what}: anchor"),
+        outcome=outcome,
+        candidate_index=candidate,
+    )
+
+
 def candidates_from_json(doc: dict) -> CandidateSet:
-    raw = doc.get("candidates")
-    if not isinstance(raw, list):
-        raise ParseError("'candidates' must be a list of polygons")
-    polygons = tuple(polygon_from_json(entry) for entry in raw)
-    trace = []
-    for entry in doc.get("assignmentTrace", []):
-        trace.append(
-            AssignmentRecord(
-                doubled=tuple(tuple(int(c) for c in n) for n in entry.get("doubled", [])),
-                signs=tuple(int(s) for s in entry.get("signs", [])),
-                splits=tuple(
-                    (parse_rational(str(a)), parse_rational(str(b))) for a, b in entry.get("splits", [])
-                ),
-                parameter=None if entry.get("parameter") is None else parse_rational(str(entry["parameter"])),
-                anchor=int(entry.get("anchor", 0)),
-                outcome=str(entry.get("outcome", "")),
-                candidate_index=entry.get("candidate"),
-            )
-        )
-    return CandidateSet(candidates=polygons, trace=tuple(trace))
+    polygons = tuple(
+        polygon_from_json(_read_object(entry, f"candidate {index}"))
+        for index, entry in enumerate(_read_list(doc.get("candidates"), "'candidates'"))
+    )
+    raw_trace = _read_list(doc.get("assignmentTrace", []), "'assignmentTrace'")
+    trace = tuple(_record_from_json(entry, index) for index, entry in enumerate(raw_trace))
+    return CandidateSet(candidates=polygons, trace=trace)
+
+
+def parse_candidates(data: Union[bytes, str]) -> CandidateSet:
+    return candidates_from_json(_load_document(data))
 
 
 def census_to_json(census: ZooCensus) -> dict:

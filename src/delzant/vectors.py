@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cmp_to_key
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -166,3 +167,27 @@ def canonical_unsigned(vector):
         if c < 0:
             return -vector
     raise ValueError("zero vector has no unsigned representative")
+
+
+def angle_order(directions: Sequence[Vec2]) -> list[int]:
+    """Indices sorted counterclockwise by direction angle, from (1, 0).
+
+    Exact and stable: directions of equal angle keep their input order.
+    """
+
+    def bucket(v: Vec2) -> int:
+        if v.y == 0:
+            return 0 if v.x > 0 else 2
+        return 1 if v.y > 0 else 3
+
+    def compare(i: int, j: int) -> int:
+        a, b = directions[i], directions[j]
+        ba, bb = bucket(a), bucket(b)
+        if ba != bb:
+            return -1 if ba < bb else 1
+        c = a.cross(b)
+        if c == 0:
+            return 0
+        return -1 if c > 0 else 1
+
+    return sorted(range(len(directions)), key=cmp_to_key(compare))

@@ -293,3 +293,34 @@ def test_roundtrip_genericity_budget_is_per_trial(monkeypatch, capsys):
     assert len(outcomes) == 5 and "genericity_budget" in outcomes
     assert doc["failures"] == outcomes.count("genericity_budget")
     assert "trials failed" in err
+
+
+RECORD = {"doubled": [], "signs": [1, 1], "splits": [], "parameter": None, "anchor": 1,
+          "outcome": "emitted", "candidate": 0}
+
+
+@pytest.mark.parametrize("overlay", [
+    "{not json",
+    "[]",
+    '{"candidates": [], "assignmentTrace": 5}',
+    '{"candidates": [], "assignmentTrace": [{"doubled": 5}]}',
+    json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, signs=[1.7, 1])]}),
+    json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, anchor=True)]}),
+], ids=["invalid_json", "top_level_list", "trace_not_a_list", "doubled_not_a_list", "float_sign", "bool_anchor"])
+def test_render_rejects_malformed_overlay_exit_5(overlay, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "overlay.json"
+    path.write_text(overlay)
+    code, out, err = run(["render", "--overlay", str(path)], SQUARE, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("validate", {"dim": 2.0, "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}),
+    ("bundle-data", {"dim": 3.0, "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"],
+                                              ["0/1", "1/1", "0/1"], ["0/1", "0/1", "1/1"]]}),
+])
+def test_non_integer_dim_exit_5(command, doc, monkeypatch, capsys):
+    code, out, err = run([command], json.dumps(doc), monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert f"got {doc['dim']!r}" in err

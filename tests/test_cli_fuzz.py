@@ -1,0 +1,183 @@
+"""The CLI contract under arbitrary JSON: every subcommand that reads a
+document exits with a documented code (0, 2, 3, 4 or 5) and never raises.
+
+Documents are bounded (at most 8 vertices, classes, entries or records) so
+that enumeration stays small.  They mix well-formed documents from the
+library's own writers, documents of the right shape with arbitrary field
+values, arbitrary JSON values, and text that is not JSON at all.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from delzant import bundle_facet_data, enumerate_candidates, random_delzant, spectral_data
+from delzant.cli import main
+from delzant.errors import ReconstructionInfeasibleError, UnsupportedAmbiguityError
+from delzant.serialize import candidates_to_json, halfspace_to_json, polygon_to_json, spectral_to_json
+
+MAX = 8
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-4, 4),
+    st.floats(-4, 4, allow_nan=False),
+    st.sampled_from(["", "x", "1/0", "0/1", "1/2", "-3/1", "2", "1/-2"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=MAX,
+)
+
+
+def either(strategy):
+    """A well-typed value, or any JSON value in its place."""
+    return st.one_of(strategy, json_values)
+
+
+rationals = either(st.builds(lambda p, q: f"{p}/{q}", st.integers(-6, 6), st.integers(0, 4)))
+real_polygons = st.builds(random_delzant, st.integers(3, MAX), st.integers(0, 40), st.just(3))
+
+
+def _real_candidates(polygon):
+    try:
+        return candidates_to_json(enumerate_candidates(spectral_data(polygon)))
+    except (ReconstructionInfeasibleError, UnsupportedAmbiguityError):
+        return {"candidates": [], "assignmentTrace": []}
+
+
+def _real_spectral(polygon, bump):
+    doc = spectral_to_json(spectral_data(polygon))
+    doc["area"] = f"{Fraction(doc['area']) + bump}"
+    return doc
+
+
+polygon_real = real_polygons.map(polygon_to_json)
+polygon_docs = st.one_of(
+    polygon_real,
+    st.fixed_dictionaries({
+        "dim": either(st.just(2)),
+        "vertices": either(st.lists(either(st.lists(rationals, min_size=2, max_size=2)), max_size=MAX)),
+    }),
+)
+polytope_docs = st.fixed_dictionaries({
+    "dim": either(st.just(3)),
+    "vertices": either(st.lists(either(st.lists(rationals, min_size=3, max_size=3)), max_size=MAX)),
+})
+spectral_docs = st.one_of(
+    st.builds(_real_spectral, real_polygons, st.sampled_from([0, Fraction(1, 7)])),
+    st.fixed_dictionaries(
+        {
+            "d": either(st.integers(3, MAX)),
+            "classes": either(st.lists(
+                either(st.fixed_dictionaries(
+                    {"normal": either(st.lists(st.integers(-2, 2), min_size=2, max_size=2)),
+                     "lengthSum": rationals},
+                    optional={"count": either(st.integers(1, 2))},
+                )),
+                max_size=MAX,
+            )),
+            "area": rationals,
+        }
+    ),
+)
+halfspace_docs = st.one_of(
+    real_polygons.map(lambda p: halfspace_to_json(bundle_facet_data(p))),
+    st.fixed_dictionaries({
+        "dim": either(st.sampled_from([2, 3])),
+        "entries": either(st.lists(
+            either(st.fixed_dictionaries({
+                "normal": either(st.lists(st.integers(-2, 2), min_size=2, max_size=3)),
+                "offset": rationals,
+                "volume": rationals,
+            })),
+            max_size=MAX,
+        )),
+    }),
+)
+records = st.fixed_dictionaries({
+    "doubled": either(st.lists(either(st.lists(st.integers(-2, 2), min_size=2, max_size=2)), max_size=3)),
+    "signs": either(st.lists(either(st.sampled_from([1, -1])), max_size=MAX)),
+    "splits": either(st.lists(either(st.lists(rationals, min_size=2, max_size=2)), max_size=3)),
+    "parameter": either(st.none() | rationals),
+    "anchor": either(st.sampled_from([1, -1, 0])),
+    "outcome": either(st.sampled_from(["emitted", "no_closure"])),
+    "candidate": either(st.none() | st.integers(0, 3)),
+})
+candidates_real = real_polygons.map(_real_candidates)
+candidates_docs = st.one_of(
+    candidates_real,
+    st.fixed_dictionaries({
+        "candidates": either(st.lists(either(polygon_docs), max_size=3)),
+        "assignmentTrace": either(st.lists(either(records), max_size=MAX)),
+    }),
+)
+documents = st.one_of(
+    st.one_of(json_values, polygon_docs, polytope_docs, spectral_docs, halfspace_docs, candidates_docs).map(
+        json.dumps
+    ),
+    st.text(max_size=12),
+)
+
+
+def reads(fmt):
+    """A document in the format a file is read as, or any document."""
+    return st.one_of(fmt.map(json.dumps), documents)
+
+
+# Per subcommand: its option sets, the format --in is read as, and for a
+# second file (named where an option reads "{other}") a library-written
+# document and the format it is read as.  One of the two files is arbitrary
+# at a time, so a malformed second file is read after a valid --in.
+COMMANDS = {
+    "validate": ([[]], polygon_docs, None),
+    "info": ([[]], polygon_docs, None),
+    "chop": ([["--vertex", "0", "--depth", "1/3"], ["--vertex", "7", "--depth", "1/1"]], polygon_docs, None),
+    "spectral": ([[]], polygon_docs, None),
+    "strata": ([["--theta", "1,0"], ["--theta", "1,2"]], polygon_docs, None),
+    "heat": ([["--theta", "1,0"], ["--theta", "2,1", "--eval", "0.5"]], polygon_docs, None),
+    "reconstruct": ([[], ["--with-counts"]], spectral_docs, None),
+    "equiv": ([["--other", "{other}"]], polygon_docs, (polygon_real, polygon_docs)),
+    "bundle-data": ([[], ["--require-integral"]], st.one_of(polygon_docs, polytope_docs), None),
+    "bundle-reconstruct": ([[]], halfspace_docs, None),
+    "render": ([[], ["--overlay", "{other}"]], polygon_docs, (candidates_real, candidates_docs)),
+}
+CASES = [(command, "in") for command in sorted(COMMANDS)] + [
+    (command, "other") for command in sorted(COMMANDS) if COMMANDS[command][2] is not None
+]
+
+
+@pytest.mark.parametrize("command, fuzzed", CASES)
+@settings(max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_documented_exit_code_and_no_exception(command, fuzzed, data):
+    option_sets, in_format, second = COMMANDS[command]
+    if fuzzed == "other":
+        option_sets = [o for o in option_sets if "{other}" in o]
+    options = data.draw(st.sampled_from(option_sets), label="options")
+    text = data.draw(polygon_real.map(json.dumps) if fuzzed == "other" else reads(in_format), label="in")
+    other = None
+    if "{other}" in options:
+        real, fmt = second
+        other = data.draw(reads(fmt) if fuzzed == "other" else real.map(json.dumps), label="other")
+    with tempfile.TemporaryDirectory() as folder:
+        infile = os.path.join(folder, "in.json")
+        otherfile = os.path.join(folder, "other.json")
+        with open(infile, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        if other is not None:
+            with open(otherfile, "w", encoding="utf-8") as handle:
+                handle.write(other)
+        argv = [command, "--in", infile, "--json"] + [otherfile if a == "{other}" else a for a in options]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2, 3, 4, 5)

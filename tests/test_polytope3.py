@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from delzant import Polytope3, StructuralPolygonError
+from delzant import Polytope3, StructuralPolygonError, random_delzant
+from delzant.vectors import Vec3
 
 
 def test_cube_facets(unit_cube):
@@ -58,3 +59,34 @@ def test_rejects_flat_input():
 def test_rejects_too_few_points():
     with pytest.raises(StructuralPolygonError):
         Polytope3([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+
+
+def _prism(polygon, height):
+    return [(v.x, v.y, z) for v in polygon.vertices for z in (0, height)]
+
+
+CUBE2 = [(2 * x, 2 * y, 2 * z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+
+
+@pytest.mark.parametrize("points", [
+    [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
+    [p for p in CUBE2 if p != (0, 0, 0)] + [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+] + [
+    _prism(random_delzant(5, seed, twist=twist), Fraction(seed + 1, 2))
+    for seed in range(4) for twist in (False, True)
+])
+def test_facet_cycles_turn_left_about_the_outward_normal(points):
+    polytope = Polytope3(points)
+    for facet in polytope.facets:
+        n = facet.normal
+        cycle = [polytope.vertices[i] for i in facet.vertex_indices]
+        following = cycle[1:] + cycle[:1]
+        spin = Vec3(0, 0, 0)
+        for a, b in zip(cycle, following):
+            spin = spin + a.cross(b)
+        assert spin.dot(n) > 0
+        for a, b, c in zip(cycle, following, following[1:] + following[:1]):
+            assert (b - a).cross(c - b).dot(n) > 0
+        assert facet.lattice_area == Fraction(spin.dot(n), 2 * n.dot(n))

@@ -33,8 +33,8 @@ from delzant import (
     three_pair_family,
     validate_delzant,
 )
-from delzant.reconstruct import _angle_order
 from delzant.spectral import NormalClass, SpectralData
+from delzant.vectors import angle_order
 
 SQUARE_EDGES = (Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0), Vec2(0, -1))
 
@@ -279,7 +279,7 @@ def _reference_family(data, doubled, signs):
             edges += [w * ((s + delta) / 2), w * (-(s - delta) / 2)]
         return edges
 
-    order = _angle_order(multiset((lo + hi) / 2))
+    order = angle_order(multiset((lo + hi) / 2))
 
     def area(t):
         edges = multiset(Fraction(t))
@@ -319,6 +319,9 @@ class TestThreePairOracle:
             candidates = enumerate_candidates(data)
             scale = lcm(*(c.length_sum.denominator for c in data.classes))
             for (dirs, ring, int_sums, m, base, kernel), (k0, k1, k2) in calls:
+                # The area is never constant along a family: |K2| = 2 |alpha_a alpha_b (w_a x w_b)|.
+                (a, alpha_a), (b, alpha_b) = list(kernel.items())[:2]
+                assert abs(k2) == 2 * abs(alpha_a * alpha_b * dirs[a].cross(dirs[b]))
                 doubled = tuple(tuple(data.classes[i].normal) for i in base)
                 signs = [1] * len(data.classes)
                 for i, s in ring:
