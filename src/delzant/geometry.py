@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, StructuralPolygonError
-from .vectors import Vec2, as_scalar, lattice_multiple, primitive_part
+from .vectors import Vec2, as_scalar, primitive_part
 
 # Integer 2x2 matrices travel as ((a, b), (c, d)), acting as rows on columns.
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -80,34 +80,45 @@ class Polygon:
         if len(pts) < 3:
             raise StructuralPolygonError("a polygon needs at least 3 vertices")
         d = len(pts)
-        vecs = [pts[(i + 1) % d] - pts[i] for i in range(d)]
-        for i, vec in enumerate(vecs):
-            if vec.is_zero():
+        # One integer frame: every coordinate times the common denominator L.
+        # L > 0, so every sign below is the sign of the rational expression.
+        common = math.lcm(*(c.denominator for v in pts for c in v))
+        xs = [v.x.numerator * (common // v.x.denominator) for v in pts]
+        ys = [v.y.numerator * (common // v.y.denominator) for v in pts]
+        dxs = [xs[(i + 1) % d] - xs[i] for i in range(d)]
+        dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
+        for i in range(d):
+            if dxs[i] == 0 and dys[i] == 0:
                 raise StructuralPolygonError(f"repeated vertex at index {i}")
-        crosses = [vecs[i].cross(vecs[(i + 1) % d]) for i in range(d)]
-        if all(c < 0 for c in crosses):
-            pts.reverse()
-            vecs = [pts[(i + 1) % d] - pts[i] for i in range(d)]
-            crosses = [vecs[i].cross(vecs[(i + 1) % d]) for i in range(d)]
+        crosses = [dxs[i] * dys[(i + 1) % d] - dys[i] * dxs[(i + 1) % d] for i in range(d)]
         if any(c == 0 for c in crosses):
             bad = crosses.index(0)
             raise StructuralPolygonError(f"collinear edges around vertex {(bad + 1) % d}")
-        if any(c < 0 for c in crosses):
+        if all(c < 0 for c in crosses):
+            # Reversal negates every turn, so a clockwise chain turns left after it.
+            pts.reverse()
+            xs.reverse()
+            ys.reverse()
+            dxs = [xs[(i + 1) % d] - xs[i] for i in range(d)]
+            dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
+        elif any(c < 0 for c in crosses):
             raise StructuralPolygonError("vertices do not bound a convex polygon")
         self.vertices: tuple[Vec2, ...] = tuple(pts)
         edges = []
-        for vec in vecs:
-            direction = primitive_part(vec)
-            edges.append(
-                Edge(
-                    vector=vec,
-                    direction=direction,
-                    lattice_length=lattice_multiple(vec, direction),
-                    normal=direction.perp_cw(),
-                )
+        for i in range(d):
+            a, b, dx, dy = pts[i], pts[(i + 1) % d], dxs[i], dys[i]
+            # An edge vector keeps the exact type of its endpoints' difference:
+            # int from two ints, Fraction otherwise.
+            vec = Vec2(
+                dx // common if isinstance(a.x, int) and isinstance(b.x, int) else Fraction(dx, common),
+                dy // common if isinstance(a.y, int) and isinstance(b.y, int) else Fraction(dy, common),
             )
+            g = math.gcd(dx, dy)
+            direction = Vec2(dx // g, dy // g)
+            edges.append(Edge(vec, direction, Fraction(g, common), direction.perp_cw()))
         self.edges: tuple[Edge, ...] = tuple(edges)
-        self._area: Fraction | None = None
+        twice = sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(d))
+        self._area = Fraction(twice, 2 * common * common)
 
     @property
     def edge_count(self) -> int:
@@ -115,13 +126,6 @@ class Polygon:
 
     @property
     def area(self) -> Fraction:
-        if self._area is None:
-            verts = self.vertices
-            total = sum(
-                (verts[i].cross(verts[(i + 1) % len(verts)]) for i in range(len(verts))),
-                start=Fraction(0),
-            )
-            self._area = Fraction(total) / 2
         return self._area
 
     def translate(self, offset: Vec2) -> "Polygon":

@@ -152,7 +152,7 @@ class AssignmentRecord(NamedTuple):
     splits: tuple[tuple[Fraction, Fraction], ...]  # (length+, length-) per doubled class
     parameter: Fraction | None                    # three-pair parameter, when used
     anchor: int                                   # +1 / -1; 0 when the branch died earlier
-    outcome: str
+    outcome: str                                  # one of TRACE_OUTCOMES
     candidate_index: int | None
 
 
@@ -399,6 +399,13 @@ def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[t
         g = gcd(den, *flat)
         keys.append((den // g,) + tuple(v // g for v in flat))
     return keys[0], keys[1]
+
+
+# Every outcome enumerate_candidates writes into its trace; only
+# "emitted" records name a candidate.
+TRACE_OUTCOMES = frozenset(
+    {"no_closure", "inadmissible_split", "no_convex_ordering", "dropped_invalid", "dropped_mismatch", "emitted"}
+)
 
 
 def enumerate_candidates(

@@ -13,7 +13,7 @@ from typing import Union
 from .errors import OrientationWarning, ParseError, StructuralPolygonError
 from .geometry import Polygon
 from .polytope3 import Polytope3
-from .reconstruct import AssignmentRecord, CandidateSet
+from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, NormalClass, SpectralData
 from .vectors import Vec2, canonical_unsigned, format_rational, is_primitive_integer, parse_rational
 from .zoo import ZooCensus
@@ -239,7 +239,7 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     }
 
 
-def _record_from_json(entry, index: int) -> AssignmentRecord:
+def _record_from_json(entry, index: int, candidate_count: int) -> AssignmentRecord:
     what = f"trace record {index}"
     _read_object(entry, what)
     doubled = _read_list(entry.get("doubled", []), f"{what}: doubled")
@@ -248,10 +248,14 @@ def _record_from_json(entry, index: int) -> AssignmentRecord:
     if any(not isinstance(pair, list) or len(pair) != 2 for pair in splits):
         raise ParseError(f"{what}: splits must be pairs of rationals, got {json.dumps(splits)}")
     parameter, outcome, candidate = entry.get("parameter"), entry.get("outcome", ""), entry.get("candidate")
-    if not isinstance(outcome, str):
-        raise ParseError(f"{what}: outcome must be a string, got {json.dumps(outcome)}")
-    if candidate is not None:
-        _read_int(candidate, f"{what}: candidate")
+    if not isinstance(outcome, str) or outcome not in TRACE_OUTCOMES:
+        raise ParseError(f"{what}: outcome must be one of {sorted(TRACE_OUTCOMES)}, got {json.dumps(outcome)}")
+    if outcome == "emitted" and candidate is None:
+        raise ParseError(f"{what}: an emitted record needs a candidate index")
+    if outcome != "emitted" and candidate is not None:
+        raise ParseError(f"{what}: only an emitted record names a candidate, got {json.dumps(candidate)}")
+    if candidate is not None and not 0 <= _read_int(candidate, f"{what}: candidate") < candidate_count:
+        raise ParseError(f"{what}: candidate {candidate} is not among the {candidate_count} candidates")
     return AssignmentRecord(
         doubled=tuple(_read_ints(n, 2, f"{what}: doubled normal") for n in doubled),
         signs=tuple(_read_int(x, f"{what}: sign") for x in signs),
@@ -269,7 +273,7 @@ def candidates_from_json(doc: dict) -> CandidateSet:
         for index, entry in enumerate(_read_list(doc.get("candidates"), "'candidates'"))
     )
     raw_trace = _read_list(doc.get("assignmentTrace", []), "'assignmentTrace'")
-    trace = tuple(_record_from_json(entry, index) for index, entry in enumerate(raw_trace))
+    trace = tuple(_record_from_json(entry, index, len(polygons)) for index, entry in enumerate(raw_trace))
     return CandidateSet(candidates=polygons, trace=trace)
 
 

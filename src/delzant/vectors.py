@@ -41,7 +41,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value) -> str:
     """Render an exact scalar as a 'p/q' string ('0/1', '1/2', '-3/1', ...)."""
-    frac = Fraction(value)
+    frac = value if type(value) is Fraction else Fraction(value)
     return f"{frac.numerator}/{frac.denominator}"
 
 
@@ -149,14 +149,6 @@ def is_primitive_integer(vector) -> bool:
         return False
     ints = [abs(int(c)) for c in coords]
     return any(ints) and math.gcd(*ints) == 1
-
-
-def lattice_multiple(vector, direction) -> Fraction:
-    """The scalar t with ``vector == t * direction`` (direction primitive)."""
-    for v, d in zip(vector, direction):
-        if d != 0:
-            return Fraction(v) / Fraction(d)
-    raise ValueError("zero direction")
 
 
 def canonical_unsigned(vector):

@@ -315,6 +315,36 @@ def test_render_rejects_malformed_overlay_exit_5(overlay, tmp_path, monkeypatch,
     assert err.startswith("error: ")
 
 
+UNIT_SQUARE_DOC = {"dim": 2, "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["1/1", "1/1"], ["0/1", "1/1"]]}
+
+
+@pytest.mark.parametrize("candidates, record", [
+    ([], dict(RECORD, outcome="bogus", candidate=None)),
+    ([], dict(RECORD, outcome="bogus", candidate=99)),
+    ([UNIT_SQUARE_DOC], {key: value for key, value in RECORD.items() if key != "outcome"}),
+    ([UNIT_SQUARE_DOC], dict(RECORD, outcome="no_closure", candidate=0)),
+    ([UNIT_SQUARE_DOC], dict(RECORD, candidate=None)),
+    ([], dict(RECORD, candidate=0)),
+    ([UNIT_SQUARE_DOC], dict(RECORD, candidate=1)),
+    ([UNIT_SQUARE_DOC], dict(RECORD, candidate=-1)),
+], ids=["bogus_outcome", "bogus_outcome_and_index", "missing_outcome", "index_on_non_emitted",
+        "emitted_without_index", "index_past_empty_list", "index_past_end", "negative_index"])
+def test_render_rejects_inconsistent_trace_exit_5(candidates, record, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"candidates": candidates, "assignmentTrace": [record]}))
+    code, out, err = run(["render", "--overlay", str(path)], SQUARE, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert err.startswith("error: ") and "trace record 0" in err
+
+
+def test_render_accepts_consistent_trace(tmp_path, monkeypatch, capsys):
+    records = [dict(RECORD), dict(RECORD, outcome="dropped_invalid", candidate=None)]
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"candidates": [UNIT_SQUARE_DOC], "assignmentTrace": records}))
+    code, out, _ = run(["render", "--overlay", str(path)], SQUARE, monkeypatch, capsys)
+    assert code == 0 and out.count("<path") == 2
+
+
 @pytest.mark.parametrize("command, doc", [
     ("validate", {"dim": 2.0, "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["0/1", "1/1"]]}),
     ("bundle-data", {"dim": 3.0, "vertices": [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"],

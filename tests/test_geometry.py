@@ -21,6 +21,8 @@ from delzant import (
     validate_delzant,
 )
 from delzant.errors import BudgetExceededError
+from delzant.geometry import Edge
+from delzant.vectors import as_scalar, format_rational, primitive_part
 
 rational = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
@@ -52,6 +54,115 @@ class TestPolygonConstruction:
         for edge in hirzebruch_111.edges:
             assert edge.vector == edge.direction * edge.lattice_length
             assert edge.lattice_length > 0
+
+
+def _reference_polygon(vertices):
+    """Polygon's construction before its integer frame, all in Fraction,
+    kept only as the reference the frame is checked against.  Returns
+    ``(vertices, edges, area)`` or raises what the constructor raised."""
+    pts = [Vec2(as_scalar(v[0]), as_scalar(v[1])) for v in vertices]
+    if len(pts) < 3:
+        raise StructuralPolygonError("a polygon needs at least 3 vertices")
+    d = len(pts)
+    vecs = [pts[(i + 1) % d] - pts[i] for i in range(d)]
+    for i, vec in enumerate(vecs):
+        if vec.is_zero():
+            raise StructuralPolygonError(f"repeated vertex at index {i}")
+    crosses = [vecs[i].cross(vecs[(i + 1) % d]) for i in range(d)]
+    if all(c < 0 for c in crosses):
+        pts.reverse()
+        vecs = [pts[(i + 1) % d] - pts[i] for i in range(d)]
+        crosses = [vecs[i].cross(vecs[(i + 1) % d]) for i in range(d)]
+    if any(c == 0 for c in crosses):
+        bad = crosses.index(0)
+        raise StructuralPolygonError(f"collinear edges around vertex {(bad + 1) % d}")
+    if any(c < 0 for c in crosses):
+        raise StructuralPolygonError("vertices do not bound a convex polygon")
+    edges = []
+    for vec in vecs:
+        direction = primitive_part(vec)
+        k = 0 if direction.x != 0 else 1
+        edges.append(Edge(vec, direction, Fraction(vec[k]) / Fraction(direction[k]), direction.perp_cw()))
+    total = sum((pts[i].cross(pts[(i + 1) % d]) for i in range(d)), start=Fraction(0))
+    return tuple(pts), tuple(edges), Fraction(total) / 2
+
+
+def _types(value):
+    """The Python type of every scalar in a nest of tuples."""
+    if isinstance(value, tuple):
+        return tuple(_types(v) for v in value)
+    return type(value)
+
+
+def _convex_hull(points):
+    """Strictly convex hull, counterclockwise (Andrew's monotone chain)."""
+    pts = sorted(set(Vec2(Fraction(x), Fraction(y)) for x, y in points))
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and (chain[-1] - chain[-2]).cross(p - chain[-1]) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+frame_coords = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=12))
+
+
+@st.composite
+def vertex_lists(draw):
+    """3-9 points: random lists, and convex hulls as they are, clockwise, or
+    with a repeated point, a collinear midpoint or a reflex centroid put in.
+    Integral coordinates come as int or as Fraction."""
+    points = draw(st.lists(st.tuples(frame_coords, frame_coords), min_size=3, max_size=8))
+    hull = _convex_hull(points)
+    if len(hull) >= 3 and draw(st.booleans()):
+        points = [tuple(v) for v in hull]
+        i = draw(st.integers(0, len(points) - 1))
+        a, b = points[i], points[(i + 1) % len(points)]
+        kind = draw(st.sampled_from(["ccw", "cw", "repeat", "collinear", "reflex"]))
+        if kind == "cw":
+            points.reverse()
+        elif kind == "repeat":
+            points.insert(draw(st.integers(0, len(points))), a)
+        elif kind == "collinear":
+            points.insert(i + 1, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2))
+        elif kind == "reflex":
+            n = len(points)
+            points.insert(i + 1, (sum(p[0] for p in points) / n, sum(p[1] for p in points) / n))
+    return [
+        tuple(int(c) if c.denominator == 1 and draw(st.booleans()) else c for c in p)
+        for p in points
+    ]
+
+
+class TestIntegerFrame:
+    """Polygon derives its lattice data in one integer frame; it must agree
+    with the Fraction construction on values, types and errors."""
+
+    @given(vertex_lists())
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    def test_matches_fraction_reference(self, points):
+        try:
+            expected = _reference_polygon(points)
+        except StructuralPolygonError as exc:
+            with pytest.raises(StructuralPolygonError) as caught:
+                Polygon(points)
+            assert str(caught.value) == str(exc)
+            return
+        polygon = Polygon(points)
+        got = (polygon.vertices, polygon.edges, polygon.area)
+        assert got == expected
+        assert _types(got) == _types(expected)
+
+    @given(st.one_of(st.integers(), st.booleans(), st.fractions()))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_format_rational_matches_fraction_string(self, value):
+        frac = Fraction(value)
+        assert format_rational(value) == f"{frac.numerator}/{frac.denominator}"
 
 
 class TestPrimitiveOutwardNormal:

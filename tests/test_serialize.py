@@ -154,6 +154,16 @@ class TestCandidateFormat:
         ]
         assert rebuilt.trace == candidates.trace
 
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_library_traces_read_back(self, d):
+        # Every outcome the library writes, three-pair parameters included,
+        # passes the reader's consistency checks and reads back unchanged.
+        for seed in range(4):
+            candidates = enumerate_candidates(spectral_data(random_delzant(d, seed, 4, twist=seed % 2 == 1)))
+            rebuilt = candidates_from_json(json.loads(json.dumps(candidates_to_json(candidates))))
+            assert rebuilt.trace == candidates.trace
+            assert rebuilt.candidates == candidates.candidates
+
 
 def test_census_payload_shape():
     census = parallel_pair_census(5, 2)
