@@ -70,10 +70,11 @@ class Polygon:
     The constructor accepts vertices in either orientation (clockwise input
     is reversed) and raises :class:`StructuralPolygonError` for anything
     that is not a strictly convex polygon: fewer than three vertices,
-    repeated vertices, collinear triples, or a non-convex chain.
+    repeated vertices, collinear triples, a non-convex chain, or a star
+    that turns one way throughout but winds around more than once.
     """
 
-    __slots__ = ("vertices", "edges", "_area")
+    __slots__ = ("vertices", "edges", "_area", "_steps")
 
     def __init__(self, vertices: Iterable[Sequence]):
         pts = [Vec2(as_scalar(v[0]), as_scalar(v[1])) for v in vertices]
@@ -103,7 +104,14 @@ class Polygon:
             dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
         elif any(c < 0 for c in crosses):
             raise StructuralPolygonError("vertices do not bound a convex polygon")
+        # Every turn is left and below pi, so the edge directions pass from
+        # the upper half-plane to the lower once per winding.
+        upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in zip(dxs, dys)]
+        if sum(upper[i - 1] and not upper[i] for i in range(d)) != 1:
+            raise StructuralPolygonError("vertices wind around more than once")
         self.vertices: tuple[Vec2, ...] = tuple(pts)
+        # The edge vectors in the integer frame, for detect_subpolygons.
+        self._steps = (dxs, dys)
         edges = []
         for i in range(d):
             a, b, dx, dy = pts[i], pts[(i + 1) % d], dxs[i], dys[i]
@@ -152,10 +160,6 @@ class Polygon:
 
     def canonical_key(self) -> tuple:
         return tuple(self.canonical().vertices)
-
-    def support(self, direction: Vec2) -> Fraction:
-        """Maximum of x . direction over the polygon (attained at a vertex)."""
-        return max(Fraction(v.dot(direction)) for v in self.vertices)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -244,11 +248,8 @@ def detect_subpolygons(polygon: Polygon, max_edges: int = 16) -> SubpolygonRepor
     d = polygon.edge_count
     if d > max_edges:
         raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^{max_edges}")
-    # Scale edge vectors to integers once so mask sums are pure int work.
-    fracs = [(Fraction(e.vector.x), Fraction(e.vector.y)) for e in polygon.edges]
-    common = math.lcm(*(c.denominator for pair in fracs for c in pair))
-    xs = [int(pair[0] * common) for pair in fracs]
-    ys = [int(pair[1] * common) for pair in fracs]
+    # The edge vectors in Polygon's integer frame: mask sums are pure int work.
+    xs, ys = polygon._steps
     found = []
     for mask in range(1, 1 << d):
         k = mask.bit_count()
@@ -271,9 +272,12 @@ def polygon_from_halfplanes(normals: Sequence[Vec2], offsets: Sequence) -> Polyg
     """Build the polygon bounded by lines x . n_i = c_i, one edge per line.
 
     The normals must already be in counterclockwise cyclic order; the vertex
-    starting edge ``i`` is the intersection of lines ``i-1`` and ``i``.
-    Raises :class:`StructuralPolygonError` when consecutive lines are
-    parallel or the data does not bound a convex polygon.
+    starting edge ``i`` is the intersection of lines ``i-1`` and ``i``.  A
+    polygon is returned only if its edge ``i`` lies on line ``i`` with its
+    outward normal along ``n_i``, so it satisfies every half-plane
+    x . n_i <= c_i and has exactly the fan of the normals.  Otherwise, and
+    when consecutive lines are parallel or the vertices do not bound a
+    convex polygon, :class:`StructuralPolygonError` is raised.
     """
     d = len(normals)
     if d < 3 or d != len(offsets):
@@ -289,4 +293,8 @@ def polygon_from_halfplanes(normals: Sequence[Vec2], offsets: Sequence) -> Polyg
         x = Fraction(cu * v.y - cv * u.y, 1) / det
         y = Fraction(cv * u.x - cu * v.x, 1) / det
         vertices.append(Vec2(x, y))
-    return Polygon(vertices)
+    polygon = Polygon(vertices)
+    # Polygon reverses a clockwise chain, which puts the last vertex first.
+    if polygon.vertices[0] != vertices[0] or any(e.normal.dot(n) <= 0 for e, n in zip(polygon.edges, normals)):
+        raise StructuralPolygonError("edges do not face along the normals of their half-planes")
+    return polygon

@@ -7,10 +7,10 @@ length splits inside each parallel pair.  Each branch is decided in a fixed
 order: integer closure (a small linear system; with three pairs a
 one-parameter family is left, whose area is an integer quadratic summed
 along the branch's normal fan and solved exactly against the data's area),
-then the signed normal fan (convex and smooth, by integer determinants),
-then the area of the chained edges, and only then verification of the one
-polygon it can bound, which must be Delzant and reproduce the input data
-exactly.
+then the signed normal fan (smooth, by integer determinants; positive
+lengths already make it convex), then the area of the chained edges.  The
+one polygon a surviving branch bounds is then Delzant with exactly the
+input data, which is asserted, not decided.
 :func:`build_most_obtuse` is the paper's per-branch builder; the tests use
 it as the reference for the enumeration.
 """
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .geometry import Polygon, detect_subpolygons, polygon_from_halfplanes, validate_delzant
 from .polytope3 import Polytope3
-from .spectral import HalfSpaceSystem, SpectralData, spectral_data
+from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
 from .vectors import Vec2, Vec3, angle_order, canonical_unsigned, is_primitive_integer
 
 
@@ -404,7 +404,7 @@ def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[t
 # Every outcome enumerate_candidates writes into its trace; only
 # "emitted" records name a candidate.
 TRACE_OUTCOMES = frozenset(
-    {"no_closure", "inadmissible_split", "no_convex_ordering", "dropped_invalid", "dropped_mismatch", "emitted"}
+    {"no_closure", "inadmissible_split", "dropped_invalid", "dropped_mismatch", "emitted"}
 )
 
 
@@ -425,13 +425,13 @@ def enumerate_candidates(
        quadratic of :func:`_family_quadratic` (``no_closure``); a
        split that is not positive on both sides is ``inadmissible_split``;
     2. fan: the branch's signed edge directions, in angular order, must
-       turn strictly left at every vertex (``no_convex_ordering``) with
-       determinant 1 (``dropped_invalid``);
+       turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
        (``dropped_mismatch``);
-    4. verification: the surviving polygon is built once, in canonical
-       form, and emitted only if it validates Delzant and reproduces
-       ``data`` exactly.
+    4. the surviving polygon is built once, in canonical form, and
+       emitted.  Determinant 1 at every turn, positive lengths, closure
+       and the area make it Delzant with exactly ``data``; that it
+       validates and reproduces ``data`` is asserted.
 
     Every branch that reaches step 2 is recorded twice, once per
     ``anchor`` of :func:`build_most_obtuse`, the reference builder: anchor
@@ -479,23 +479,17 @@ def enumerate_candidates(
         choices = list(combinations(range(r), p))
 
     records: list[tuple] = []
-    verdicts: dict[tuple, str] = {}
     emitted: dict[tuple, Polygon] = {}
 
-    def verify(key: tuple) -> str:
-        if key not in verdicts:
+    def emit(key: tuple) -> None:
+        if key not in emitted:
             den = key[0]
             polygon = Polygon(
                 [Vec2(Fraction(key[k], den), Fraction(key[k + 1], den)) for k in range(1, len(key), 2)]
             )
-            if not validate_delzant(polygon):
-                verdicts[key] = "dropped_invalid"
-            elif not spectral_data(polygon).matches(data, with_counts=trust_counts):
-                verdicts[key] = "dropped_mismatch"
-            else:
-                verdicts[key] = "emitted"
-                emitted[key] = polygon
-        return verdicts[key]
+            if not validate_delzant(polygon) or not spectral_data(polygon).matches(data, with_counts=trust_counts):
+                raise AssertionError("a smooth fan chain of the data's area does not reproduce the data")
+            emitted[key] = polygon
 
     for choice in choices:
         chosen = set(choice)
@@ -559,7 +553,7 @@ def enumerate_candidates(
             if not solutions:
                 records.append((doubled_normals, tuple(signs), (), None, 0, "no_closure", None))
                 continue
-            turns = None
+            smooth = None
             for numerators, q, parameter in solutions:
                 m = q // scale
                 delta = dict(zip(choice, numerators))
@@ -571,19 +565,21 @@ def enumerate_candidates(
                 if any(abs(n) >= int_sums[i] * m for i, n in delta.items()):
                     records.append(head + (0, "inadmissible_split", None))
                     continue
-                if turns is None:
+                if smooth is None:
                     if ring is None:
                         ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
-                    turns = [
-                        s * t * dirs[i].cross(dirs[j])
+                    # The fan is convex: admissible splits make every length
+                    # positive, so the ring's directions sum to zero with
+                    # positive weights.  They lie on at least two lines (a
+                    # choice exists only when r >= 2), so no gap between
+                    # angular neighbours reaches pi and every turn is
+                    # positive.  Only the determinant is left to test.
+                    smooth = all(
+                        s * t * dirs[i].cross(dirs[j]) == 1
                         for (i, s), (j, t) in zip(ring, ring[1:] + ring[:1])
-                    ]
+                    )
                 keys = None
-                if min(turns) <= 0:
-                    outcome = "no_convex_ordering"
-                elif any(t != 1 for t in turns):
-                    outcome = "dropped_invalid"
-                else:
+                if smooth:
                     # Lengths over 2q: a doubled class with integer sum S and
                     # numerator n has S m + n forward and S m - n back.
                     keys = _fan_chain(
@@ -594,14 +590,13 @@ def enumerate_candidates(
                         2 * q,
                         twice_area,
                     )
-                    outcome = "dropped_mismatch"
                 for anchor in (1, -1):
                     if keys is None:
-                        records.append(head + (anchor, outcome, None))
+                        records.append(head + (anchor, "dropped_mismatch" if smooth else "dropped_invalid", None))
                         continue
                     key = keys[0] if anchor * signs[0] > 0 else keys[1]
-                    verdict = verify(key)
-                    records.append(head + (anchor, verdict, key if verdict == "emitted" else None))
+                    emit(key)
+                    records.append(head + (anchor, "emitted", key))
 
     if not emitted:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
@@ -625,7 +620,7 @@ class GenericityReport:
         return self.generic
 
 
-def is_generic(polygon: Polygon, max_parallel_pairs: int = 3) -> GenericityReport:
+def is_generic(polygon: Polygon) -> GenericityReport:
     """Whether the data of this polygon pins it down to the minimal set.
 
     Generic means: no subpolygons, a unique doubled-class assignment
@@ -636,7 +631,7 @@ def is_generic(polygon: Polygon, max_parallel_pairs: int = 3) -> GenericityRepor
     """
     data = spectral_data(polygon)
     p = data.parallel_pairs
-    if p > min(max_parallel_pairs, 3):
+    if p > 3:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
     if data.vertex_count == 4 and len(data.classes) == 2:
         return GenericityReport(
@@ -647,7 +642,7 @@ def is_generic(polygon: Polygon, max_parallel_pairs: int = 3) -> GenericityRepor
             candidate_count=None,
         )
     subs = detect_subpolygons(polygon).subsets
-    candidates = enumerate_candidates(data, max_parallel_pairs=max_parallel_pairs)
+    candidates = enumerate_candidates(data)
     assignments = tuple(sorted({rec.doubled for rec in candidates.trace if rec.outcome == "emitted"}))
     bound = 2 if p <= 2 else 4
     generic = not subs and len(assignments) == 1 and len(candidates) <= bound
@@ -667,58 +662,47 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
     result must reproduce every entry (normal, offset and facet volume) or
     an inconsistency is raised.
     """
-    if system.dim == 2:
-        return _reconstruct_polygon(system)
-    if system.dim == 3:
-        return _reconstruct_polytope(system)
-    raise ValueError(f"unsupported dimension {system.dim}")
-
-
-def _reconstruct_polygon(system: HalfSpaceSystem) -> Polygon:
+    dim = system.dim
+    if dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim}")
     entries = list(system.entries)
-    if len(entries) < 3:
-        raise ReconstructionInfeasibleError("a bounded polygon needs at least three half-planes")
-    normals = [Vec2(*e.normal) for e in entries]
+    if len(entries) <= dim:
+        raise ReconstructionInfeasibleError(f"a bounded {dim}-polytope needs at least {dim + 1} half-spaces")
     if len(set(e.normal for e in entries)) != len(entries):
         raise InconsistentSystemError("normals must be pairwise distinct")
-    for n in normals:
-        if not is_primitive_integer(n):
-            raise InconsistentSystemError(f"normal {tuple(n)} is not a primitive integer vector")
+    for e in entries:
+        if not is_primitive_integer(e.normal):
+            raise InconsistentSystemError(f"normal {tuple(e.normal)} is not a primitive integer vector")
+    rebuilt = _reconstruct_polygon(entries) if dim == 2 else _reconstruct_polytope(entries)
+    derived = {(e.normal, e.offset): e.volume for e in bundle_facet_data(rebuilt).entries}
+    given = {(e.normal, Fraction(e.offset)): Fraction(e.volume) for e in entries}
+    for key in derived:
+        if key not in given:
+            raise ReconstructionInfeasibleError(
+                f"intersection is unbounded: extreme points span a facet {key[0]} absent from the data"
+            )
+    for key, volume in given.items():
+        if key not in derived:
+            raise InconsistentSystemError(f"half-space {key[0]} is redundant (no facet)")
+        if derived[key] != volume:
+            raise InconsistentSystemError(f"facet {key[0]} has lattice volume {derived[key]}, data says {volume}")
+    return rebuilt
+
+
+def _reconstruct_polygon(entries: Sequence[HalfSpaceEntry]) -> Polygon:
+    normals = [Vec2(*e.normal) for e in entries]
     order = angle_order(normals)
-    sorted_normals = [normals[i] for i in order]
-    sorted_entries = [entries[i] for i in order]
-    m = len(order)
-    for i in range(m):
-        if sorted_normals[i].cross(sorted_normals[(i + 1) % m]) <= 0:
+    for i, j in zip(order, order[1:] + order[:1]):
+        if normals[i].cross(normals[j]) <= 0:
             raise ReconstructionInfeasibleError("normals fit in a half-plane; the intersection is unbounded")
     try:
-        polygon = polygon_from_halfplanes(sorted_normals, [e.offset for e in sorted_entries])
+        return polygon_from_halfplanes([normals[i] for i in order], [entries[i].offset for i in order])
     except StructuralPolygonError as exc:
         raise InconsistentSystemError(f"half-planes do not bound a polygon: {exc}") from exc
-    for i, (edge, entry) in enumerate(zip(polygon.edges, sorted_entries)):
-        if tuple(edge.normal) != tuple(sorted_normals[i]):
-            raise InconsistentSystemError(f"half-space {entry.normal} is redundant")
-        if edge.lattice_length != entry.volume:
-            raise InconsistentSystemError(
-                f"facet {entry.normal} has lattice length {edge.lattice_length}, data says {entry.volume}"
-            )
-    for v in polygon.vertices:
-        for entry, n in zip(sorted_entries, sorted_normals):
-            if v.dot(n) > entry.offset:
-                raise ReconstructionInfeasibleError("half-space system is infeasible")
-    return polygon
 
 
-def _reconstruct_polytope(system: HalfSpaceSystem) -> Polytope3:
-    entries = list(system.entries)
-    if len(entries) < 4:
-        raise ReconstructionInfeasibleError("a bounded 3-polytope needs at least four half-spaces")
-    if len(set(e.normal for e in entries)) != len(entries):
-        raise InconsistentSystemError("normals must be pairwise distinct")
+def _reconstruct_polytope(entries: Sequence[HalfSpaceEntry]) -> Polytope3:
     normals = [Vec3(*e.normal) for e in entries]
-    for n in normals:
-        if not is_primitive_integer(n):
-            raise InconsistentSystemError(f"normal {tuple(n)} is not a primitive integer vector")
     offsets = [Fraction(e.offset) for e in entries]
     points: list[Vec3] = []
     for i, j, k in combinations(range(len(entries)), 3):
@@ -738,21 +722,6 @@ def _reconstruct_polytope(system: HalfSpaceSystem) -> Polytope3:
     if len(points) < 4:
         raise ReconstructionInfeasibleError("half-space system has an empty or degenerate intersection")
     try:
-        polytope = Polytope3(points)
+        return Polytope3(points)
     except StructuralPolygonError as exc:
         raise ReconstructionInfeasibleError(f"intersection is not a 3-polytope: {exc}") from exc
-    derived = {(tuple(f.normal), f.offset): f.lattice_area for f in polytope.facets}
-    given = {(e.normal, Fraction(e.offset)): Fraction(e.volume) for e in entries}
-    for key in derived:
-        if key not in given:
-            raise ReconstructionInfeasibleError(
-                f"intersection is unbounded: extreme points span a facet {key[0]} absent from the data"
-            )
-    for key, volume in given.items():
-        if key not in derived:
-            raise InconsistentSystemError(f"half-space {key[0]} is redundant (no facet)")
-        if derived[key] != volume:
-            raise InconsistentSystemError(
-                f"facet {key[0]} has lattice area {derived[key]}, data says {volume}"
-            )
-    return polytope

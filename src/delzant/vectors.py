@@ -51,10 +51,6 @@ class Vec2(NamedTuple):
     x: Fraction | int
     y: Fraction | int
 
-    @classmethod
-    def of(cls, x, y) -> "Vec2":
-        return cls(as_scalar(x), as_scalar(y))
-
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
 
@@ -95,10 +91,6 @@ class Vec3(NamedTuple):
     x: Fraction | int
     y: Fraction | int
     z: Fraction | int
-
-    @classmethod
-    def of(cls, x, y, z) -> "Vec3":
-        return cls(as_scalar(x), as_scalar(y), as_scalar(z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)

@@ -163,8 +163,6 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
             candidate = polygon_from_halfplanes(normals, shifted)
         except StructuralPolygonError:
             continue
-        if [e.normal for e in candidate.edges] != normals:
-            continue  # an edge collapsed or flipped; the fan changed
         if not validate_delzant(candidate):
             continue
         last = candidate
@@ -173,14 +171,6 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     raise BudgetExceededError(
         f"no generic perturbation found in {budget} attempts", partial=last
     )
-
-
-def _census_pairs(normals: tuple[tuple[int, int], ...]) -> int:
-    seen: dict[tuple[int, int], int] = {}
-    for n in normals:
-        key = n if (n[0] > 0 or (n[0] == 0 and n[1] > 0)) else (-n[0], -n[1])
-        seen[key] = seen.get(key, 0) + 1
-    return sum(1 for count in seen.values() if count == 2)
 
 
 def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_000) -> ZooCensus:
@@ -199,10 +189,9 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
     histogram: dict[int, int] = {}
     total = 0
 
-    def visit(normals: tuple, lengths: tuple, remaining: int):
+    def visit(normals: tuple, lengths: tuple, remaining: int, pairs: int):
         nonlocal total
         if remaining == 0:
-            pairs = _census_pairs(normals)
             histogram[pairs] = histogram.get(pairs, 0) + 1
             total += 1
             if total > max_instances:
@@ -219,6 +208,9 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
                 normals[(i - 1) % k][0] + normals[i][0],
                 normals[(i - 1) % k][1] + normals[i][1],
             )
+            # A chop removes no edge; its new normal pairs up exactly when
+            # the opposite normal is already there.
+            new_pairs = pairs + ((-n_new[0], -n_new[1]) in normals)
             for t in range(1, min(len_in, len_out, bound + 1)):
                 new_normals = normals[:i] + (n_new,) + normals[i:]
                 # Shorten both incident edges, insert the new one at i.
@@ -226,12 +218,12 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
                 new_lengths[(i - 1) % k] = len_in - t
                 new_lengths[i] = len_out - t
                 new_lengths.insert(i, t)
-                visit(new_normals, tuple(new_lengths), remaining - 1)
+                visit(new_normals, tuple(new_lengths), remaining - 1, new_pairs)
 
     for m in range(0, bound + 1):
         for w in range(1, bound + 1):
             for h in range(1, bound + 1):
                 base_normals = ((0, -1), (1, 0), (m, 1), (-1, 0))
                 base_lengths = (w, h, w, h + m * w)
-                visit(base_normals, base_lengths, d - 4)
+                visit(base_normals, base_lengths, d - 4, 2 if m == 0 else 1)
     return ZooCensus(edge_count=d, histogram=dict(sorted(histogram.items())), total=total)

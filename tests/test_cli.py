@@ -103,6 +103,27 @@ def test_bundle_round_trip_infeasible_exit_3(monkeypatch, capsys):
     assert "unbounded" in err
 
 
+def _halfplanes(*rows):
+    return json.dumps({"dim": 2, "entries": [
+        {"normal": list(normal), "offset": f"{offset}/1", "volume": f"{volume}/1"}
+        for normal, offset, volume in rows
+    ]})
+
+
+@pytest.mark.parametrize("doc", [
+    # y >= 1, x <= 0, y <= 0, x >= 1: the unit square, every normal negated
+    _halfplanes(((0, -1), -1, 1), ((1, 0), 0, 1), ((0, 1), 0, 1), ((-1, 0), -1, 1)),
+    # y >= 2, x <= -1, y <= -2, x >= -2
+    _halfplanes(((0, -1), -2, 1), ((1, 0), -1, 4), ((0, 1), -2, 1), ((-1, 0), 2, 4)),
+    # x <= -2, y <= -1, x >= 2, y >= -2: a rectangle with the normals in order
+    _halfplanes(((1, 0), -2, 1), ((0, 1), -1, 4), ((-1, 0), -2, 1), ((0, -1), 2, 4)),
+], ids=["negated_square", "empty_rectangle", "empty_rectangle_in_order"])
+def test_bundle_reconstruct_empty_system_exit_3(doc, monkeypatch, capsys):
+    code, out, err = run(["bundle-reconstruct"], doc, monkeypatch, capsys)
+    assert code == 3 and out == ""
+    assert "half-planes do not bound a polygon" in err
+
+
 def test_bundle_data_and_back(monkeypatch, capsys):
     code, out, _ = run(["bundle-data", "--json"], SQUARE, monkeypatch, capsys)
     assert code == 0
@@ -201,6 +222,18 @@ def test_render_with_overlay(tmp_path, monkeypatch, capsys):
     code, out, _ = run(["render", "--overlay", str(overlay)], SQUARE, monkeypatch, capsys)
     assert code == 0
     assert out.count("<path") == 2  # square plus one candidate
+
+
+@pytest.mark.parametrize("command", ["validate", "info"])
+@pytest.mark.parametrize("vertices", [
+    [[0, 0], [1, 0], [-1, 2], [-1, -1], [1, 1], [-1, 1]],
+    [[0, 0], [3, 2], [-1, 2], [2, 0], [1, 3]],
+], ids=["hexagram", "pentagram"])
+def test_star_exit_5(command, vertices, monkeypatch, capsys):
+    doc = json.dumps({"dim": 2, "vertices": [[f"{x}/1", f"{y}/1"] for x, y in vertices]})
+    code, out, err = run([command], doc, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert "more than once" in err
 
 
 def test_info_command(monkeypatch, capsys):
@@ -327,8 +360,10 @@ UNIT_SQUARE_DOC = {"dim": 2, "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["1/1"
     ([], dict(RECORD, candidate=0)),
     ([UNIT_SQUARE_DOC], dict(RECORD, candidate=1)),
     ([UNIT_SQUARE_DOC], dict(RECORD, candidate=-1)),
+    ([], dict(RECORD, outcome="no_convex_ordering", candidate=None)),
 ], ids=["bogus_outcome", "bogus_outcome_and_index", "missing_outcome", "index_on_non_emitted",
-        "emitted_without_index", "index_past_empty_list", "index_past_end", "negative_index"])
+        "emitted_without_index", "index_past_empty_list", "index_past_end", "negative_index",
+        "no_convex_ordering"])
 def test_render_rejects_inconsistent_trace_exit_5(candidates, record, tmp_path, monkeypatch, capsys):
     path = tmp_path / "overlay.json"
     path.write_text(json.dumps({"candidates": candidates, "assignmentTrace": [record]}))

@@ -15,6 +15,7 @@ from delzant import (
     area,
     detect_subpolygons,
     normalize_translation,
+    polygon_from_halfplanes,
     primitive_outward_normal,
     random_delzant,
     sl2z_equivalent,
@@ -45,6 +46,10 @@ class TestPolygonConstruction:
             Polygon(((0, 0), (1, 0), (2, 0), (0, 1)))  # collinear triple
         with pytest.raises(StructuralPolygonError):
             Polygon(((0, 0), (2, 0), (1, 1), (2, 2), (0, 2)))  # reflex vertex
+        with pytest.raises(StructuralPolygonError, match="more than once"):
+            Polygon(((0, 0), (1, 0), (-1, 2), (-1, -1), (1, 1), (-1, 1)))  # hexagram
+        with pytest.raises(StructuralPolygonError, match="more than once"):
+            Polygon(((0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)))  # pentagram
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
@@ -58,8 +63,9 @@ class TestPolygonConstruction:
 
 def _reference_polygon(vertices):
     """Polygon's construction before its integer frame, all in Fraction,
-    kept only as the reference the frame is checked against.  Returns
-    ``(vertices, edges, area)`` or raises what the constructor raised."""
+    kept only as the reference the frame is checked against, with stars
+    told apart by the convex hull.  Returns ``(vertices, edges, area)`` or
+    raises what the constructor raises."""
     pts = [Vec2(as_scalar(v[0]), as_scalar(v[1])) for v in vertices]
     if len(pts) < 3:
         raise StructuralPolygonError("a polygon needs at least 3 vertices")
@@ -78,6 +84,11 @@ def _reference_polygon(vertices):
         raise StructuralPolygonError(f"collinear edges around vertex {(bad + 1) % d}")
     if any(c < 0 for c in crosses):
         raise StructuralPolygonError("vertices do not bound a convex polygon")
+    # A cycle that turns left throughout is a convex polygon only if, read
+    # from its lex-min vertex, it is the convex hull read from there.
+    start = pts.index(min(pts))
+    if pts[start:] + pts[:start] != _convex_hull(pts):
+        raise StructuralPolygonError("vertices wind around more than once")
     edges = []
     for vec in vecs:
         direction = primitive_part(vec)
@@ -322,3 +333,17 @@ class TestDetectSubpolygons:
     def test_budget(self, unit_square):
         with pytest.raises(BudgetExceededError):
             detect_subpolygons(unit_square, max_edges=3)
+
+
+class TestPolygonFromHalfplanes:
+    """A polygon comes back only with edge i on line i, facing n_i."""
+
+    NORMALS = (Vec2(0, -1), Vec2(1, 0), Vec2(0, 1), Vec2(-1, 0))
+
+    @pytest.mark.parametrize("offsets", [
+        (-1, 0, 0, -1),  # y >= 1, x <= 0, y <= 0, x >= 1: the unit square, facing inward
+        (-2, -1, -2, 2),  # y >= 2, x <= -1, y <= -2, x >= -2: a clockwise rectangle
+    ])
+    def test_rejects_empty_system(self, offsets):
+        with pytest.raises(StructuralPolygonError, match="do not face along"):
+            polygon_from_halfplanes(self.NORMALS, offsets)

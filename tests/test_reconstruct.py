@@ -517,6 +517,27 @@ class TestBundleReconstruct:
         with pytest.raises(ReconstructionInfeasibleError):
             bundle_reconstruct(HalfSpaceSystem(3, entries))
 
+    @pytest.mark.parametrize("rows, error, message", [
+        # The unit square in the plane z = 0.
+        ([((0, 0, 1), 0), ((0, 0, -1), 0), ((1, 0, 0), 1), ((-1, 0, 0), 0), ((0, 1, 0), 1), ((0, -1, 0), 0)],
+         ReconstructionInfeasibleError, "not a 3-polytope"),
+        # x, y, z >= 0, x + y + z >= 1, x <= 3: four vertices, unbounded in y and z.
+        ([((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((-1, -1, -1), -1), ((1, 0, 0), 3)],
+         ReconstructionInfeasibleError, "unbounded"),
+        # The unit cube and x + y + z <= 5.
+        ([((1, 0, 0), 1), ((-1, 0, 0), 0), ((0, 1, 0), 1), ((0, -1, 0), 0), ((0, 0, 1), 1), ((0, 0, -1), 0),
+          ((1, 1, 1), 5)],
+         InconsistentSystemError, "redundant"),
+        # The box [0, 1] x [0, 1] x [0, 2], whose side facets have lattice area 2.
+        ([((1, 0, 0), 1), ((-1, 0, 0), 0), ((0, 1, 0), 1), ((0, -1, 0), 0), ((0, 0, 1), 2), ((0, 0, -1), 0)],
+         InconsistentSystemError, "lattice volume 2, data says 1"),
+    ])
+    def test_3d_outcomes_after_vertex_search(self, rows, error, message):
+        entries = tuple(HalfSpaceEntry(n, Fraction(c), Fraction(1)) for n, c in rows)
+        with pytest.raises(ReconstructionInfeasibleError, match=message) as info:
+            bundle_reconstruct(HalfSpaceSystem(3, entries))
+        assert type(info.value) is error
+
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 8))
     @settings(max_examples=40, deadline=None)
     def test_zoo_round_trip(self, seed, d):

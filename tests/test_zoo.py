@@ -12,6 +12,7 @@ from delzant import (
     ChopSpec,
     Polygon,
     Vec2,
+    ZooCensus,
     chop,
     detect_subpolygons,
     hirzebruch,
@@ -163,41 +164,40 @@ class TestCensus:
     def test_matches_direct_construction(self):
         """The fast combinatorial census agrees with actually building and
         classifying every polygon on the same parameter grid."""
-        bound = 2
-        histogram = {}
-        total = 0
+        for d, bound in ((6, 2), (7, 2)):
+            histogram = {}
+            total = 0
 
-        def recurse(poly, remaining):
-            nonlocal total
-            if remaining == 0:
-                pairs = parallel_pair_count(poly)
-                histogram[pairs] = histogram.get(pairs, 0) + 1
-                total += 1
-                return
-            k = poly.edge_count
-            for i in range(k):
-                shortest = min(
-                    poly.edges[(i - 1) % k].lattice_length,
-                    poly.edges[i].lattice_length,
-                )
-                t = 1
-                while t < shortest and t <= bound:
-                    recurse(chop(poly, ChopSpec(i, Fraction(t))), remaining - 1)
-                    t += 1
+            def recurse(poly, remaining):
+                nonlocal total
+                if remaining == 0:
+                    pairs = parallel_pair_count(poly)
+                    histogram[pairs] = histogram.get(pairs, 0) + 1
+                    total += 1
+                    return
+                k = poly.edge_count
+                for i in range(k):
+                    shortest = min(
+                        poly.edges[(i - 1) % k].lattice_length,
+                        poly.edges[i].lattice_length,
+                    )
+                    t = 1
+                    while t < shortest and t <= bound:
+                        recurse(chop(poly, ChopSpec(i, Fraction(t))), remaining - 1)
+                        t += 1
 
-        for m in range(0, bound + 1):
-            for w in range(1, bound + 1):
-                for h in range(1, bound + 1):
-                    recurse(hirzebruch(m, w, h), 2)
-        census = parallel_pair_census(6, bound)
-        assert census.histogram == histogram
-        assert census.total == total
+            for m in range(0, bound + 1):
+                for w in range(1, bound + 1):
+                    for h in range(1, bound + 1):
+                        recurse(hirzebruch(m, w, h), d - 4)
+            census = parallel_pair_census(d, bound)
+            assert census.histogram == histogram
+            assert census.total == total
 
     def test_budget_error_carries_partial(self):
         with pytest.raises(BudgetExceededError) as info:
             parallel_pair_census(6, 3, max_instances=10)
-        assert info.value.partial is not None
-        assert info.value.partial.total > 10
+        assert info.value.partial == ZooCensus(edge_count=6, histogram={3: 7, 2: 4}, total=11)
 
     def test_rejects_triangles(self):
         with pytest.raises(ValueError):
