@@ -185,9 +185,7 @@ def _cmd_heat(args) -> CommandResult:
 
 def _cmd_reconstruct(args) -> CommandResult:
     data = serialize.parse_spectral(_read_input(args))
-    candidates = reconstruct.enumerate_candidates(
-        data, max_parallel_pairs=args.max_pairs, trust_counts=args.with_counts
-    )
+    candidates = reconstruct.enumerate_candidates(data, trust_counts=args.with_counts)
     return CommandResult(EXIT_OK, serialize.candidates_to_json(candidates))
 
 
@@ -343,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="candidate polygons from spectral data")
     p.add_argument("--with-counts", action="store_true", help="trust per-class edge counts in the data")
-    p.add_argument("--max-pairs", type=int, default=3)
     _add_io_arguments(p)
     p.set_defaults(handler=_cmd_reconstruct)
 

@@ -214,8 +214,6 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
     pd = [e.direction for e in p.edges]
     qd = [e.direction for e in q.edges]
     det_p = int(pd[0].cross(pd[1]))
-    if det_p == 0:
-        raise StructuralPolygonError("degenerate edge pair")
     q_key = q.canonical_key()
     q_anchor = min(q.vertices)
     for j in range(d):
@@ -240,14 +238,14 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
     return None
 
 
-def detect_subpolygons(polygon: Polygon, max_edges: int = 16) -> SubpolygonReport:
+def detect_subpolygons(polygon: Polygon) -> SubpolygonReport:
     """Exhaustively find edge subsets of size >= 3 (complement >= 3) whose
     vectors sum to zero.  Enumeration is over all 2^d subsets, so polygons
-    with more than ``max_edges`` edges are rejected up front.
+    with more than 16 edges are rejected up front.
     """
     d = polygon.edge_count
-    if d > max_edges:
-        raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^{max_edges}")
+    if d > 16:
+        raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^16")
     # The edge vectors in Polygon's integer frame: mask sums are pure int work.
     xs, ys = polygon._steps
     found = []

@@ -34,11 +34,10 @@ class Polytope3:
     __slots__ = ("vertices", "facets")
 
     def __init__(self, vertices: Iterable[Sequence]):
-        pts = []
-        for v in vertices:
-            p = Vec3(as_scalar(v[0]), as_scalar(v[1]), as_scalar(v[2]))
-            if p not in pts:
-                pts.append(p)
+        pts = [Vec3(as_scalar(v[0]), as_scalar(v[1]), as_scalar(v[2])) for v in vertices]
+        if len(set(pts)) != len(pts):
+            i = next(i for i, p in enumerate(pts) if p in pts[:i])
+            raise StructuralPolygonError(f"repeated vertex at index {i}")
         if len(pts) < 4:
             raise StructuralPolygonError("a 3D polytope needs at least 4 distinct vertices")
         self.vertices: tuple[Vec3, ...] = tuple(pts)
@@ -95,8 +94,6 @@ def _order_facet_cycle(points: list[Vec3], normal: Vec3) -> tuple[list[int], Fra
     normal; its component along the normal, halved, measures area in
     multiples of the fundamental cell of the plane lattice.
     """
-    if len(points) < 3:
-        raise StructuralPolygonError("facet with fewer than 3 vertices")
     drop = max(range(3), key=lambda a: abs(normal[a]))
     keep = [a for a in range(3) if a != drop]
     flat = [(Fraction(p[keep[0]]), Fraction(p[keep[1]])) for p in points]

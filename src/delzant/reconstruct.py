@@ -329,11 +329,10 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
         {i: int(x * q) for i, x in zip(choice, splits)},
         dict(zip(choice, kernel)),
     )
-    # t is admissible when |delta + t alpha| < s for every doubled class.
+    # t is admissible when |delta + t alpha| < s for every doubled class;
+    # the polygon's own lengths are positive, so t = 0 always is.
     bounds = [sorted(((-s - x) / a, (s - x) / a)) for x, a, s in zip(splits, kernel, sums)]
     lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
-    if lo >= hi:
-        raise ReconstructionInfeasibleError("polygon's own splits are not admissible")
     family = ThreePairFamily(
         directions=tuple(dirs[i] for i in choice),
         sums=sums,
@@ -408,11 +407,7 @@ TRACE_OUTCOMES = frozenset(
 )
 
 
-def enumerate_candidates(
-    data: SpectralData,
-    max_parallel_pairs: int = 3,
-    trust_counts: bool = False,
-) -> CandidateSet:
+def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> CandidateSet:
     """All translation classes of Delzant polygons with the given data.
 
     Enumerates doubled-class assignments (all of them by default; the
@@ -444,10 +439,8 @@ def enumerate_candidates(
     p = d - r
     if d < 3 or p < 0 or data.area <= 0:
         raise ReconstructionInfeasibleError(f"inconsistent data: {d} vertices, {r} normal classes")
-    if p > min(max_parallel_pairs, 3):
-        raise UnsupportedAmbiguityError(
-            f"{p} parallel pairs admit no finite reconstruction (supported: up to {min(max_parallel_pairs, 3)})"
-        )
+    if p > 3:
+        raise UnsupportedAmbiguityError(f"{p} parallel pairs admit no finite reconstruction (supported: up to 3)")
     if trust_counts and not data.counts_known:
         raise ValueError("data carries no per-class edge counts to trust")
     if data.counts_known and sum(c.edge_count for c in data.classes) != d:
@@ -614,7 +607,7 @@ class GenericityReport:
     rectangle: bool
     subpolygons: tuple[tuple[int, ...], ...]
     emitting_assignments: tuple[tuple[tuple[int, int], ...], ...]
-    candidate_count: int | None
+    candidate_count: int
 
     def __bool__(self) -> bool:
         return self.generic
@@ -625,22 +618,14 @@ def is_generic(polygon: Polygon) -> GenericityReport:
 
     Generic means: no subpolygons, a unique doubled-class assignment
     produces candidates, and the candidate set collapses to at most two
-    polygons (four with three parallel pairs).  Rectangles are generic by
-    definition: four vertices with exactly two normal directions leave no
-    freedom at all.
+    polygons (four with three parallel pairs).  Parallelograms (four
+    vertices, two normal directions) take the same test; a Delzant one is
+    the only polygon with its data, so it is generic with one candidate.
     """
     data = spectral_data(polygon)
     p = data.parallel_pairs
     if p > 3:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
-    if data.vertex_count == 4 and len(data.classes) == 2:
-        return GenericityReport(
-            generic=True,
-            rectangle=True,
-            subpolygons=(),
-            emitting_assignments=(tuple(tuple(c.normal) for c in data.classes),),
-            candidate_count=None,
-        )
     subs = detect_subpolygons(polygon).subsets
     candidates = enumerate_candidates(data)
     assignments = tuple(sorted({rec.doubled for rec in candidates.trace if rec.outcome == "emitted"}))
@@ -648,7 +633,7 @@ def is_generic(polygon: Polygon) -> GenericityReport:
     generic = not subs and len(assignments) == 1 and len(candidates) <= bound
     return GenericityReport(
         generic=generic,
-        rectangle=False,
+        rectangle=data.vertex_count == 4 and len(data.classes) == 2,
         subpolygons=subs,
         emitting_assignments=assignments,
         candidate_count=len(candidates),

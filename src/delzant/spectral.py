@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import PoleError, StructuralPolygonError
+from .errors import PoleError
 from .geometry import Polygon
 from .polytope3 import Polytope3
 from .vectors import Vec2, canonical_unsigned, is_primitive_integer
@@ -67,8 +67,6 @@ def spectral_data(polygon: Polygon) -> SpectralData:
     classes = []
     for normal in sorted(groups, key=tuple):
         edges = groups[normal]
-        if len(edges) > 2:
-            raise StructuralPolygonError("three edges share an unsigned normal; polygon cannot be strictly convex")
         classes.append(
             NormalClass(
                 normal=normal,

@@ -15,11 +15,10 @@ from .errors import ParseError
 
 
 def as_scalar(value) -> Fraction | int:
-    """Coerce to an exact scalar, rejecting floats."""
+    """The value itself when it is an int or a Fraction; anything else, a
+    float or a string included, raises TypeError."""
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, str):
-        return parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 

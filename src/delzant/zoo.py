@@ -163,8 +163,6 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
             candidate = polygon_from_halfplanes(normals, shifted)
         except StructuralPolygonError:
             continue
-        if not validate_delzant(candidate):
-            continue
         last = candidate
         if is_generic(candidate):
             return candidate

@@ -389,3 +389,105 @@ def test_non_integer_dim_exit_5(command, doc, monkeypatch, capsys):
     code, out, err = run([command], json.dumps(doc), monkeypatch, capsys)
     assert code == 5 and out == ""
     assert f"got {doc['dim']!r}" in err
+
+
+SIMPLEX3 = [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"], ["0/1", "0/1", "1/1"]]
+
+
+@pytest.mark.parametrize("vertices, message", [
+    (SIMPLEX3 + [["1", "0", "0"]], "repeated vertex at index 4"),
+    (SIMPLEX3[:2] + [["0/1", "1/x", "0/1"]] + SIMPLEX3[3:], "vertex 2: malformed rational '1/x'"),
+    ([["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"], ["1/1", "1/1", "0/1"]],
+     "not the vertex set of a convex 3-polytope"),
+], ids=["repeated_vertex", "malformed_coordinate", "flat"])
+def test_bundle_data_rejects_bad_solid_exit_5(vertices, message, monkeypatch, capsys):
+    code, out, err = run(["bundle-data"], json.dumps({"dim": 3, "vertices": vertices}), monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((1, 0), "normals must be pairwise distinct"),
+    ((2, 2), "normal (2, 2) is not a primitive integer vector"),
+], ids=["repeated_normal", "non_primitive_normal"])
+def test_bundle_reconstruct_malformed_normal_exit_3(extra, message, monkeypatch, capsys):
+    doc = _halfplanes(((0, -1), 0, 1), ((1, 0), 1, 1), ((0, 1), 1, 1), ((-1, 0), 0, 1), (extra, 5, 1))
+    code, out, err = run(["bundle-reconstruct"], doc, monkeypatch, capsys)
+    assert code == 3 and out == ""
+    assert message in err
+
+
+def test_bundle_reconstruct_entry_without_offset_exit_5(monkeypatch, capsys):
+    doc = json.dumps({"dim": 2, "entries": [{"normal": [1, 0], "volume": "1/1"}]})
+    code, out, err = run(["bundle-reconstruct"], doc, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert "entry 0 is malformed" in err
+
+
+TRIANGLE_DATA = {"d": 3, "classes": [{"normal": [0, 1], "lengthSum": "1/1"},
+                                     {"normal": [1, 0], "lengthSum": "1/1"},
+                                     {"normal": [1, 1], "lengthSum": "1/1"}], "area": "1/2"}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("lengthSum", "0/1", "class 0: length sum must be positive"),
+    ("lengthSum", "-1/1", "class 0: length sum must be positive"),
+    ("normal", None, "class 0 is malformed"),
+    ("area", "0/1", "area must be positive"),
+    ("area", "-1/2", "area must be positive"),
+])
+def test_reconstruct_rejects_malformed_data_exit_5(field, value, message, monkeypatch, capsys):
+    doc = json.loads(json.dumps(TRIANGLE_DATA))
+    target = doc if field == "area" else doc["classes"][0]
+    if value is None:
+        del target[field]
+    else:
+        target[field] = value
+    code, out, err = run(["reconstruct"], json.dumps(doc), monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert message in err
+
+
+def test_reconstruct_has_no_max_pairs_option(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["reconstruct", "--max-pairs", "3"], json.dumps(TRIANGLE_DATA), monkeypatch, capsys)
+    assert exit_info.value.code == 2
+
+
+def test_chop_deeper_than_outgoing_edge_exit_2(monkeypatch, capsys):
+    wide = '{"dim":2,"vertices":[["0/1","0/1"],["3/1","0/1"],["3/1","1/1"],["0/1","1/1"]]}'
+    code, out, err = run(["chop", "--vertex", "1", "--depth", "2/1"], wide, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "of edge 1 out of vertex 1" in err
+
+
+def test_strata_malformed_theta_exit_5(monkeypatch, capsys):
+    code, out, err = run(["strata", "--theta", "1"], SQUARE, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert "expected a direction like '1,0'" in err
+
+
+def test_heat_poles_are_null_values(monkeypatch, capsys):
+    code, out, err = run(["heat", "--theta", "1,0", "--eval", "0", "--json"], SQUARE, monkeypatch, capsys)
+    assert code == 0
+    terms = json.loads(out)["terms"]
+    assert len(terms) == 6 and all(term["value"] is None for term in terms)
+    assert err.count("has a pole") == 6
+
+
+def test_equiv_from_non_delzant_polygon(tmp_path, monkeypatch, capsys):
+    other = tmp_path / "bad.json"
+    other.write_text(BAD_TRIANGLE)
+    moved = '{"dim":2,"vertices":[["5/1","1/1"],["7/1","1/1"],["5/1","4/1"]]}'
+    code, out, _ = run(["equiv", "--other", str(other), "--json"], moved, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out) == {"equivalent": True, "matrix": [[1, 0], [0, 1]], "translation": ["-5/1", "-1/1"]}
+
+
+def test_roundtrip_perturbed_trial(monkeypatch, capsys):
+    code, out, _ = run(["roundtrip", "--edges", "7", "--seed", "4", "--trials", "1", "--json"],
+                       None, monkeypatch, capsys)
+    assert code == 0
+    assert json.loads(out)["results"] == [
+        {"seed": 4, "pairs": 3, "perturbed": True, "candidates": 4, "outcome": "contained"}
+    ]

@@ -54,6 +54,8 @@ class TestPolygonConstruction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
             Polygon(((0, 0), (1.5, 0), (0, 1)))
+        with pytest.raises(TypeError):
+            Polygon(((0, 0), ("3/2", 0), (0, 1)))  # readers parse strings, constructors do not
 
     def test_edge_factorization(self, hirzebruch_111):
         for edge in hirzebruch_111.edges:
@@ -330,9 +332,9 @@ class TestDetectSubpolygons:
     def test_generic_pentagon_empty(self):
         assert detect_subpolygons(random_delzant(5, 7, 4)).subsets == ()
 
-    def test_budget(self, unit_square):
-        with pytest.raises(BudgetExceededError):
-            detect_subpolygons(unit_square, max_edges=3)
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError, match=r"2\^17 subsets; budget is 2\^16"):
+            detect_subpolygons(random_delzant(17, 0, 5))
 
 
 class TestPolygonFromHalfplanes:

@@ -61,6 +61,12 @@ def test_rejects_too_few_points():
         Polytope3([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
 
+def test_rejects_repeated_point(unit_simplex3):
+    points = list(unit_simplex3.vertices) + [(Fraction(1), 0, 0)]
+    with pytest.raises(StructuralPolygonError, match="repeated vertex at index 4"):
+        Polytope3(points)
+
+
 def _prism(polygon, height):
     return [(v.x, v.y, z) for v in polygon.vertices for z in (0, height)]
 

@@ -2,6 +2,7 @@
 genericity, and half-space reconstruction."""
 
 import importlib
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -125,10 +126,6 @@ class TestEnumerateCandidates:
         # Containment is up to translation.
         assert unit_square.translate(Vec2(Fraction(5, 3), -7)) in candidates
 
-    def test_max_pairs_cap(self, unit_square):
-        with pytest.raises(UnsupportedAmbiguityError):
-            enumerate_candidates(spectral_data(unit_square), max_parallel_pairs=1)
-
     def test_hirzebruch_two(self, hirzebruch_111):
         candidates = enumerate_candidates(spectral_data(hirzebruch_111))
         assert len(candidates) == 2
@@ -190,6 +187,31 @@ class TestEnumerateCandidates:
         data = SpectralData(vertex_count=4, classes=classes, area=Fraction(1))
         with pytest.raises(ReconstructionInfeasibleError):
             enumerate_candidates(data, trust_counts=True)
+
+    def test_counts_must_sum_to_vertex_count(self, hirzebruch_111):
+        data = spectral_data(hirzebruch_111)
+        data = replace(data, classes=tuple(c._replace(edge_count=1) for c in data.classes))
+        with pytest.raises(ReconstructionInfeasibleError, match="do not sum to the vertex count"):
+            enumerate_candidates(data)
+
+    def test_needs_three_vertices(self):
+        classes = (NormalClass(Vec2(0, 1), Fraction(1), None), NormalClass(Vec2(1, 0), Fraction(1), None))
+        data = SpectralData(vertex_count=2, classes=classes, area=Fraction(1))
+        with pytest.raises(ReconstructionInfeasibleError, match="inconsistent data: 2 vertices"):
+            enumerate_candidates(data)
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    def test_area_no_smooth_chain_matches(self, d):
+        """Every branch that closes and is smooth is dropped on its area."""
+        for seed in range(10):
+            for twist in (False, True):
+                data = spectral_data(random_delzant(d, seed, twist=twist))
+                if data.parallel_pairs > 3:
+                    continue
+                for nudge in (Fraction(1, 7), Fraction(5, 2)):
+                    for trust_counts in (False, True):
+                        with pytest.raises(ReconstructionInfeasibleError, match="no Delzant polygon"):
+                            enumerate_candidates(replace(data, area=data.area + nudge), trust_counts=trust_counts)
 
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 7))
     @settings(max_examples=30, deadline=None)
@@ -452,6 +474,12 @@ class TestIsGeneric:
     def test_rectangle_special_case(self, unit_square):
         report = is_generic(unit_square)
         assert report.generic and report.rectangle
+        assert report.candidate_count == 1
+        assert report.emitting_assignments == (((0, 1), (1, 0)),)
+
+    def test_non_delzant_parallelogram_raises(self):
+        with pytest.raises(ReconstructionInfeasibleError):
+            is_generic(Polygon(((0, 0), (2, 0), (3, 2), (1, 2))))
 
     def test_too_many_pairs(self):
         base = Polygon(((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -537,6 +565,20 @@ class TestBundleReconstruct:
         with pytest.raises(ReconstructionInfeasibleError, match=message) as info:
             bundle_reconstruct(HalfSpaceSystem(3, entries))
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("extra, message", [
+        (HalfSpaceEntry((1, 0), Fraction(2), Fraction(1)), "normals must be pairwise distinct"),
+        (HalfSpaceEntry((2, 2), Fraction(5), Fraction(1)), r"normal \(2, 2\) is not a primitive"),
+    ])
+    def test_rejects_malformed_normals(self, unit_square, extra, message):
+        entries = bundle_facet_data(unit_square).entries + (extra,)
+        with pytest.raises(InconsistentSystemError, match=message):
+            bundle_reconstruct(HalfSpaceSystem(2, entries))
+
+    def test_rejects_other_dimensions(self):
+        entries = tuple(HalfSpaceEntry(n, Fraction(1), Fraction(1)) for n in ((1, 0, 0, 0), (0, 1, 0, 0)))
+        with pytest.raises(ValueError, match="unsupported dimension 4"):
+            bundle_reconstruct(HalfSpaceSystem(4, entries))
 
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 8))
     @settings(max_examples=40, deadline=None)

@@ -20,6 +20,7 @@ from delzant.serialize import (
     spectral_from_json,
     spectral_to_json,
 )
+from delzant.vectors import parse_rational
 
 TRIANGLE_DOC = '{"dim":2,"vertices":[["0/1","0/1"],["1/1","0/1"],["0/1","1/1"]]}'
 
@@ -41,6 +42,10 @@ class TestPolygonFormat:
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_polygon('{"dim":2,"vertices":[["1/0","0/1"],["1/1","0/1"],["0/1","1/1"]]}')
+
+    def test_malformed_rational(self):
+        with pytest.raises(ParseError, match="malformed rational '1/2/3'"):
+            parse_rational("1/2/3")
 
     def test_repeated_vertex(self):
         with pytest.raises(ParseError, match="repeated"):
