@@ -347,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roundtrip", help="generate, hear, reconstruct, and check containment")
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_bound, required=True)
     p.add_argument("--bound", type=_bound, default=4)
     p.add_argument("--twist", action="store_true")
     _add_io_arguments(p, reads_stdin=False)
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="parallel-pair census over bounded parameters")
     p.add_argument("--edges", type=int, required=True)
     p.add_argument("--bound", type=_bound, required=True)
-    p.add_argument("--max-instances", type=int, default=5_000_000)
+    p.add_argument("--max-instances", type=_bound, default=5_000_000)
     _add_io_arguments(p, reads_stdin=False)
     p.set_defaults(handler=_cmd_census)
 

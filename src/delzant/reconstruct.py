@@ -447,17 +447,52 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         raise ReconstructionInfeasibleError("per-class edge counts do not sum to the vertex count")
     if trust_counts and any(c.edge_count not in (1, 2) for c in data.classes):
         raise ReconstructionInfeasibleError("per-class edge counts must be 1 or 2")
-    normals = [c.normal for c in data.classes]
     # Only distinct canonical primitive normals and positive sums can ever
     # match the data of a polygon; the integer steps below rely on both.
-    if len(set(normals)) != r or any(
+    if len({c.normal for c in data.classes}) != r or any(
         c.length_sum <= 0 or not is_primitive_integer(c.normal) or canonical_unsigned(c.normal) != c.normal
         for c in data.classes
     ):
         raise ReconstructionInfeasibleError(
             "normal classes need distinct canonical primitive normals and positive length sums"
         )
+    if trust_counts:
+        choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
+    else:
+        choices = list(combinations(range(r), p))
+    records, emitted = _reconstruct(data, trust_counts, [(choice, _sign_patterns(r, choice)) for choice in choices])
+    if not emitted:
+        raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
+    ordered_keys = sorted(emitted, key=lambda key: emitted[key].vertices)
+    index_of = {key: i for i, key in enumerate(ordered_keys)}
+    trace = tuple(AssignmentRecord(*rec[:6], candidate_index=index_of.get(rec[6])) for rec in records)
+    return CandidateSet(candidates=tuple(emitted[key] for key in ordered_keys), trace=trace)
 
+
+def _sign_patterns(r: int, choice: tuple[int, ...]):
+    """Every sign tuple of a doubled-class choice: the single classes run
+    through all sign patterns, the doubled ones keep +1."""
+    singles = [i for i in range(r) if i not in choice]
+    for bits in range(1 << len(singles)):
+        signs = [1] * r
+        for b, i in enumerate(singles):
+            if bits >> b & 1:
+                signs[i] = -1
+        yield tuple(signs)
+
+
+def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], dict[tuple, Polygon]]:
+    """Decide the branches ``(doubled classes, sign tuples)`` of ``branches``
+    on ``data`` as :func:`enumerate_candidates` describes, in the given order.
+
+    Returns the trace records, each naming its candidate by key, and the
+    emitted polygons by key.  ``data`` must pass the checks of
+    :func:`enumerate_candidates`; a branch is decided the same way whichever
+    other branches are listed with it.
+    """
+    r = len(data.classes)
+    p = data.vertex_count - r
+    normals = [c.normal for c in data.classes]
     dirs = [Vec2(-int(n.y), int(n.x)) for n in normals]
     sums = [Fraction(c.length_sum) for c in data.classes]
     scale = lcm(*(s.denominator for s in sums))
@@ -466,10 +501,6 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     # Every branch's fan is a subsequence of this one angular order.
     signed = [(i, s) for i in range(r) for s in (1, -1)]
     fan = [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
-    if trust_counts:
-        choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
-    else:
-        choices = list(combinations(range(r), p))
 
     records: list[tuple] = []
     emitted: dict[tuple, Polygon] = {}
@@ -484,17 +515,13 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
                 raise AssertionError("a smooth fan chain of the data's area does not reproduce the data")
             emitted[key] = polygon
 
-    for choice in choices:
+    for choice, sign_patterns in branches:
         chosen = set(choice)
         singles = [i for i in range(r) if i not in chosen]
         doubled_normals = tuple(tuple(normals[i]) for i in choice)
         if p == 3:
             kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
-        for bits in range(1 << len(singles)):
-            signs = [1] * r
-            for b, i in enumerate(singles):
-                if bits >> b & 1:
-                    signs[i] = -1
+        for signs in sign_patterns:
             # (rx, ry) / scale is what the doubled-class split differences
             # must sum to.  A solution lists those differences as integer
             # numerators over a common denominator q, a multiple of scale.
@@ -544,7 +571,7 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
                     if all(abs(n) < int_sums[i] * m * ud for i, n in zip(choice, numerators)):
                         solutions.append((numerators, q * ud, u / q))
             if not solutions:
-                records.append((doubled_normals, tuple(signs), (), None, 0, "no_closure", None))
+                records.append((doubled_normals, signs, (), None, 0, "no_closure", None))
                 continue
             smooth = None
             for numerators, q, parameter in solutions:
@@ -554,7 +581,7 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
                     (Fraction(int_sums[i] * m + n, 2 * q), Fraction(int_sums[i] * m - n, 2 * q))
                     for i, n in delta.items()
                 )
-                head = (doubled_normals, tuple(signs), splits, parameter)
+                head = (doubled_normals, signs, splits, parameter)
                 if any(abs(n) >= int_sums[i] * m for i, n in delta.items()):
                     records.append(head + (0, "inadmissible_split", None))
                     continue
@@ -590,13 +617,7 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
                     key = keys[0] if anchor * signs[0] > 0 else keys[1]
                     emit(key)
                     records.append(head + (anchor, "emitted", key))
-
-    if not emitted:
-        raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
-    ordered_keys = sorted(emitted, key=lambda key: emitted[key].vertices)
-    index_of = {key: i for i, key in enumerate(ordered_keys)}
-    trace = tuple(AssignmentRecord(*rec[:6], candidate_index=index_of.get(rec[6])) for rec in records)
-    return CandidateSet(candidates=tuple(emitted[key] for key in ordered_keys), trace=trace)
+    return records, emitted
 
 
 @dataclass(frozen=True)
@@ -613,6 +634,10 @@ class GenericityReport:
         return self.generic
 
 
+# The most candidates generic data may have, by parallel-pair count.
+_GENERIC_BOUND = (2, 2, 2, 4)
+
+
 def is_generic(polygon: Polygon) -> GenericityReport:
     """Whether the data of this polygon pins it down to the minimal set.
 
@@ -622,22 +647,47 @@ def is_generic(polygon: Polygon) -> GenericityReport:
     vertices, two normal directions) take the same test; a Delzant one is
     the only polygon with its data, so it is generic with one candidate.
     """
+    return _genericity(polygon)[0]
+
+
+def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
+    """:func:`is_generic`'s report, with the branches that emitted as
+    ``(doubled classes, sign tuples)``, in trace order."""
     data = spectral_data(polygon)
     p = data.parallel_pairs
     if p > 3:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
     subs = detect_subpolygons(polygon).subsets
     candidates = enumerate_candidates(data)
-    assignments = tuple(sorted({rec.doubled for rec in candidates.trace if rec.outcome == "emitted"}))
-    bound = 2 if p <= 2 else 4
-    generic = not subs and len(assignments) == 1 and len(candidates) <= bound
-    return GenericityReport(
-        generic=generic,
+    emitting = [rec for rec in candidates.trace if rec.outcome == "emitted"]
+    assignments = tuple(sorted({rec.doubled for rec in emitting}))
+    report = GenericityReport(
+        generic=not subs and len(assignments) == 1 and len(candidates) <= _GENERIC_BOUND[p],
         rectangle=data.vertex_count == 4 and len(data.classes) == 2,
         subpolygons=subs,
         emitting_assignments=assignments,
         candidate_count=len(candidates),
     )
+    index = {tuple(c.normal): i for i, c in enumerate(data.classes)}
+    branches: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
+    for rec in emitting:
+        branches.setdefault(tuple(index[n] for n in rec.doubled), {})[rec.signs] = None
+    return report, tuple((choice, tuple(signs)) for choice, signs in branches.items())
+
+
+def _branches_rule_out(polygon: Polygon, branches) -> bool:
+    """Whether ``branches`` alone, decided on ``polygon``'s data, already
+    make it non-generic: they emit more than the generic number of
+    candidates, or emit for two doubled-class assignments.
+
+    A True is exact: :func:`enumerate_candidates` decides these branches the
+    same way, so its candidates and assignments can only be more.  A False
+    decides nothing.  ``polygon`` must share the fan the branches come from.
+    """
+    data = spectral_data(polygon)
+    records, emitted = _reconstruct(data, False, branches)
+    assignments = {rec[0] for rec in records if rec[5] == "emitted"}
+    return len(assignments) > 1 or len(emitted) > _GENERIC_BOUND[data.parallel_pairs]
 
 
 def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError, ChopError, StructuralPolygonError
 from .geometry import Polygon, polygon_from_halfplanes, validate_delzant
-from .reconstruct import is_generic
+from .reconstruct import _branches_rule_out, _genericity, is_generic
 from .vectors import as_scalar
 
 
@@ -103,6 +103,12 @@ def _random_unimodular(rng: random.Random, bound: int) -> tuple[tuple[int, int],
     return mat
 
 
+def _param_bound(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"parameter bound must be a positive integer, got {value!r}")
+    return value
+
+
 def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False) -> Polygon:
     """A seeded random Delzant d-gon.
 
@@ -114,7 +120,7 @@ def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False)
     """
     if d < 3:
         raise ValueError("a polygon needs at least 3 edges")
-    bound = max(1, param_bound)
+    bound = _param_bound(param_bound)
     rng = random.Random(seed)
     if d == 3:
         k = Fraction(rng.randint(1, bound))
@@ -148,8 +154,20 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     Already-generic input is returned unchanged.  The step size starts at
     1/64 and halves on every retry, with deterministic pseudo-random
     multipliers per edge, so results are reproducible.
+
+    The source's enumeration lists the branches (doubled classes and signs)
+    that emit; a shift keeps the fan, so they name the same branches at
+    every attempt.  An attempt is first decided on those branches alone:
+    when they already emit too many candidates or for two assignments, the
+    attempt is not generic, which the full test would also find, and it is
+    skipped.  Only the other attempts run :func:`is_generic`.  The result,
+    or the error and its ``partial``, is the same as with a full test per
+    attempt.
     """
-    if is_generic(polygon):
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+    report, branches = _genericity(polygon)
+    if report:
         return polygon
     d = polygon.edge_count
     normals = [e.normal for e in polygon.edges]
@@ -164,7 +182,7 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
         except StructuralPolygonError:
             continue
         last = candidate
-        if is_generic(candidate):
+        if not _branches_rule_out(candidate, branches) and is_generic(candidate):
             return candidate
     raise BudgetExceededError(
         f"no generic perturbation found in {budget} attempts", partial=last
@@ -183,7 +201,7 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
     """
     if d < 4:
         raise ValueError("the census starts at quadrilaterals")
-    bound = max(1, param_bound)
+    bound = _param_bound(param_bound)
     histogram: dict[int, int] = {}
     total = 0
 

@@ -276,6 +276,17 @@ def test_bound_below_one_exit_2(command, monkeypatch, capsys):
     assert "--bound: must be at least 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option", [
+    (["roundtrip", "--edges", "5", "--seed", "0", "--trials", "-2", "--json"], "--trials"),
+    (["census", "--edges", "5", "--bound", "3", "--max-instances", "-1"], "--max-instances"),
+])
+def test_count_below_one_exit_2(command, option, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command)
+    assert exit_info.value.code == 2
+    assert f"{option}: must be at least 1, got -" in capsys.readouterr().err
+
+
 def test_reconstruct_classes_not_a_list_exit_5(monkeypatch, capsys):
     code, out, err = run(["reconstruct"], '{"d": 4, "classes": 5, "area": "1/1"}', monkeypatch, capsys)
     assert code == 5 and out == ""

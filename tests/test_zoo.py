@@ -1,16 +1,19 @@
 """Generators: Hirzebruch trapezoids, chopping, sampling, perturbation, census."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delzant.zoo as zoo
 from delzant import (
     BudgetExceededError,
     ChopError,
     ChopSpec,
     Polygon,
+    StructuralPolygonError,
     Vec2,
     ZooCensus,
     chop,
@@ -20,6 +23,7 @@ from delzant import (
     parallel_pair_census,
     parallel_pair_count,
     perturb_generic,
+    polygon_from_halfplanes,
     primitive_outward_normal,
     random_delzant,
     spectral_data,
@@ -115,6 +119,11 @@ class TestRandomDelzant:
         with pytest.raises(ValueError):
             random_delzant(2, 0, 5)
 
+    @pytest.mark.parametrize("bound", [0, -3, 2.5, True, "4"])
+    def test_rejects_bad_param_bound(self, bound):
+        with pytest.raises(ValueError, match="parameter bound must be a positive integer"):
+            random_delzant(5, 0, bound)
+
 
 class TestPerturbGeneric:
     def test_generic_input_unchanged(self):
@@ -133,8 +142,87 @@ class TestPerturbGeneric:
         assert parallel_pair_count(fixed) == parallel_pair_count(subpolygon_hexagon)
 
     def test_budget_error_carries_attempt(self, subpolygon_hexagon):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as info:
             perturb_generic(subpolygon_hexagon, budget=0)
+        assert str(info.value) == "no generic perturbation found in 0 attempts"
+        assert info.value.partial is None
+        p = random_delzant(6, 42, 4)
+        with pytest.raises(BudgetExceededError) as info:
+            perturb_generic(p)
+        assert str(info.value) == "no generic perturbation found in 24 attempts"
+        partial = info.value.partial
+        assert validate_delzant(partial).valid
+        assert [e.normal for e in partial.edges] == [e.normal for e in p.edges]
+        assert partial != p
+
+    @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "24"])
+    def test_rejects_bad_budget(self, subpolygon_hexagon, budget):
+        with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
+            perturb_generic(subpolygon_hexagon, budget=budget)
+
+    def test_matches_full_test_per_attempt(self, subpolygon_hexagon, monkeypatch):
+        """Deciding an attempt on the source's emitting branches first gives
+        the result (or error and partial) of a full genericity test per
+        attempt, and every attempt it rules out is indeed not generic."""
+        polygons = [subpolygon_hexagon]
+        for d in range(6, 9):
+            for seed in range(0, 60, 2):
+                for twist in (False, True):
+                    p = random_delzant(d, seed, 4, twist=twist)
+                    if parallel_pair_count(p) <= 3 and not is_generic(p):
+                        polygons.append(p)
+        ruled_out = []
+        rule_out = zoo._branches_rule_out
+
+        def spy(candidate, branches):
+            verdict = rule_out(candidate, branches)
+            ruled_out.append((candidate, verdict))
+            return verdict
+
+        monkeypatch.setattr(zoo, "_branches_rule_out", spy)
+        exhausted = settled = 0
+        for polygon in polygons:
+            ruled_out.clear()
+            reports = []
+            expected = _outcome(_reference_perturb, polygon, reports)
+            assert _outcome(perturb_generic, polygon) == expected
+            exhausted += expected.startswith("BudgetExceededError")
+            assert [c for c, _ in ruled_out] == [c for c, _ in reports][: len(ruled_out)]
+            for (candidate, verdict), (_, generic) in zip(ruled_out, reports):
+                assert not (verdict and generic)
+                settled += verdict
+        assert exhausted >= 10 and settled >= 24 * exhausted
+
+
+def _reference_perturb(polygon, reports, budget=24):
+    """perturb_generic with a full genericity test per attempt; appends each
+    attempt's polygon and verdict to ``reports``."""
+    if is_generic(polygon):
+        return polygon
+    normals = [e.normal for e in polygon.edges]
+    offsets = [Fraction(n.dot(v)) for n, v in zip(normals, polygon.vertices)]
+    last = None
+    for attempt in range(budget):
+        rng = random.Random(attempt)
+        step = Fraction(1, 64 << attempt)
+        try:
+            candidate = polygon_from_halfplanes(normals, [c + step * rng.randint(0, 7) for c in offsets])
+        except StructuralPolygonError:
+            continue
+        last = candidate
+        generic = is_generic(candidate).generic
+        reports.append((candidate, generic))
+        if generic:
+            return candidate
+    raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=last)
+
+
+def _outcome(perturb, polygon, *args):
+    """The returned polygon's repr, or the budget error with its partial."""
+    try:
+        return repr(perturb(polygon, *args))
+    except BudgetExceededError as exc:
+        return f"BudgetExceededError: {exc} partial={exc.partial!r}"
 
 
 class TestCensus:
@@ -202,6 +290,11 @@ class TestCensus:
     def test_rejects_triangles(self):
         with pytest.raises(ValueError):
             parallel_pair_census(3, 3)
+
+    @pytest.mark.parametrize("bound", [0, -1, 3.0, True])
+    def test_rejects_bad_param_bound(self, bound):
+        with pytest.raises(ValueError, match="parameter bound must be a positive integer"):
+            parallel_pair_census(5, bound)
 
 
 @given(seed=st.integers(0, 10**6), d=st.integers(3, 8))
