@@ -24,7 +24,7 @@ from .errors import (
     StructuralPolygonError,
     UnsupportedError,
 )
-from .vectors import Vec2, format_rational, parse_rational
+from .vectors import Vec2, format_rational, parse_integer, parse_rational
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -69,13 +69,21 @@ def _parse_theta(text: str) -> Vec2:
     if len(parts) != 2:
         raise ParseError(f"expected a direction like '1,0', got {text!r}")
     try:
-        return Vec2(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
+        return Vec2(parse_integer(parts[0]), parse_integer(parts[1]))
+    except ParseError as exc:
         raise ParseError(f"direction coordinates must be integers: {text!r}") from exc
 
 
+def _integer(text: str) -> int:
+    """The strict integer reader as an argparse type: a malformed option exits 2."""
+    try:
+        return parse_integer(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _bound(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -304,21 +312,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate a named polygon family member")
     gen_sub = p.add_subparsers(dest="family", required=True)
     ph = gen_sub.add_parser("hirzebruch", help="trapezoid (0,0),(w,0),(w,h),(0,h+m*w)")
-    ph.add_argument("--m", type=int, required=True)
+    ph.add_argument("--m", type=_integer, required=True)
     ph.add_argument("--w", required=True)
     ph.add_argument("--h", required=True)
     _add_io_arguments(ph, reads_stdin=False)
     ph.set_defaults(handler=_cmd_generate_hirzebruch)
 
     p = sub.add_parser("chop", help="cut a corner at a lattice depth")
-    p.add_argument("--vertex", type=int, required=True)
+    p.add_argument("--vertex", type=_integer, required=True)
     p.add_argument("--depth", required=True, help="lattice depth as p/q")
     _add_io_arguments(p)
     p.set_defaults(handler=_cmd_chop)
 
     p = sub.add_parser("random", help="seeded random Delzant polygon")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--edges", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--bound", type=_bound, default=5)
     p.add_argument("--twist", action="store_true", help="apply a random unimodular map")
     _add_io_arguments(p, reads_stdin=False)
@@ -345,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("roundtrip", help="generate, hear, reconstruct, and check containment")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--edges", type=_integer, required=True)
+    p.add_argument("--seed", type=_integer, required=True)
     p.add_argument("--trials", type=_bound, required=True)
     p.add_argument("--bound", type=_bound, default=4)
     p.add_argument("--twist", action="store_true")
@@ -368,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bundle_reconstruct)
 
     p = sub.add_parser("census", help="parallel-pair census over bounded parameters")
-    p.add_argument("--edges", type=int, required=True)
+    p.add_argument("--edges", type=_integer, required=True)
     p.add_argument("--bound", type=_bound, required=True)
     p.add_argument("--max-instances", type=_bound, default=5_000_000)
     _add_io_arguments(p, reads_stdin=False)

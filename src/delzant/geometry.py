@@ -77,7 +77,12 @@ class Polygon:
     __slots__ = ("vertices", "edges", "_area", "_steps")
 
     def __init__(self, vertices: Iterable[Sequence]):
-        pts = [Vec2(as_scalar(v[0]), as_scalar(v[1])) for v in vertices]
+        pts: list[Vec2] = []
+        try:
+            # extend keeps the points read before a bad vertex, so its index is len(pts).
+            pts.extend(Vec2(as_scalar(x), as_scalar(y)) for x, y in vertices)
+        except ValueError:
+            raise TypeError(f"vertex {len(pts)} does not have 2 coordinates") from None
         if len(pts) < 3:
             raise StructuralPolygonError("a polygon needs at least 3 vertices")
         d = len(pts)

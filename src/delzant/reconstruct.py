@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedAmbiguityError,
 )
 from .geometry import Polygon, detect_subpolygons, polygon_from_halfplanes, validate_delzant
-from .polytope3 import Polytope3
+from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
 from .vectors import Vec2, Vec3, angle_order, canonical_unsigned, is_primitive_integer
 
@@ -737,23 +737,13 @@ def _reconstruct_polygon(entries: Sequence[HalfSpaceEntry]) -> Polygon:
 
 
 def _reconstruct_polytope(entries: Sequence[HalfSpaceEntry]) -> Polytope3:
-    normals = [Vec3(*e.normal) for e in entries]
     offsets = [Fraction(e.offset) for e in entries]
-    points: list[Vec3] = []
-    for i, j, k in combinations(range(len(entries)), 3):
-        det = Fraction(normals[i].dot(normals[j].cross(normals[k])))
-        if det == 0:
-            continue
-        combo = (
-            normals[j].cross(normals[k]) * offsets[i]
-            + normals[k].cross(normals[i]) * offsets[j]
-            + normals[i].cross(normals[j]) * offsets[k]
-        )
-        x = Vec3(Fraction(combo.x) / det, Fraction(combo.y) / det, Fraction(combo.z) / det)
-        if any(x.dot(n) > c for n, c in zip(normals, offsets)):
-            continue
-        if x not in points:
-            points.append(x)
+    common = lcm(*(c.denominator for c in offsets))
+    rows = [(Vec3(*e.normal), -c.numerator * (common // c.denominator)) for e, c in zip(entries, offsets)]
+    # A kept (y, w) has n . y <= c D w on every row; for w > 0, y / (D w) is a vertex.
+    points = dict.fromkeys(
+        Vec3(*(Fraction(v, common * w) for v in y)) for y, w in _supporting(rows) if w > 0
+    )
     if len(points) < 4:
         raise ReconstructionInfeasibleError("half-space system has an empty or degenerate intersection")
     try:

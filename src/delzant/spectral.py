@@ -190,8 +190,11 @@ def evaluate_leading_coefficient(term: HeatLeadingTerm, s: float) -> float:
     """Numeric value of the term's coefficient at parameter ``s``.
 
     Raises :class:`PoleError` when any rotation factor 2 - 2cos(w*s) is
-    within 1e-12 of zero (which is always the case for a zero weight).
+    within 1e-12 of zero (which is always the case for a zero weight), and
+    ValueError when ``s`` is not finite.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"evaluation parameter must be finite, got {s}")
     denominator = 1.0
     for w in term.weights:
         factor = 2.0 - 2.0 * math.cos(w * s)

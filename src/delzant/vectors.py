@@ -7,6 +7,7 @@ rejected so that no operation ever leaves the rational field.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple, Sequence
@@ -22,17 +23,35 @@ def as_scalar(value) -> Fraction | int:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a 'p/q' (or bare 'p') string into a reduced Fraction."""
-    parts = text.strip().split("/")
+# An integer as every reader accepts it: an optional sign and ASCII digits.
+_INT = r"[+-]?[0-9]+"
+_INTEGER = re.compile(_INT)
+_RATIONAL = re.compile(f"({_INT})(?:/({_INT}))?")
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer string, surrounding whitespace stripped; unlike
+    ``int()``, reject underscores and non-ASCII digits."""
     try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
+        if _INTEGER.fullmatch(text.strip()):
+            return int(text)
+    except ValueError as exc:
+        raise ParseError(f"malformed integer {text!r}") from exc
+    raise ParseError(f"malformed integer {text!r}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a 'p/q' (or bare 'p') string into a reduced Fraction; surrounding
+    whitespace is stripped and p, q are read as :func:`parse_integer` does."""
+    match = _RATIONAL.fullmatch(text.strip())
+    try:
+        if match:
+            num, den = match.groups()
+            if den is None:
+                return Fraction(int(num))
+            if int(den) == 0:
                 raise ParseError(f"zero denominator in rational {text!r}")
-            return Fraction(num, den)
+            return Fraction(int(num), int(den))
     except ValueError as exc:
         raise ParseError(f"malformed rational {text!r}") from exc
     raise ParseError(f"malformed rational {text!r}")

@@ -478,6 +478,46 @@ def test_strata_malformed_theta_exit_5(monkeypatch, capsys):
     assert "expected a direction like '1,0'" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_heat_non_finite_eval_exit_2(value, monkeypatch, capsys):
+    code, out, err = run(["heat", "--theta", "1,0", "--eval", value, "--json"], SQUARE, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert "must be finite" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["random", "--edges", "1_0", "--seed", "3"],
+    ["random", "--edges", "10", "--seed", "\u0663"],
+    ["random", "--edges", "5", "--seed", "3", "--bound", "\uff14"],
+    ["census", "--edges", "4", "--bound", "2", "--max-instances", "1 0"],
+], ids=["underscore", "arabic_indic_digit", "fullwidth_digit", "inner_space"])
+def test_malformed_integer_option_exit_2(args, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(args, None, monkeypatch, capsys)
+    assert exit_info.value.code == 2
+    assert "malformed integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,stdin_text", [
+    (["strata", "--theta", "1_0, 0"], SQUARE),
+    (["chop", "--vertex", "0", "--depth", "1 / 3"], SQUARE),
+    (["generate", "hirzebruch", "--m", "1", "--w", "1_0", "--h", "1"], None),
+    (["validate"], '{"dim":2,"vertices":[["0/1","0/1"],["\uff11/\uff12","0/1"],["0/1","1/1"]]}'),
+    (["validate"], '{"dim":2,"vertices":[["0/1","0/1"],["1_000/3","0/1"],["0/1","1/1"]]}'),
+], ids=["theta", "depth", "width", "json_fullwidth", "json_underscore"])
+def test_malformed_number_exit_5(args, stdin_text, monkeypatch, capsys):
+    code, out, err = run(args, stdin_text, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert "must be integers" in err or "malformed rational" in err
+
+
+def test_strict_reader_strips_surrounding_whitespace(monkeypatch, capsys):
+    code, out, _ = run(["strata", "--theta", " 1, 0 ", "--json"], SQUARE, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["theta"] == [1, 0]
+    code, out, _ = run(["random", "--edges", " 4", "--seed", "+3", "--json"], None, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["edges"] == 4 and json.loads(out)["seed"] == 3
+
+
 def test_heat_poles_are_null_values(monkeypatch, capsys):
     code, out, err = run(["heat", "--theta", "1,0", "--eval", "0", "--json"], SQUARE, monkeypatch, capsys)
     assert code == 0

@@ -57,6 +57,12 @@ class TestPolygonConstruction:
         with pytest.raises(TypeError):
             Polygon(((0, 0), ("3/2", 0), (0, 1)))  # readers parse strings, constructors do not
 
+    def test_rejects_extra_coordinates(self):
+        with pytest.raises(TypeError, match="vertex 0 does not have 2 coordinates"):
+            Polygon([(0, 0, 9), (1, 0, 9), (0, 1, 9)])
+        with pytest.raises(TypeError, match="vertex 2 does not have 2 coordinates"):
+            Polygon(iter([(0, 0), (1, 0), (0, 1, 0)]))
+
     def test_edge_factorization(self, hirzebruch_111):
         for edge in hirzebruch_111.edges:
             assert edge.vector == edge.direction * edge.lattice_length

@@ -47,6 +47,17 @@ class TestPolygonFormat:
         with pytest.raises(ParseError, match="malformed rational '1/2/3'"):
             parse_rational("1/2/3")
 
+    @pytest.mark.parametrize("text,value", [
+        ("2", 2), ("-3/1", -3), ("1/-2", Fraction(-1, 2)), (" +4/6 ", Fraction(2, 3)),
+    ])
+    def test_rational_sign_and_surrounding_whitespace(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "1_000/3", "1 / 3", "\uff11/\uff12", "\u0663", "1/", "+", ""])
+    def test_rational_accepts_only_ascii_digits(self, text):
+        with pytest.raises(ParseError, match="malformed rational"):
+            parse_rational(text)
+
     def test_repeated_vertex(self):
         with pytest.raises(ParseError, match="repeated"):
             parse_polygon(
