@@ -294,6 +294,11 @@ def _add_io_arguments(parser, reads_stdin: bool = True):
     parser.add_argument("--json", action="store_true", help="compact machine-readable output")
 
 
+# argparse takes a separate argument that starts with '-' for an option
+# unless it looks like a plain negative number, so '--theta -1,0' fails.
+_DASHED = "a value that starts with '-' must be written as {}=VALUE"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="delzant",
@@ -313,14 +318,14 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_sub = p.add_subparsers(dest="family", required=True)
     ph = gen_sub.add_parser("hirzebruch", help="trapezoid (0,0),(w,0),(w,h),(0,h+m*w)")
     ph.add_argument("--m", type=_integer, required=True)
-    ph.add_argument("--w", required=True)
-    ph.add_argument("--h", required=True)
+    ph.add_argument("--w", required=True, help=f"width as p/q; {_DASHED.format('--w')}")
+    ph.add_argument("--h", required=True, help=f"height as p/q; {_DASHED.format('--h')}")
     _add_io_arguments(ph, reads_stdin=False)
     ph.set_defaults(handler=_cmd_generate_hirzebruch)
 
     p = sub.add_parser("chop", help="cut a corner at a lattice depth")
     p.add_argument("--vertex", type=_integer, required=True)
-    p.add_argument("--depth", required=True, help="lattice depth as p/q")
+    p.add_argument("--depth", required=True, help=f"lattice depth as p/q; {_DASHED.format('--depth')}")
     _add_io_arguments(p)
     p.set_defaults(handler=_cmd_chop)
 
@@ -337,12 +342,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_spectral)
 
     p = sub.add_parser("strata", help="fixed-point strata of a torus direction")
-    p.add_argument("--theta", required=True, help="integer direction, e.g. '1,0'")
+    p.add_argument("--theta", required=True, help=f"integer direction, e.g. '1,0'; {_DASHED.format('--theta')}")
     _add_io_arguments(p)
     p.set_defaults(handler=_cmd_strata)
 
     p = sub.add_parser("heat", help="leading heat-trace terms for a direction")
-    p.add_argument("--theta", required=True, help="integer direction, e.g. '1,0'")
+    p.add_argument("--theta", required=True, help=f"integer direction, e.g. '1,0'; {_DASHED.format('--theta')}")
     p.add_argument("--eval", dest="eval_at", type=float, help="evaluate coefficients at this parameter")
     _add_io_arguments(p)
     p.set_defaults(handler=_cmd_heat)

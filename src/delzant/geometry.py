@@ -64,6 +64,50 @@ class SubpolygonReport(NamedTuple):
         return bool(self.subsets)
 
 
+def _convex_frame(xs: list[int], ys: list[int]) -> tuple[list[int], list[int], int, bool]:
+    """The edge vectors ``(dxs, dys)`` of the closed chain through the integer
+    points ``(xs[i], ys[i])``, counterclockwise, with twice its area and
+    whether the points ran clockwise (they are then reversed in place).
+
+    Raises :class:`StructuralPolygonError` unless the chain bounds a
+    strictly convex polygon: a repeated vertex, collinear edges, a turn
+    against the others, or a star that winds around more than once.
+    """
+    d = len(xs)
+    dxs = [xs[(i + 1) % d] - xs[i] for i in range(d)]
+    dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
+    for i in range(d):
+        if dxs[i] == 0 and dys[i] == 0:
+            raise StructuralPolygonError(f"repeated vertex at index {i}")
+    crosses = [dxs[i] * dys[(i + 1) % d] - dys[i] * dxs[(i + 1) % d] for i in range(d)]
+    if any(c == 0 for c in crosses):
+        bad = crosses.index(0)
+        raise StructuralPolygonError(f"collinear edges around vertex {(bad + 1) % d}")
+    flipped = all(c < 0 for c in crosses)
+    if flipped:
+        # Reversal negates every turn, so a clockwise chain turns left after it.
+        xs.reverse()
+        ys.reverse()
+        dxs = [xs[(i + 1) % d] - xs[i] for i in range(d)]
+        dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
+    elif any(c < 0 for c in crosses):
+        raise StructuralPolygonError("vertices do not bound a convex polygon")
+    # Every turn is left and below pi, so the edge directions pass from
+    # the upper half-plane to the lower once per winding.
+    upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in zip(dxs, dys)]
+    if sum(upper[i - 1] and not upper[i] for i in range(d)) != 1:
+        raise StructuralPolygonError("vertices wind around more than once")
+    twice = sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(d))
+    return dxs, dys, twice, flipped
+
+
+def _turns(dxs: Sequence[int], dys: Sequence[int]) -> list[int]:
+    """Per vertex ``i``, the determinant of the primitive directions of the
+    nonzero integer edge vectors ``i - 1`` and ``i``."""
+    gs = [math.gcd(dx, dy) for dx, dy in zip(dxs, dys)]
+    return [(dxs[i - 1] * dys[i] - dys[i - 1] * dxs[i]) // (gs[i - 1] * gs[i]) for i in range(len(gs))]
+
+
 class Polygon:
     """A strictly convex polygon with exact rational vertices, stored CCW.
 
@@ -74,7 +118,7 @@ class Polygon:
     that turns one way throughout but winds around more than once.
     """
 
-    __slots__ = ("vertices", "edges", "_area", "_steps")
+    __slots__ = ("vertices", "edges", "_area", "_frame")
 
     def __init__(self, vertices: Iterable[Sequence]):
         pts: list[Vec2] = []
@@ -85,38 +129,31 @@ class Polygon:
             raise TypeError(f"vertex {len(pts)} does not have 2 coordinates") from None
         if len(pts) < 3:
             raise StructuralPolygonError("a polygon needs at least 3 vertices")
-        d = len(pts)
         # One integer frame: every coordinate times the common denominator L.
-        # L > 0, so every sign below is the sign of the rational expression.
+        # L > 0, so every sign in the frame is the sign of the rational expression.
         common = math.lcm(*(c.denominator for v in pts for c in v))
         xs = [v.x.numerator * (common // v.x.denominator) for v in pts]
         ys = [v.y.numerator * (common // v.y.denominator) for v in pts]
-        dxs = [xs[(i + 1) % d] - xs[i] for i in range(d)]
-        dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
-        for i in range(d):
-            if dxs[i] == 0 and dys[i] == 0:
-                raise StructuralPolygonError(f"repeated vertex at index {i}")
-        crosses = [dxs[i] * dys[(i + 1) % d] - dys[i] * dxs[(i + 1) % d] for i in range(d)]
-        if any(c == 0 for c in crosses):
-            bad = crosses.index(0)
-            raise StructuralPolygonError(f"collinear edges around vertex {(bad + 1) % d}")
-        if all(c < 0 for c in crosses):
-            # Reversal negates every turn, so a clockwise chain turns left after it.
+        self._fill(pts, common, xs, ys)
+
+    @classmethod
+    def _from_frame(cls, common: int, xs: Sequence[int], ys: Sequence[int]) -> "Polygon":
+        """The polygon with vertices ``(xs[i] / common, ys[i] / common)``, as
+        ``Polygon`` builds it from those ``Fraction`` vertices."""
+        polygon = cls.__new__(cls)
+        pts = [Vec2(Fraction(x, common), Fraction(y, common)) for x, y in zip(xs, ys)]
+        polygon._fill(pts, common, list(xs), list(ys))
+        return polygon
+
+    def _fill(self, pts: list[Vec2], common: int, xs: list[int], ys: list[int]) -> None:
+        d = len(pts)
+        dxs, dys, twice, flipped = _convex_frame(xs, ys)
+        if flipped:
             pts.reverse()
-            xs.reverse()
-            ys.reverse()
-            dxs = [xs[(i + 1) % d] - xs[i] for i in range(d)]
-            dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
-        elif any(c < 0 for c in crosses):
-            raise StructuralPolygonError("vertices do not bound a convex polygon")
-        # Every turn is left and below pi, so the edge directions pass from
-        # the upper half-plane to the lower once per winding.
-        upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in zip(dxs, dys)]
-        if sum(upper[i - 1] and not upper[i] for i in range(d)) != 1:
-            raise StructuralPolygonError("vertices wind around more than once")
         self.vertices: tuple[Vec2, ...] = tuple(pts)
-        # The edge vectors in the integer frame, for detect_subpolygons.
-        self._steps = (dxs, dys)
+        # The common denominator and the edge vectors, for detect_subpolygons,
+        # validate_delzant and spectral_data.
+        self._frame = (common, dxs, dys)
         edges = []
         for i in range(d):
             a, b, dx, dy = pts[i], pts[(i + 1) % d], dxs[i], dys[i]
@@ -130,7 +167,6 @@ class Polygon:
             direction = Vec2(dx // g, dy // g)
             edges.append(Edge(vec, direction, Fraction(g, common), direction.perp_cw()))
         self.edges: tuple[Edge, ...] = tuple(edges)
-        twice = sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(d))
         self._area = Fraction(twice, 2 * common * common)
 
     @property
@@ -194,14 +230,8 @@ def validate_delzant(polygon: Polygon) -> ValidationReport:
     Structural problems (non-convexity etc.) surface earlier, when the
     Polygon itself is constructed.
     """
-    d = polygon.edge_count
-    failures = []
-    for i in range(d):
-        incoming = polygon.edges[(i - 1) % d].direction
-        outgoing = polygon.edges[i].direction
-        det = int(incoming.cross(outgoing))
-        if det != 1:
-            failures.append(VertexCheck(vertex_index=i, determinant=det))
+    _, dxs, dys = polygon._frame
+    failures = [VertexCheck(vertex_index=i, determinant=det) for i, det in enumerate(_turns(dxs, dys)) if det != 1]
     return ValidationReport(valid=not failures, failures=tuple(failures))
 
 
@@ -252,7 +282,7 @@ def detect_subpolygons(polygon: Polygon) -> SubpolygonReport:
     if d > 16:
         raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^16")
     # The edge vectors in Polygon's integer frame: mask sums are pure int work.
-    xs, ys = polygon._steps
+    _, xs, ys = polygon._frame
     found = []
     for mask in range(1, 1 << d):
         k = mask.bit_count()

@@ -31,9 +31,9 @@ from .errors import (
     StructuralPolygonError,
     UnsupportedAmbiguityError,
 )
-from .geometry import Polygon, detect_subpolygons, polygon_from_halfplanes, validate_delzant
+from .geometry import Polygon, _convex_frame, _turns, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
-from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
+from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, _class_sums, bundle_facet_data, spectral_data
 from .vectors import Vec2, Vec3, angle_order, canonical_unsigned, is_primitive_integer
 
 
@@ -156,15 +156,79 @@ class AssignmentRecord(NamedTuple):
     candidate_index: int | None
 
 
-@dataclass(frozen=True)
 class CandidateSet:
-    """Canonical-form candidates together with the full assignment trace."""
+    """Canonical-form candidates together with the full assignment trace.
 
-    candidates: tuple[Polygon, ...]
-    trace: tuple[AssignmentRecord, ...]
+    :func:`enumerate_candidates` hands over its integer records and the
+    canonical keys it emitted; the polygons and the trace are built from
+    them together, on the first read of either, and the integer form is
+    then dropped.  ``len`` reads whichever form there is.
+    """
+
+    __slots__ = ("_candidates", "_trace", "_integer")
+
+    def __init__(self, candidates: tuple[Polygon, ...], trace: tuple[AssignmentRecord, ...]):
+        self._candidates = candidates
+        self._trace = trace
+        self._integer = None
+
+    @classmethod
+    def _from_keys(cls, records: list[tuple], keys: list[tuple]) -> "CandidateSet":
+        """The set of :func:`_reconstruct`'s ``records`` and emitted ``keys``."""
+        lazy = cls.__new__(cls)
+        lazy._integer = (records, keys)
+        return lazy
+
+    def _build(self) -> None:
+        records, keys = self._integer
+        polygons = {key: Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in keys}
+        ordered = sorted(keys, key=lambda key: polygons[key].vertices)
+        index_of = {key: i for i, key in enumerate(ordered)}
+        trace = []
+        raw = splits = None
+        for rec in records:
+            if rec[5] == "no_closure":
+                trace.append(rec)
+                continue
+            doubled, signs, numerators, parameter, anchor, outcome, key = rec
+            # Both anchors of a branch share its numerators, so they share its splits.
+            if numerators is not raw:
+                raw = numerators
+                splits = tuple((Fraction(a, raw[0]), Fraction(b, raw[0])) for a, b in raw[1])
+            trace.append(
+                AssignmentRecord(
+                    doubled,
+                    signs,
+                    splits,
+                    None if parameter is None else Fraction(*parameter),
+                    anchor,
+                    outcome,
+                    index_of.get(key),
+                )
+            )
+        self._candidates = tuple(polygons[key] for key in ordered)
+        self._trace = tuple(trace)
+        self._integer = None
+
+    @property
+    def candidates(self) -> tuple[Polygon, ...]:
+        if self._integer is not None:
+            self._build()
+        return self._candidates
+
+    @property
+    def trace(self) -> tuple[AssignmentRecord, ...]:
+        if self._integer is not None:
+            self._build()
+        return self._trace
+
+    def _records(self) -> Sequence[tuple]:
+        """The trace records in whichever form there is; both keep the
+        ``doubled``, ``signs`` and ``outcome`` of a record at 0, 1 and 5."""
+        return self._trace if self._integer is None else self._integer[0]
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self._candidates) if self._integer is None else len(self._integer[1])
 
     def __iter__(self):
         return iter(self.candidates)
@@ -173,31 +237,35 @@ class CandidateSet:
         key = polygon.canonical_key()
         return any(c.canonical_key() == key for c in self.candidates)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.candidates, self.trace) == (other.candidates, other.trace)
 
-def _rational_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn, rd = isqrt(num), isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+    def __hash__(self) -> int:
+        return hash((self.candidates, self.trace))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(candidates={self.candidates!r}, trace={self.trace!r})"
 
 
-def _quadratic_roots(b2, b1, b0) -> list[Fraction]:
-    """Rational roots of b2 x^2 + b1 x + b0 = 0, ascending (empty if none);
-    the coefficients are ``int`` or ``Fraction``."""
+def _quadratic_roots(b2: int, b1: int, b0: int) -> list[tuple[int, int]]:
+    """Rational roots of b2 x^2 + b1 x + b0 = 0 on integer coefficients,
+    ascending, as (numerator, denominator) in lowest terms with a positive
+    denominator (empty if none)."""
     if b2 == 0:
         if b1 == 0:
             return []
-        return [Fraction(-b0, b1)]
-    disc = b1 * b1 - 4 * b2 * b0
-    root = _rational_sqrt(disc)
-    if root is None:
-        return []
-    if root == 0:
-        return [Fraction(-b1, 2 * b2)]
-    return sorted([Fraction(-b1 - root, 2 * b2), Fraction(-b1 + root, 2 * b2)])
+        roots, den = [-b0 if b1 > 0 else b0], abs(b1)
+    else:
+        disc = b1 * b1 - 4 * b2 * b0
+        root = isqrt(max(disc, 0))
+        if root * root != disc:
+            return []
+        # (-b1 -+ root) / (2 b2), with the sign of b2 moved to the numerator.
+        mid, den = (-b1 if b2 > 0 else b1), 2 * abs(b2)
+        roots = [mid] if root == 0 else [mid - root, mid + root]
+    return [(n // gcd(n, den), den // gcd(n, den)) for n in roots]
 
 
 def _chain(edges: Sequence[Vec2]) -> tuple[list[tuple], Fraction | int]:
@@ -368,8 +436,10 @@ def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fr
                 "area is constant along the family; every parameter matches", interval=(lo, hi)
             )
         return ()
-    roots = _quadratic_roots(coeff_b, coeff_a, family.base_area - target)
-    return tuple(t for t in roots if lo < t < hi)
+    coeffs = [Fraction(c) for c in (coeff_b, coeff_a, family.base_area - target)]
+    scale = lcm(*(c.denominator for c in coeffs))
+    roots = _quadratic_roots(*(c.numerator * (scale // c.denominator) for c in coeffs))
+    return tuple(t for t in (Fraction(n, d) for n, d in roots) if lo < t < hi)
 
 
 def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[tuple, tuple] | None:
@@ -423,10 +493,11 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
        turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
        (``dropped_mismatch``);
-    4. the surviving polygon is built once, in canonical form, and
-       emitted.  Determinant 1 at every turn, positive lengths, closure
-       and the area make it Delzant with exactly ``data``; that it
-       validates and reproduces ``data`` is asserted.
+    4. the surviving polygon's canonical key is emitted.  Determinant 1 at
+       every turn, positive lengths, closure and the area make it Delzant
+       with exactly ``data``; that it does is asserted on the key's
+       integers (:func:`_reproduces`).  The polygon itself is built when
+       the returned set is first read.
 
     Every branch that reaches step 2 is recorded twice, once per
     ``anchor`` of :func:`build_most_obtuse`, the reference builder: anchor
@@ -460,13 +531,10 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
         choices = list(combinations(range(r), p))
-    records, emitted = _reconstruct(data, trust_counts, [(choice, _sign_patterns(r, choice)) for choice in choices])
-    if not emitted:
+    records, keys = _reconstruct(data, trust_counts, [(choice, _sign_patterns(r, choice)) for choice in choices])
+    if not keys:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
-    ordered_keys = sorted(emitted, key=lambda key: emitted[key].vertices)
-    index_of = {key: i for i, key in enumerate(ordered_keys)}
-    trace = tuple(AssignmentRecord(*rec[:6], candidate_index=index_of.get(rec[6])) for rec in records)
-    return CandidateSet(candidates=tuple(emitted[key] for key in ordered_keys), trace=trace)
+    return CandidateSet._from_keys(records, keys)
 
 
 def _sign_patterns(r: int, choice: tuple[int, ...]):
@@ -481,12 +549,16 @@ def _sign_patterns(r: int, choice: tuple[int, ...]):
         yield tuple(signs)
 
 
-def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], dict[tuple, Polygon]]:
+def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], list[tuple]]:
     """Decide the branches ``(doubled classes, sign tuples)`` of ``branches``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
 
-    Returns the trace records, each naming its candidate by key, and the
-    emitted polygons by key.  ``data`` must pass the checks of
+    Returns the trace records and the emitted canonical keys, in first-seen
+    order.  A ``no_closure`` record is its final :class:`AssignmentRecord`;
+    any other is one in integers, a plain tuple whose splits are ``(2q,
+    ((length+, length-) numerators, ...))``, whose parameter is
+    ``(numerator, denominator)`` or None, and which names its candidate by
+    key.  ``data`` must pass the checks of
     :func:`enumerate_candidates`; a branch is decided the same way whichever
     other branches are listed with it.
     """
@@ -503,17 +575,13 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
     fan = [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
 
     records: list[tuple] = []
-    emitted: dict[tuple, Polygon] = {}
+    emitted: dict[tuple, None] = {}
 
     def emit(key: tuple) -> None:
         if key not in emitted:
-            den = key[0]
-            polygon = Polygon(
-                [Vec2(Fraction(key[k], den), Fraction(key[k + 1], den)) for k in range(1, len(key), 2)]
-            )
-            if not validate_delzant(polygon) or not spectral_data(polygon).matches(data, with_counts=trust_counts):
+            if not _reproduces(key, data, trust_counts):
                 raise AssertionError("a smooth fan chain of the data's area does not reproduce the data")
-            emitted[key] = polygon
+            emitted[key] = None
 
     for choice, sign_patterns in branches:
         chosen = set(choice)
@@ -529,7 +597,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
             for i in singles:
                 rx -= dirs[i].x * signs[i] * int_sums[i]
                 ry -= dirs[i].y * signs[i] * int_sums[i]
-            solutions: list[tuple[tuple[int, ...], int, Fraction | None]] = []
+            solutions: list[tuple[tuple[int, ...], int, tuple[int, int] | None]] = []
             ring = None
             if p == 0:
                 if rx == 0 and ry == 0:
@@ -565,22 +633,19 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                 # D (K0 + K1 u + K2 u^2) = N (2q)^2.
                 den = twice_area.denominator
                 target = twice_area.numerator * 4 * q * q
-                for u in _quadratic_roots(den * k2, den * k1, den * k0 - target):
-                    un, ud = u.numerator, u.denominator
+                for un, ud in _quadratic_roots(den * k2, den * k1, den * k0 - target):
                     numerators = tuple(base[i] * ud + un * kernel[i] for i in choice)
                     if all(abs(n) < int_sums[i] * m * ud for i, n in zip(choice, numerators)):
-                        solutions.append((numerators, q * ud, u / q))
+                        # The parameter t = u / q, as (numerator, denominator).
+                        solutions.append((numerators, q * ud, (un, q * ud)))
             if not solutions:
-                records.append((doubled_normals, signs, (), None, 0, "no_closure", None))
+                records.append(AssignmentRecord(doubled_normals, signs, (), None, 0, "no_closure", None))
                 continue
             smooth = None
             for numerators, q, parameter in solutions:
                 m = q // scale
                 delta = dict(zip(choice, numerators))
-                splits = tuple(
-                    (Fraction(int_sums[i] * m + n, 2 * q), Fraction(int_sums[i] * m - n, 2 * q))
-                    for i, n in delta.items()
-                )
+                splits = (2 * q, tuple((int_sums[i] * m + n, int_sums[i] * m - n) for i, n in delta.items()))
                 head = (doubled_normals, signs, splits, parameter)
                 if any(abs(n) >= int_sums[i] * m for i, n in delta.items()):
                     records.append(head + (0, "inadmissible_split", None))
@@ -617,7 +682,40 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                     key = keys[0] if anchor * signs[0] > 0 else keys[1]
                     emit(key)
                     records.append(head + (anchor, "emitted", key))
-    return records, emitted
+    return records, list(emitted)
+
+
+def _reproduces(key: tuple, data: SpectralData, trust_counts: bool) -> bool:
+    """Whether the canonical key ``(L, x0, y0, x1, y1, ...)`` names a
+    Delzant polygon with exactly ``data`` (and its counts when trusted).
+
+    Decided on the key's integers: the chain through the points
+    ``(x, y) / L`` must bound a strictly convex polygon, through the frame
+    check :class:`Polygon` makes, turn with determinant 1 at every vertex,
+    and have the data's vertex count, classes and class sums (as
+    :func:`spectral_data` groups them) and area.
+    """
+    den, xs, ys = key[0], list(key[1::2]), list(key[2::2])
+    if len(xs) != data.vertex_count:
+        return False
+    try:
+        dxs, dys, twice, _ = _convex_frame(xs, ys)
+    except StructuralPolygonError:
+        return False
+    if any(det != 1 for det in _turns(dxs, dys)):
+        return False
+    sums = _class_sums(dxs, dys)
+    classes = {c.normal: c for c in data.classes}
+    if sums.keys() != classes.keys():
+        return False
+    for normal, (total, count) in sums.items():
+        c = classes[normal]
+        if total * c.length_sum.denominator != c.length_sum.numerator * den:
+            return False
+        if trust_counts and count != c.edge_count:
+            return False
+    # twice / (2 L^2) is the area.
+    return twice * data.area.denominator == 2 * data.area.numerator * den * den
 
 
 @dataclass(frozen=True)
@@ -659,8 +757,8 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
     subs = detect_subpolygons(polygon).subsets
     candidates = enumerate_candidates(data)
-    emitting = [rec for rec in candidates.trace if rec.outcome == "emitted"]
-    assignments = tuple(sorted({rec.doubled for rec in emitting}))
+    emitting = [rec for rec in candidates._records() if rec[5] == "emitted"]
+    assignments = tuple(sorted({rec[0] for rec in emitting}))
     report = GenericityReport(
         generic=not subs and len(assignments) == 1 and len(candidates) <= _GENERIC_BOUND[p],
         rectangle=data.vertex_count == 4 and len(data.classes) == 2,
@@ -670,8 +768,8 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
     )
     index = {tuple(c.normal): i for i, c in enumerate(data.classes)}
     branches: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
-    for rec in emitting:
-        branches.setdefault(tuple(index[n] for n in rec.doubled), {})[rec.signs] = None
+    for doubled, signs, *_ in emitting:
+        branches.setdefault(tuple(index[n] for n in doubled), {})[signs] = None
     return report, tuple((choice, tuple(signs)) for choice, signs in branches.items())
 
 
@@ -685,9 +783,9 @@ def _branches_rule_out(polygon: Polygon, branches) -> bool:
     decides nothing.  ``polygon`` must share the fan the branches come from.
     """
     data = spectral_data(polygon)
-    records, emitted = _reconstruct(data, False, branches)
+    records, keys = _reconstruct(data, False, branches)
     assignments = {rec[0] for rec in records if rec[5] == "emitted"}
-    return len(assignments) > 1 or len(emitted) > _GENERIC_BOUND[data.parallel_pairs]
+    return len(assignments) > 1 or len(keys) > _GENERIC_BOUND[data.parallel_pairs]
 
 
 def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:

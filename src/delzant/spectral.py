@@ -59,22 +59,27 @@ class SpectralData:
         return self.key(with_counts) == other.key(with_counts)
 
 
+def _class_sums(dxs, dys) -> dict[Vec2, list[int]]:
+    """The nonzero integer edge vectors grouped by canonical unsigned
+    primitive normal: per class, its summed lattice lengths (times the
+    frame's common denominator) and its edge count."""
+    sums: dict[Vec2, list[int]] = {}
+    for dx, dy in zip(dxs, dys):
+        g = math.gcd(dx, dy)
+        entry = sums.setdefault(canonical_unsigned(Vec2(dy // g, -dx // g)), [0, 0])
+        entry[0] += g
+        entry[1] += 1
+    return sums
+
+
 def spectral_data(polygon: Polygon) -> SpectralData:
     """Group the polygon's edges into unsigned-normal classes."""
-    groups: dict[Vec2, list] = {}
-    for edge in polygon.edges:
-        groups.setdefault(canonical_unsigned(edge.normal), []).append(edge)
-    classes = []
-    for normal in sorted(groups, key=tuple):
-        edges = groups[normal]
-        classes.append(
-            NormalClass(
-                normal=normal,
-                length_sum=sum((e.lattice_length for e in edges), start=Fraction(0)),
-                edge_count=len(edges),
-            )
-        )
-    return SpectralData(vertex_count=polygon.edge_count, classes=tuple(classes), area=polygon.area)
+    common, dxs, dys = polygon._frame
+    classes = tuple(
+        NormalClass(normal=normal, length_sum=Fraction(total, common), edge_count=count)
+        for normal, (total, count) in sorted(_class_sums(dxs, dys).items())
+    )
+    return SpectralData(vertex_count=polygon.edge_count, classes=classes, area=polygon.area)
 
 
 def parallel_pair_count(polygon: Polygon) -> int:

@@ -1,0 +1,273 @@
+"""CandidateSet built on first read, and the integer check every emitted
+key passes.
+
+enumerate_candidates keeps its trace and candidates as integers until one
+of them is read; these tests pin that a set read in any order equals the
+set built eagerly from the same polygons and records, that the genericity
+paths never build a candidate polygon, and that each clause of the emit
+check rejects the key it is there for.
+"""
+
+import dataclasses
+import itertools
+import json
+from fractions import Fraction
+
+import pytest
+
+from delzant import (
+    BudgetExceededError,
+    CandidateSet,
+    Polygon,
+    StructuralPolygonError,
+    enumerate_candidates,
+    hirzebruch,
+    is_generic,
+    perturb_generic,
+    random_delzant,
+    spectral_data,
+)
+from delzant import reconstruct, serialize, zoo
+from delzant.geometry import _convex_frame
+from delzant.spectral import NormalClass, SpectralData
+from delzant.vectors import Vec2
+
+READS = {
+    "trace": lambda c: c.trace,
+    "candidates": lambda c: c.candidates,
+    "len": len,
+    "iteration": list,
+}
+
+
+def _view(candidates, polygon):
+    return (
+        repr(candidates),
+        hash(candidates),
+        len(candidates),
+        polygon in candidates,
+        json.dumps(serialize.candidates_to_json(candidates)),
+    )
+
+
+@pytest.mark.parametrize("d", range(3, 10))
+@pytest.mark.parametrize("twist", [False, True])
+def test_lazy_set_equals_eager_set_whatever_is_read_first(d, twist):
+    for seed in range(2):
+        polygon = random_delzant(d, seed, 4, twist=twist)
+        data = spectral_data(polygon)
+        built = enumerate_candidates(data)
+        eager = CandidateSet(candidates=built.candidates, trace=built.trace)
+        for order in itertools.permutations(READS, 2):
+            lazy = enumerate_candidates(data)
+            for name in order:
+                assert READS[name](lazy) == READS[name](eager), (d, seed, order)
+            assert lazy == eager and eager == lazy
+            assert _view(lazy, polygon) == _view(eager, polygon)
+        # Two sets neither of which was read yet.
+        assert enumerate_candidates(data) == enumerate_candidates(data)
+        assert len(enumerate_candidates(data)) == len(eager)
+
+
+def test_lazy_set_is_read_only():
+    lazy = enumerate_candidates(spectral_data(hirzebruch(1, 1, 1)))
+    with pytest.raises(AttributeError):
+        lazy.candidates = ()
+    with pytest.raises(AttributeError):
+        lazy.trace = ()
+
+
+def test_is_generic_after_the_trace_was_read(monkeypatch):
+    """An observer that reads the trace as soon as the set is returned (as a
+    tracer does) leaves is_generic's report as it is."""
+    polygons = [random_delzant(d, seed, 4, twist=twist) for d in (5, 6, 7, 8) for seed in range(6)
+                for twist in (False, True)]
+    expected = [repr(is_generic(p)) for p in polygons]
+    enumerate_first = reconstruct.enumerate_candidates
+
+    def observed(data, trust_counts=False):
+        candidates = enumerate_first(data, trust_counts)
+        candidates.trace
+        return candidates
+
+    monkeypatch.setattr(reconstruct, "enumerate_candidates", observed)
+    assert [repr(is_generic(p)) for p in polygons] == expected
+    assert sum("generic=False" in r for r in expected) > 0
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts of polygons built from a frame and through Polygon.__init__."""
+    counts = {"frame": 0, "init": 0}
+    from_frame = Polygon._from_frame
+    init = Polygon.__init__
+
+    def frame_spy(cls, common, xs, ys):
+        counts["frame"] += 1
+        return from_frame(common, xs, ys)
+
+    def init_spy(self, vertices):
+        counts["init"] += 1
+        init(self, vertices)
+
+    monkeypatch.setattr(Polygon, "_from_frame", classmethod(frame_spy))
+    monkeypatch.setattr(Polygon, "__init__", init_spy)
+    return counts
+
+
+def test_genericity_builds_no_candidate_polygon(built):
+    polygons = [random_delzant(d, seed, 4) for d in range(3, 9) for seed in range(4)]
+    built["init"] = 0
+    reports = [is_generic(p) for p in polygons]
+    assert any(reports) and not all(reports)
+    assert built == {"frame": 0, "init": 0}
+
+
+def test_exhausted_perturbation_builds_only_its_attempts(built, monkeypatch):
+    polygon = random_delzant(6, 42, 4)
+    built["init"] = 0
+    attempts = []
+    halfplanes = zoo.polygon_from_halfplanes
+
+    def counted(normals, offsets):
+        attempts.append(offsets)
+        return halfplanes(normals, offsets)
+
+    monkeypatch.setattr(zoo, "polygon_from_halfplanes", counted)
+    with pytest.raises(BudgetExceededError):
+        perturb_generic(polygon)
+    # One polygon per perturbation attempt, and no candidate.
+    assert len(attempts) == 24
+    assert built == {"frame": 0, "init": 24}
+
+
+def test_reading_candidates_builds_each_once(built):
+    for d, seed in ((3, 0), (5, 1), (7, 2), (8, 3)):
+        data = spectral_data(random_delzant(d, seed, 4, twist=True))
+        built.update(frame=0, init=0)
+        candidates = enumerate_candidates(data)
+        count = len(candidates)
+        assert built == {"frame": 0, "init": 0}
+        candidates.candidates
+        candidates.trace
+        list(candidates)
+        assert count > 0 and built == {"frame": count, "init": 0}
+
+
+# --- the emit check --------------------------------------------------------
+
+# hirzebruch(1, 2, 1): classes (0, 1), (1, 0) twice and (1, 1), with sums
+# 2, 1 + 3 and 2; area 4.
+TRAPEZOID = (1, 0, 0, 2, 0, 2, 1, 0, 3)
+
+
+def _trapezoid_data() -> SpectralData:
+    return spectral_data(hirzebruch(1, 2, 1))
+
+
+def _with_class(data, normal, **changes):
+    return dataclasses.replace(
+        data, classes=tuple(c._replace(**changes) if c.normal == normal else c for c in data.classes)
+    )
+
+
+def test_emit_check_accepts_the_source():
+    data = _trapezoid_data()
+    assert [tuple(c) for c in data.classes] == [
+        ((0, 1), 2, 1), ((1, 0), 4, 2), ((1, 1), 2, 1)
+    ]
+    for trust_counts in (False, True):
+        assert reconstruct._reproduces(TRAPEZOID, data, trust_counts)
+    # The same polygon over a common denominator 2.
+    assert reconstruct._reproduces((2,) + tuple(2 * v for v in TRAPEZOID[1:]), data, True)
+
+
+def test_emit_check_rejects_a_non_delzant_key():
+    # A lattice triangle whose corner at (2, 0) has determinant 3.
+    key = (1, 0, 0, 2, 0, 0, 3)
+    data = spectral_data(Polygon(((0, 0), (2, 0), (0, 3))))
+    assert not reconstruct._reproduces(key, data, True)
+
+
+def test_emit_check_rejects_a_wrong_class_sum():
+    data = _with_class(_trapezoid_data(), Vec2(1, 0), length_sum=Fraction(7, 2))
+    assert not reconstruct._reproduces(TRAPEZOID, data, False)
+
+
+def test_emit_check_rejects_a_wrong_class_set():
+    data = _trapezoid_data()
+    extra = dataclasses.replace(data, classes=data.classes + (NormalClass(Vec2(1, 2), Fraction(1), 1),))
+    assert not reconstruct._reproduces(TRAPEZOID, extra, False)
+
+
+def test_emit_check_rejects_a_wrong_count_only_when_trusted():
+    data = _with_class(_with_class(_trapezoid_data(), Vec2(1, 0), edge_count=1), Vec2(0, 1), edge_count=2)
+    assert reconstruct._reproduces(TRAPEZOID, data, False)
+    assert not reconstruct._reproduces(TRAPEZOID, data, True)
+
+
+def test_emit_check_rejects_a_wrong_area():
+    data = _trapezoid_data()
+    assert not reconstruct._reproduces(TRAPEZOID, dataclasses.replace(data, area=data.area + Fraction(1, 7)), True)
+
+
+def test_emit_check_rejects_a_wrong_vertex_count():
+    data = _trapezoid_data()
+    assert not reconstruct._reproduces(TRAPEZOID, dataclasses.replace(data, vertex_count=5), True)
+
+
+def test_emit_check_rejects_a_repeated_vertex():
+    key = TRAPEZOID[:5] + TRAPEZOID[3:]
+    data = dataclasses.replace(_trapezoid_data(), vertex_count=5)
+    assert not reconstruct._reproduces(key, data, False)
+
+
+def _twice_area(xs, ys):
+    return sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(xs)))
+
+
+def test_emit_check_rejects_a_star_that_winds_twice():
+    # Eight left turns of a quarter each, every one with determinant 1: the
+    # edges run around the square's four directions twice.
+    points = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 2), (3, 2), (3, 4), (0, 4)]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    data = SpectralData(
+        vertex_count=8,
+        classes=(
+            NormalClass(Vec2(0, 1), Fraction(3 + 1 + 1 + 3), 4),
+            NormalClass(Vec2(1, 0), Fraction(3 + 1 + 2 + 4), 4),
+        ),
+        area=Fraction(_twice_area(xs, ys), 2),
+    )
+    key = (1,) + tuple(v for point in points for v in point)
+    assert not reconstruct._reproduces(key, data, True)
+
+
+@pytest.mark.parametrize("points, message", [
+    ([(0, 0), (1, 0), (1, 0), (0, 1)], "repeated vertex at index 1"),
+    ([(0, 0), (1, 0), (2, 0), (0, 1)], "collinear edges around vertex 1"),
+    ([(0, 0), (4, 0), (1, 1), (0, 4)], "vertices do not bound a convex polygon"),
+    ([(0, 0), (3, 0), (3, 3), (2, 3), (2, 2), (3, 2), (3, 4), (0, 4)], "vertices wind around more than once"),
+])
+def test_frame_check_names_each_structural_fault(points, message):
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    with pytest.raises(StructuralPolygonError, match=message):
+        _convex_frame(xs, ys)
+
+
+def test_frame_check_turns_a_clockwise_chain_around():
+    xs, ys = [0, 0, 1], [0, 1, 0]
+    dxs, dys, twice, flipped = _convex_frame(xs, ys)
+    assert flipped and (xs, ys) == ([1, 0, 0], [0, 1, 0])
+    assert (dxs, dys, twice) == ([-1, 0, 1], [1, -1, 0], 1)
+
+
+def test_every_caller_asserts_the_emit_check(monkeypatch):
+    polygon = random_delzant(6, 42, 4)
+    _, branches = reconstruct._genericity(polygon)
+    monkeypatch.setattr(reconstruct, "_reproduces", lambda key, data, trust_counts: False)
+    message = "a smooth fan chain of the data's area does not reproduce the data"
+    with pytest.raises(AssertionError, match=message):
+        enumerate_candidates(spectral_data(polygon))
+    with pytest.raises(AssertionError, match=message):
+        reconstruct._branches_rule_out(polygon, branches)

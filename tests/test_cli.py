@@ -542,3 +542,25 @@ def test_roundtrip_perturbed_trial(monkeypatch, capsys):
     assert json.loads(out)["results"] == [
         {"seed": 4, "pairs": 3, "perturbed": True, "candidates": 4, "outcome": "contained"}
     ]
+
+
+def test_negative_option_value_needs_the_equals_form(monkeypatch, capsys):
+    code, out, _ = run(["strata", "--theta=-1,0", "--json"], SQUARE, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["theta"] == [-1, 0]
+    with pytest.raises(SystemExit) as exc:
+        run(["strata", "--theta", "-1,0", "--json"], SQUARE, monkeypatch, capsys)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    (["strata"], "--theta"),
+    (["heat"], "--theta"),
+    (["chop"], "--depth"),
+    (["generate", "hirzebruch"], "--w"),
+    (["generate", "hirzebruch"], "--h"),
+])
+def test_help_names_the_equals_form(command, option, capsys):
+    with pytest.raises(SystemExit):
+        main(command + ["--help"])
+    assert f"{option}=VALUE" in " ".join(capsys.readouterr().out.split())
