@@ -103,9 +103,9 @@ def _random_unimodular(rng: random.Random, bound: int) -> tuple[tuple[int, int],
     return mat
 
 
-def _param_bound(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"parameter bound must be a positive integer, got {value!r}")
+def _int_at_least(value, low: int, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{what}, got {value!r}")
     return value
 
 
@@ -120,7 +120,7 @@ def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False)
     """
     if d < 3:
         raise ValueError("a polygon needs at least 3 edges")
-    bound = _param_bound(param_bound)
+    bound = _int_at_least(param_bound, 1, "parameter bound must be a positive integer")
     rng = random.Random(seed)
     if d == 3:
         k = Fraction(rng.randint(1, bound))
@@ -164,8 +164,7 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     or the error and its ``partial``, is the same as with a full test per
     attempt.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {budget!r}")
+    _int_at_least(budget, 0, "budget must be a nonnegative integer")
     report, branches = _genericity(polygon)
     if report:
         return polygon
@@ -198,48 +197,78 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
     histograms the number of parallel pairs.  Each parametrized instance
     counts once; the reported fractions are relative to this grid, not to
     any continuous measure.
+
+    The count runs over states (normals, lattice lengths), memoized per base,
+    with the last chop counted per corner.  A subtree that would cross
+    ``max_instances`` is walked leaf by leaf, so the ``partial`` is exact.
     """
-    if d < 4:
-        raise ValueError("the census starts at quadrilaterals")
-    bound = _param_bound(param_bound)
+    _int_at_least(d, 4, "the census starts at quadrilaterals: d must be an integer >= 4")
+    _int_at_least(max_instances, 0, "max_instances must be a nonnegative integer")
+    bound = _int_at_least(param_bound, 1, "parameter bound must be a positive integer")
     histogram: dict[int, int] = {}
     total = 0
+    memo: dict[tuple, dict[int, int]] = {}
 
-    def visit(normals: tuple, lengths: tuple, remaining: int, pairs: int):
-        nonlocal total
-        if remaining == 0:
-            histogram[pairs] = histogram.get(pairs, 0) + 1
-            total += 1
-            if total > max_instances:
-                raise BudgetExceededError(
-                    f"census exceeded {max_instances} instances",
-                    partial=ZooCensus(d, dict(histogram), total),
-                )
-            return
-        k = len(normals)
-        for i in range(k):
-            len_in = lengths[(i - 1) % k]
-            len_out = lengths[i]
-            n_new = (
-                normals[(i - 1) % k][0] + normals[i][0],
-                normals[(i - 1) % k][1] + normals[i][1],
-            )
-            # A chop removes no edge; its new normal pairs up exactly when
-            # the opposite normal is already there.
-            new_pairs = pairs + ((-n_new[0], -n_new[1]) in normals)
-            for t in range(1, min(len_in, len_out, bound + 1)):
-                new_normals = normals[:i] + (n_new,) + normals[i:]
+    def merge(into: dict, sub: dict, shift: int):
+        for added, n in sub.items():
+            into[shift + added] = into.get(shift + added, 0) + n
+
+    def corners(normals: tuple, lengths: tuple):
+        """Each choppable corner: index, new normal, pairs up?, deepest chop."""
+        for i in range(len(normals)):
+            deepest = min(lengths[i - 1], lengths[i], bound + 1) - 1
+            if deepest:
+                n_new = (normals[i - 1][0] + normals[i][0], normals[i - 1][1] + normals[i][1])
+                # A chop removes no edge; its new normal pairs up exactly
+                # when the opposite normal is already there.
+                yield i, n_new, (-n_new[0], -n_new[1]) in normals, deepest
+
+    def children(normals: tuple, lengths: tuple):
+        for i, n_new, paired, deepest in corners(normals, lengths):
+            new_normals = normals[:i] + (n_new,) + normals[i:]
+            for t in range(1, deepest + 1):
                 # Shorten both incident edges, insert the new one at i.
                 new_lengths = list(lengths)
-                new_lengths[(i - 1) % k] = len_in - t
-                new_lengths[i] = len_out - t
+                new_lengths[i - 1] -= t
+                new_lengths[i] -= t
                 new_lengths.insert(i, t)
-                visit(new_normals, tuple(new_lengths), remaining - 1, new_pairs)
+                yield new_normals, tuple(new_lengths), paired
+
+    def below(normals: tuple, lengths: tuple, remaining: int) -> dict[int, int]:
+        """Leaf counts by pairs added below a state, in first-leaf order."""
+        if remaining == 1:
+            sub: dict[int, int] = {}
+            for _, _, paired, deepest in corners(normals, lengths):
+                sub[paired] = sub.get(paired, 0) + deepest
+            return sub
+        sub = memo.get((normals, lengths))
+        if sub is None:
+            sub = memo[normals, lengths] = {}
+            for child_normals, child_lengths, paired in children(normals, lengths):
+                merge(sub, below(child_normals, child_lengths, remaining - 1), paired)
+        return sub
+
+    def add(normals: tuple, lengths: tuple, remaining: int, pairs: int):
+        nonlocal total
+        sub = below(normals, lengths, remaining) if remaining else {0: 1}
+        size = sum(sub.values())
+        if remaining and total + size > max_instances:
+            for child_normals, child_lengths, paired in children(normals, lengths):
+                add(child_normals, child_lengths, remaining - 1, pairs + paired)
+            return
+        merge(histogram, sub, pairs)
+        total += size
+        if total > max_instances:
+            raise BudgetExceededError(
+                f"census exceeded {max_instances} instances",
+                partial=ZooCensus(d, dict(histogram), total),
+            )
 
     for m in range(0, bound + 1):
         for w in range(1, bound + 1):
             for h in range(1, bound + 1):
+                memo.clear()  # states almost never repeat across bases
                 base_normals = ((0, -1), (1, 0), (m, 1), (-1, 0))
                 base_lengths = (w, h, w, h + m * w)
-                visit(base_normals, base_lengths, d - 4, 2 if m == 0 else 1)
+                add(base_normals, base_lengths, d - 4, 2 if m == 0 else 1)
     return ZooCensus(edge_count=d, histogram=dict(sorted(histogram.items())), total=total)

@@ -180,6 +180,20 @@ def test_census_command(monkeypatch, capsys):
     assert doc["bound"] == 2
 
 
+def test_census_json_bytes(monkeypatch, capsys):
+    code, out, err = run(["census", "--edges", "9", "--bound", "5", "--json"],
+                         None, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out == ('{"d": 9, "histogram": {"1": 71740, "2": 41540, "3": 47180, "4": 37600}, '
+                   '"total": 198060, "bound": 5}\n')
+
+
+def test_census_budget_exit_4_bytes(monkeypatch, capsys):
+    code, out, err = run(["census", "--edges", "8", "--bound", "4", "--max-instances", "5000"],
+                         None, monkeypatch, capsys)
+    assert (code, out, err) == (4, "", "error: census exceeded 5000 instances\n")
+
+
 def test_equiv_command(tmp_path, monkeypatch, capsys):
     other = tmp_path / "rotated.json"
     rotated = '{"dim":2,"vertices":[["0/1","0/1"],["0/1","-1/1"],["1/1","-1/1"],["1/1","0/1"]]}'

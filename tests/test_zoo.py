@@ -217,10 +217,10 @@ def _reference_perturb(polygon, reports, budget=24):
     raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=last)
 
 
-def _outcome(perturb, polygon, *args):
-    """The returned polygon's repr, or the budget error with its partial."""
+def _outcome(run, *args):
+    """The result's repr, or the budget error with its partial."""
     try:
-        return repr(perturb(polygon, *args))
+        return repr(run(*args))
     except BudgetExceededError as exc:
         return f"BudgetExceededError: {exc} partial={exc.partial!r}"
 
@@ -295,6 +295,103 @@ class TestCensus:
     def test_rejects_bad_param_bound(self, bound):
         with pytest.raises(ValueError, match="parameter bound must be a positive integer"):
             parallel_pair_census(5, bound)
+
+    @pytest.mark.parametrize("d", [3, -1, 4.0, 5.0, True, "5", None])
+    def test_rejects_bad_edge_count(self, d):
+        with pytest.raises(ValueError, match="d must be an integer >= 4"):
+            parallel_pair_census(d, 2)
+
+    @pytest.mark.parametrize("budget", [-1, True, False, 2.5, 10.0, "10", None])
+    def test_rejects_bad_max_instances(self, budget):
+        with pytest.raises(ValueError, match="max_instances must be a nonnegative integer"):
+            parallel_pair_census(5, 2, max_instances=budget)
+
+    @pytest.mark.parametrize("d, bound, total, histogram", [
+        (6, 3, 282, {1: 128, 2: 98, 3: 56}),
+        (6, 4, 1580, {1: 928, 2: 446, 3: 206}),
+        (6, 5, 5574, {1: 3710, 2: 1314, 3: 550}),
+        (7, 3, 348, {1: 90, 2: 114, 3: 144}),
+        (7, 4, 4624, {1: 2156, 2: 1142, 3: 1326}),
+        (7, 5, 25194, {1: 14478, 2: 5178, 3: 5538}),
+        (8, 3, 276, {1: 24, 2: 72, 3: 90, 4: 90}),
+        (8, 4, 9142, {1: 2940, 2: 2292, 3: 2830, 4: 1080}),
+        (8, 5, 85840, {1: 40700, 2: 17188, 3: 21928, 4: 6024}),
+        (9, 3, 0, {}),
+        (9, 4, 8360, {1: 1260, 2: 2080, 3: 2740, 4: 2280}),
+        (9, 5, 198060, {1: 71740, 2: 41540, 3: 47180, 4: 37600}),
+    ])
+    def test_benchmark_grid_pinned(self, d, bound, total, histogram):
+        """The census_bundle grid, with the benchmark's pinned values."""
+        census = parallel_pair_census(d, bound)
+        assert (census.edge_count, census.total, census.histogram) == (d, total, histogram)
+        assert list(census.histogram) == sorted(histogram)
+
+    @pytest.mark.parametrize("d, bound", [
+        (6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (7, 5), (8, 3), (8, 4), (8, 5),
+        (9, 4), (4, 2), (5, 3),
+    ])
+    def test_budget_hits_match_leaf_walk(self, d, bound):
+        """Every budget raises at the same leaf, with the same message and
+        the same partial (histogram key order included), as a walk that
+        counts leaf by leaf."""
+        leaves = _reference_leaves(d, bound)
+        total = len(leaves)
+        budgets = {0, 1, 7, 10, 50, total // 3, total - 1, total, total + 1}
+        # Crossing points inside a base's subtree, away from round numbers.
+        budgets |= {total // 2 + 1, total * 5 // 7 + 3, total * 2 // 3 - 2, 123, 1001}
+        for budget in sorted(b for b in budgets if b >= 0):
+            expected = _outcome(_reference_census, d, leaves, budget)
+            assert _outcome(parallel_pair_census, d, bound, budget) == expected, budget
+
+
+def _reference_leaves(d: int, bound: int) -> tuple:
+    """Pair counts of the census leaves in enumeration order, walked one
+    leaf at a time (the census before it counted by states)."""
+    leaves = []
+
+    def visit(normals: tuple, lengths: tuple, remaining: int, pairs: int):
+        if remaining == 0:
+            leaves.append(pairs)
+            return
+        k = len(normals)
+        for i in range(k):
+            len_in = lengths[(i - 1) % k]
+            len_out = lengths[i]
+            n_new = (
+                normals[(i - 1) % k][0] + normals[i][0],
+                normals[(i - 1) % k][1] + normals[i][1],
+            )
+            new_pairs = pairs + ((-n_new[0], -n_new[1]) in normals)
+            for t in range(1, min(len_in, len_out, bound + 1)):
+                new_normals = normals[:i] + (n_new,) + normals[i:]
+                new_lengths = list(lengths)
+                new_lengths[(i - 1) % k] = len_in - t
+                new_lengths[i] = len_out - t
+                new_lengths.insert(i, t)
+                visit(new_normals, tuple(new_lengths), remaining - 1, new_pairs)
+
+    for m in range(0, bound + 1):
+        for w in range(1, bound + 1):
+            for h in range(1, bound + 1):
+                base_normals = ((0, -1), (1, 0), (m, 1), (-1, 0))
+                base_lengths = (w, h, w, h + m * w)
+                visit(base_normals, base_lengths, d - 4, 2 if m == 0 else 1)
+    return tuple(leaves)
+
+
+def _reference_census(d: int, leaves: tuple, max_instances: int) -> ZooCensus:
+    """The leaf-by-leaf census's histogram and budget check over ``leaves``."""
+    histogram: dict[int, int] = {}
+    total = 0
+    for pairs in leaves:
+        histogram[pairs] = histogram.get(pairs, 0) + 1
+        total += 1
+        if total > max_instances:
+            raise BudgetExceededError(
+                f"census exceeded {max_instances} instances",
+                partial=ZooCensus(d, dict(histogram), total),
+            )
+    return ZooCensus(edge_count=d, histogram=dict(sorted(histogram.items())), total=total)
 
 
 @given(seed=st.integers(0, 10**6), d=st.integers(3, 8))
