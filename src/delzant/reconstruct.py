@@ -162,7 +162,9 @@ class CandidateSet:
     :func:`enumerate_candidates` hands over its integer records and the
     canonical keys it emitted; the polygons and the trace are built from
     them together, on the first read of either, and the integer form is
-    then dropped.  ``len`` reads whichever form there is.
+    then dropped.  ``len`` reads whichever form there is, and
+    ``serialize.candidates_to_json`` writes an unread set from the integer
+    form without building it.
     """
 
     __slots__ = ("_candidates", "_trace", "_integer")
@@ -181,9 +183,7 @@ class CandidateSet:
 
     def _build(self) -> None:
         records, keys = self._integer
-        polygons = {key: Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in keys}
-        ordered = sorted(keys, key=lambda key: polygons[key].vertices)
-        index_of = {key: i for i, key in enumerate(ordered)}
+        index_of = _candidate_index(keys)
         trace = []
         raw = splits = None
         for rec in records:
@@ -206,7 +206,7 @@ class CandidateSet:
                     index_of.get(key),
                 )
             )
-        self._candidates = tuple(polygons[key] for key in ordered)
+        self._candidates = tuple(Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in index_of)
         self._trace = tuple(trace)
         self._integer = None
 
@@ -475,6 +475,18 @@ def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[t
 TRACE_OUTCOMES = frozenset(
     {"no_closure", "inadmissible_split", "dropped_invalid", "dropped_mismatch", "emitted"}
 )
+
+
+def _candidate_index(keys: Sequence[tuple]) -> dict[tuple, int]:
+    """Each emitted canonical key's candidate index, in candidate order.
+
+    Candidates are sorted by their vertices, as ``Polygon`` compares them;
+    :meth:`Polygon._from_frame` keeps a key's vertex order, so that is the
+    order of the keys' coordinates scaled to one common denominator.
+    """
+    common = lcm(*(key[0] for key in keys))
+    ordered = sorted(keys, key=lambda key: tuple(v * (common // key[0]) for v in key[1:]))
+    return {key: i for i, key in enumerate(ordered)}
 
 
 def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> CandidateSet:

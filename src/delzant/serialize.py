@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import warnings
+from math import gcd
 from typing import Union
 
 from .errors import OrientationWarning, ParseError, StructuralPolygonError
 from .geometry import Polygon
 from .polytope3 import Polytope3
-from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet
+from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet, _candidate_index
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, NormalClass, SpectralData
 from .vectors import Vec2, canonical_unsigned, format_rational, is_primitive_integer, parse_rational
 from .zoo import ZooCensus
@@ -56,6 +57,20 @@ def _read_ints(value, count: int, what: str) -> tuple[int, ...]:
     if not isinstance(value, list) or len(value) != count or any(type(c) is not int for c in value):
         raise ParseError(f"{what} must be a list of {count} integers, got {json.dumps(value)}")
     return tuple(value)
+
+
+def _read_one_of(value, allowed: tuple[int, ...], what: str) -> int:
+    """A JSON integer, read as :func:`_read_int` does, that is one of ``allowed``."""
+    if _read_int(value, what) not in allowed:
+        raise ParseError(f"{what} must be one of {list(allowed)}, got {value}")
+    return value
+
+
+def _canonical_normal(normal: tuple[int, ...], what: str) -> tuple[int, ...]:
+    """``normal`` when it is primitive with its first nonzero coordinate positive."""
+    if not is_primitive_integer(normal) or canonical_unsigned(Vec2(*normal)) != normal:
+        raise ParseError(f"{what} {list(normal)} must be primitive with its first nonzero coordinate positive")
+    return normal
 
 
 def polygon_to_json(polygon: Polygon) -> dict:
@@ -167,10 +182,7 @@ def spectral_from_json(doc: dict) -> SpectralData:
         count = entry.get("count")
         if count is not None and _read_int(count, f"class {index}: count") not in (1, 2):
             raise ParseError(f"class {index}: count must be 1 or 2")
-        if not is_primitive_integer(normal) or canonical_unsigned(normal) != normal:
-            raise ParseError(
-                f"class {index}: normal {list(normal)} must be primitive with its first nonzero coordinate positive"
-            )
+        _canonical_normal(normal, f"class {index}: normal")
         if length_sum <= 0:
             raise ParseError(f"class {index}: length sum must be positive")
         classes.append(NormalClass(normal=normal, length_sum=length_sum, edge_count=count))
@@ -232,11 +244,54 @@ def _record_to_json(record: AssignmentRecord) -> dict:
     }
 
 
+def _ratio(n: int, d: int) -> str:
+    """``format_rational(Fraction(n, d))`` for ``d > 0``."""
+    g = gcd(n, d)
+    return f"{n // g}/{d // g}"
+
+
 def candidates_to_json(candidates: CandidateSet) -> dict:
-    return {
-        "candidates": [polygon_to_json(p) for p in candidates.candidates],
-        "assignmentTrace": [_record_to_json(r) for r in candidates.trace],
-    }
+    """The candidates JSON document.
+
+    A set that was not read yet is written straight from its integer keys
+    and records, building no polygon and no trace; the records of one
+    branch then share their ``doubled``, ``signs`` and ``splits`` lists.
+    """
+    if candidates._integer is None:
+        return {
+            "candidates": [polygon_to_json(p) for p in candidates.candidates],
+            "assignmentTrace": [_record_to_json(r) for r in candidates.trace],
+        }
+    records, keys = candidates._integer
+    index_of = _candidate_index(keys)
+    polygons = [
+        {"dim": 2, "vertices": [[_ratio(x, key[0]), _ratio(y, key[0])] for x, y in zip(key[1::2], key[2::2])]}
+        for key in index_of
+    ]
+    trace = []
+    last_doubled = last_signs = last_numerators = None
+    for doubled, signs, numerators, parameter, anchor, outcome, key in records:
+        # Records of one branch share these tuples, and so share their lists.
+        if doubled is not last_doubled:
+            last_doubled, doubled_list = doubled, [list(n) for n in doubled]
+        if signs is not last_signs:
+            last_signs, signs_list = signs, list(signs)
+        if numerators is not last_numerators:
+            last_numerators = numerators
+            # A no_closure record is already an AssignmentRecord, with () as its splits.
+            splits = [] if not numerators else [
+                [_ratio(a, numerators[0]), _ratio(b, numerators[0])] for a, b in numerators[1]
+            ]
+        trace.append({
+            "doubled": doubled_list,
+            "signs": signs_list,
+            "splits": splits,
+            "parameter": None if parameter is None else _ratio(*parameter),
+            "anchor": anchor,
+            "outcome": outcome,
+            "candidate": index_of.get(key),
+        })
+    return {"candidates": polygons, "assignmentTrace": trace}
 
 
 def _record_from_json(entry, index: int, candidate_count: int) -> AssignmentRecord:
@@ -257,11 +312,13 @@ def _record_from_json(entry, index: int, candidate_count: int) -> AssignmentReco
     if candidate is not None and not 0 <= _read_int(candidate, f"{what}: candidate") < candidate_count:
         raise ParseError(f"{what}: candidate {candidate} is not among the {candidate_count} candidates")
     return AssignmentRecord(
-        doubled=tuple(_read_ints(n, 2, f"{what}: doubled normal") for n in doubled),
-        signs=tuple(_read_int(x, f"{what}: sign") for x in signs),
+        doubled=tuple(
+            _canonical_normal(_read_ints(n, 2, f"{what}: doubled normal"), f"{what}: doubled normal") for n in doubled
+        ),
+        signs=tuple(_read_one_of(x, (1, -1), f"{what}: sign") for x in signs),
         splits=tuple((parse_rational(str(a)), parse_rational(str(b))) for a, b in splits),
         parameter=None if parameter is None else parse_rational(str(parameter)),
-        anchor=_read_int(entry.get("anchor", 0), f"{what}: anchor"),
+        anchor=_read_one_of(entry.get("anchor", 0), (-1, 0, 1), f"{what}: anchor"),
         outcome=outcome,
         candidate_index=candidate,
     )

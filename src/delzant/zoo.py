@@ -118,8 +118,9 @@ def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False)
     fixed argument tuple.  ``twist`` applies an extra random unimodular
     map (off by default to keep coordinates small).
     """
-    if d < 3:
-        raise ValueError("a polygon needs at least 3 edges")
+    _int_at_least(d, 3, "a polygon needs at least 3 edges: d must be an integer >= 3")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     bound = _int_at_least(param_bound, 1, "parameter bound must be a positive integer")
     rng = random.Random(seed)
     if d == 3:

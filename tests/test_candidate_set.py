@@ -69,6 +69,55 @@ def test_lazy_set_equals_eager_set_whatever_is_read_first(d, twist):
         assert len(enumerate_candidates(data)) == len(eager)
 
 
+# Every edge count and both twists; these include three-pair sets whose
+# records carry a parameter and inadmissible splits of length 0 or less.
+WRITTEN = [(d, seed, twist) for d in range(3, 10) for seed in range(4) for twist in (False, True)]
+
+
+def _unread_and_eager(d, seed, twist):
+    data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+    built = enumerate_candidates(data)
+    return enumerate_candidates(data), CandidateSet(candidates=built.candidates, trace=built.trace)
+
+
+def test_unread_set_writes_the_bytes_of_its_eager_twin():
+    parameters = nonpositive = 0
+    for d, seed, twist in WRITTEN:
+        lazy, eager = _unread_and_eager(d, seed, twist)
+        for indent in (None, 2):
+            text = json.dumps(serialize.candidates_to_json(lazy), indent=indent)
+            assert text == json.dumps(serialize.candidates_to_json(eager), indent=indent), (d, seed, twist)
+        for record in eager.trace:
+            parameters += record.parameter is not None
+            nonpositive += record.outcome == "inadmissible_split" and min(min(pair) for pair in record.splits) <= 0
+    assert parameters > 0 and nonpositive > 0
+
+
+def test_writing_an_unread_set_builds_no_polygon(built):
+    for d, seed, twist in WRITTEN[::5]:
+        candidates = enumerate_candidates(spectral_data(random_delzant(d, seed, 4, twist=twist)))
+        built.update(frame=0, init=0)
+        serialize.candidates_to_json(candidates)
+        assert built == {"frame": 0, "init": 0}, (d, seed, twist)
+
+
+def test_written_set_still_reads_as_its_eager_twin():
+    for d, seed, twist in WRITTEN[::3]:
+        lazy, eager = _unread_and_eager(d, seed, twist)
+        serialize.candidates_to_json(lazy)
+        assert lazy == eager and hash(lazy) == hash(eager), (d, seed, twist)
+        assert (lazy.candidates, lazy.trace, repr(lazy)) == (eager.candidates, eager.trace, repr(eager))
+
+
+def test_candidate_order_is_the_vertex_order_across_denominators():
+    # No sampled data set has candidates over two denominators, so the keys
+    # are made up: squares of side 1 and 1/2, triangles of side 2/3 and 3/2.
+    keys = [(1, 0, 0, 1, 0, 1, 1, 0, 1), (2, 0, 0, 1, 0, 1, 1, 0, 1), (3, 0, 0, 2, 0, 0, 2), (2, 0, 0, 3, 0, 0, 3)]
+    polygons = {key: Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in keys}
+    ordered = sorted(keys, key=lambda key: polygons[key].vertices)
+    assert list(reconstruct._candidate_index(keys)) == ordered != keys
+
+
 def test_lazy_set_is_read_only():
     lazy = enumerate_candidates(spectral_data(hirzebruch(1, 1, 1)))
     with pytest.raises(AttributeError):

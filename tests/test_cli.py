@@ -397,6 +397,20 @@ def test_render_rejects_inconsistent_trace_exit_5(candidates, record, tmp_path, 
     assert err.startswith("error: ") and "trace record 0" in err
 
 
+@pytest.mark.parametrize("record, message", [
+    (dict(RECORD, signs=[7, 7, 7]), "sign must be one of [1, -1], got 7"),
+    (dict(RECORD, anchor=5), "anchor must be one of [-1, 0, 1], got 5"),
+    (dict(RECORD, doubled=[[2, 0]]), "doubled normal [2, 0] must be primitive"),
+    (dict(RECORD, doubled=[[0, -1]]), "doubled normal [0, -1] must be primitive"),
+], ids=["sign_out_of_range", "anchor_out_of_range", "doubled_not_primitive", "doubled_not_canonical"])
+def test_render_rejects_trace_values_out_of_range_exit_5(record, message, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "overlay.json"
+    path.write_text(json.dumps({"candidates": [UNIT_SQUARE_DOC], "assignmentTrace": [record]}))
+    code, out, err = run(["render", "--overlay", str(path)], SQUARE, monkeypatch, capsys)
+    assert code == 5 and out == ""
+    assert err.startswith("error: trace record 0: ") and message in err
+
+
 def test_render_accepts_consistent_trace(tmp_path, monkeypatch, capsys):
     records = [dict(RECORD), dict(RECORD, outcome="dropped_invalid", candidate=None)]
     path = tmp_path / "overlay.json"

@@ -124,6 +124,16 @@ class TestRandomDelzant:
         with pytest.raises(ValueError, match="parameter bound must be a positive integer"):
             random_delzant(5, 0, bound)
 
+    @pytest.mark.parametrize("d", [2, -1, 3.0, 5.0, True, "5", None])
+    def test_rejects_bad_edge_count(self, d):
+        with pytest.raises(ValueError, match="d must be an integer >= 3"):
+            random_delzant(d, 0)
+
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "4", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            random_delzant(4, seed)
+
 
 class TestPerturbGeneric:
     def test_generic_input_unchanged(self):
