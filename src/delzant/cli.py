@@ -1,7 +1,8 @@
 """Command-line surface: every pipeline stage as a subcommand with JSON I/O.
 
-Exit codes: 0 success, 2 validation failure, 3 infeasible reconstruction,
-4 unsupported request, 5 parse error.  Inputs default to stdin (''--in'')
+Exit codes: 0 success, 2 validation failure or a path that cannot be read
+or written, 3 infeasible reconstruction, 4 unsupported request, 5 parse
+error, undecodable input included.  Inputs default to stdin (''--in'')
 and outputs to stdout (''--out''); ''--json'' switches to compact output.
 """
 
@@ -36,6 +37,8 @@ _ERROR_CODES = (
     (ParseError, EXIT_PARSE),
     (BudgetExceededError, EXIT_UNSUPPORTED),
     (UnsupportedError, EXIT_UNSUPPORTED),
+    # Only the float outputs, render and heat --eval, can overflow.
+    (OverflowError, EXIT_UNSUPPORTED),
     (ReconstructionInfeasibleError, EXIT_INFEASIBLE),
     (ChopError, EXIT_VALIDATION),
     (PoleError, EXIT_VALIDATION),
@@ -53,11 +56,20 @@ class CommandResult:
     diagnostics: list = field(default_factory=list)
 
 
-def _read_input(args) -> str:
-    if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as handle:
+def _read_file(path: str) -> bytes:
+    """The bytes of an input file; one that cannot be read is an inadmissible argument."""
+    try:
+        with open(path, "rb") as handle:
             return handle.read()
-    return sys.stdin.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+
+
+def _read_input(args) -> bytes:
+    """The document of ``--in``, or stdin's bytes; ``serialize`` decodes either."""
+    if getattr(args, "infile", None):
+        return _read_file(args.infile)
+    return sys.stdin.buffer.read()
 
 
 def _read_polygon(args):
@@ -245,8 +257,7 @@ def _cmd_roundtrip(args) -> CommandResult:
 
 def _cmd_equiv(args) -> CommandResult:
     polygon = _read_polygon(args)
-    with open(args.other, "r", encoding="utf-8") as handle:
-        other = serialize.parse_polygon(handle.read())
+    other = serialize.parse_polygon(_read_file(args.other))
     match = geometry.sl2z_equivalent(polygon, other)
     if match is None:
         return CommandResult(EXIT_OK, {"equivalent": False, "matrix": None, "translation": None})
@@ -282,8 +293,7 @@ def _cmd_render(args) -> CommandResult:
     polygon = _read_polygon(args)
     overlay = None
     if args.overlay:
-        with open(args.overlay, "r", encoding="utf-8") as handle:
-            overlay = serialize.parse_candidates(handle.read()).candidates
+        overlay = serialize.parse_candidates(_read_file(args.overlay)).candidates
     return CommandResult(EXIT_OK, raw=render.render_svg(polygon, overlay))
 
 
@@ -396,22 +406,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(result: CommandResult, args) -> None:
+    """Write the result to stdout, or to ``--out`` through one open; there a
+    JSON document ends in a newline and a raw one is written as it is."""
     if result.raw is not None:
-        if getattr(args, "outfile", None):
-            with open(args.outfile, "wb") as handle:
-                handle.write(result.raw)
-        else:
-            sys.stdout.write(result.raw.decode("utf-8"))
-            sys.stdout.write("\n")
-        return
-    if result.payload is None:
-        return
-    text = json.dumps(result.payload) if args.json else json.dumps(result.payload, indent=2)
-    if getattr(args, "outfile", None):
-        with open(args.outfile, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        text, data = result.raw.decode("utf-8"), result.raw
+    elif result.payload is not None:
+        text = json.dumps(result.payload) if args.json else json.dumps(result.payload, indent=2)
+        data = (text + "\n").encode("utf-8")
     else:
+        return
+    outfile = getattr(args, "outfile", None)
+    if not outfile:
         sys.stdout.write(text + "\n")
+        return
+    try:
+        with open(outfile, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        raise ValueError(f"cannot write {outfile}: {exc.strerror}") from exc
 
 
 def main(argv=None) -> int:
@@ -421,17 +433,15 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = args.handler(args)
-        diagnostics = [str(w.message) for w in caught]
+        for line in [str(w.message) for w in caught] + result.diagnostics:
+            print(line, file=sys.stderr)
+        _emit(result, args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         for cls, code in _ERROR_CODES:
             if isinstance(exc, cls):
                 print(f"error: {exc}", file=sys.stderr)
                 return code
         raise
-    diagnostics.extend(result.diagnostics)
-    for line in diagnostics:
-        print(line, file=sys.stderr)
-    _emit(result, args)
     return result.exit_code
 
 

@@ -185,27 +185,12 @@ class CandidateSet:
         records, keys = self._integer
         index_of = _candidate_index(keys)
         trace = []
-        raw = splits = None
-        for rec in records:
-            if rec[5] == "no_closure":
-                trace.append(rec)
-                continue
-            doubled, signs, numerators, parameter, anchor, outcome, key = rec
-            # Both anchors of a branch share its numerators, so they share its splits.
-            if numerators is not raw:
-                raw = numerators
-                splits = tuple((Fraction(a, raw[0]), Fraction(b, raw[0])) for a, b in raw[1])
-            trace.append(
-                AssignmentRecord(
-                    doubled,
-                    signs,
-                    splits,
-                    None if parameter is None else Fraction(*parameter),
-                    anchor,
-                    outcome,
-                    index_of.get(key),
-                )
-            )
+        for doubled, signs, (den, raw), parameter, ends in records:
+            splits = tuple((Fraction(a, den), Fraction(b, den)) for a, b in raw)
+            if parameter is not None:
+                parameter = Fraction(*parameter)
+            for anchor, outcome, key in ends:
+                trace.append(AssignmentRecord(doubled, signs, splits, parameter, anchor, outcome, index_of.get(key)))
         self._candidates = tuple(Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in index_of)
         self._trace = tuple(trace)
         self._integer = None
@@ -221,11 +206,6 @@ class CandidateSet:
         if self._integer is not None:
             self._build()
         return self._trace
-
-    def _records(self) -> Sequence[tuple]:
-        """The trace records in whichever form there is; both keep the
-        ``doubled``, ``signs`` and ``outcome`` of a record at 0, 1 and 5."""
-        return self._trace if self._integer is None else self._integer[0]
 
     def __len__(self) -> int:
         return len(self._candidates) if self._integer is None else len(self._integer[1])
@@ -565,12 +545,16 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
     """Decide the branches ``(doubled classes, sign tuples)`` of ``branches``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
 
-    Returns the trace records and the emitted canonical keys, in first-seen
-    order.  A ``no_closure`` record is its final :class:`AssignmentRecord`;
-    any other is one in integers, a plain tuple whose splits are ``(2q,
-    ((length+, length-) numerators, ...))``, whose parameter is
-    ``(numerator, denominator)`` or None, and which names its candidate by
-    key.  ``data`` must pass the checks of
+    Returns the branch records and the emitted canonical keys, in first-seen
+    order.  There is one record per decided branch solution, in integers:
+    ``(doubled, signs, splits, parameter, ends)``.  ``splits`` is ``(den,
+    ((length+, length-) numerators, ...))``, ``(1, ())`` when the branch
+    has no closure; ``parameter`` is ``(numerator, denominator)`` or None;
+    ``ends`` lists the ``(anchor, outcome, key)`` of each trace entry the
+    branch adds, in trace order, naming an emitted candidate by its key and
+    any other by None.  A ``no_closure`` or ``inadmissible_split`` branch
+    has one end with anchor 0, any other two, with anchors 1 and -1 and one
+    outcome.  ``data`` must pass the checks of
     :func:`enumerate_candidates`; a branch is decided the same way whichever
     other branches are listed with it.
     """
@@ -651,16 +635,15 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                         # The parameter t = u / q, as (numerator, denominator).
                         solutions.append((numerators, q * ud, (un, q * ud)))
             if not solutions:
-                records.append(AssignmentRecord(doubled_normals, signs, (), None, 0, "no_closure", None))
+                records.append((doubled_normals, signs, (1, ()), None, ((0, "no_closure", None),)))
                 continue
             smooth = None
             for numerators, q, parameter in solutions:
                 m = q // scale
                 delta = dict(zip(choice, numerators))
                 splits = (2 * q, tuple((int_sums[i] * m + n, int_sums[i] * m - n) for i, n in delta.items()))
-                head = (doubled_normals, signs, splits, parameter)
                 if any(abs(n) >= int_sums[i] * m for i, n in delta.items()):
-                    records.append(head + (0, "inadmissible_split", None))
+                    records.append((doubled_normals, signs, splits, parameter, ((0, "inadmissible_split", None),)))
                     continue
                 if smooth is None:
                     if ring is None:
@@ -687,13 +670,17 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                         2 * q,
                         twice_area,
                     )
-                for anchor in (1, -1):
-                    if keys is None:
-                        records.append(head + (anchor, "dropped_mismatch" if smooth else "dropped_invalid", None))
-                        continue
-                    key = keys[0] if anchor * signs[0] > 0 else keys[1]
-                    emit(key)
-                    records.append(head + (anchor, "emitted", key))
+                if keys is not None:
+                    # Anchor a builds the chained polygon when a * signs[0] > 0.
+                    plus, minus = keys if signs[0] > 0 else keys[::-1]
+                    emit(plus)
+                    emit(minus)
+                    ends = ((1, "emitted", plus), (-1, "emitted", minus))
+                elif smooth:
+                    ends = ((1, "dropped_mismatch", None), (-1, "dropped_mismatch", None))
+                else:
+                    ends = ((1, "dropped_invalid", None), (-1, "dropped_invalid", None))
+                records.append((doubled_normals, signs, splits, parameter, ends))
     return records, list(emitted)
 
 
@@ -769,8 +756,8 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
     subs = detect_subpolygons(polygon).subsets
     candidates = enumerate_candidates(data)
-    emitting = [rec for rec in candidates._records() if rec[5] == "emitted"]
-    assignments = tuple(sorted({rec[0] for rec in emitting}))
+    emitting = _emitting(candidates)
+    assignments = tuple(sorted(emitting))
     report = GenericityReport(
         generic=not subs and len(assignments) == 1 and len(candidates) <= _GENERIC_BOUND[p],
         rectangle=data.vertex_count == 4 and len(data.classes) == 2,
@@ -779,10 +766,21 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
         candidate_count=len(candidates),
     )
     index = {tuple(c.normal): i for i, c in enumerate(data.classes)}
-    branches: dict[tuple[int, ...], dict[tuple[int, ...], None]] = {}
-    for doubled, signs, *_ in emitting:
-        branches.setdefault(tuple(index[n] for n in doubled), {})[signs] = None
-    return report, tuple((choice, tuple(signs)) for choice, signs in branches.items())
+    return report, tuple((tuple(index[n] for n in doubled), tuple(signs)) for doubled, signs in emitting.items())
+
+
+def _emitting(candidates: CandidateSet) -> dict[tuple, dict[tuple, None]]:
+    """The sign tuples of the branches that emitted, by their doubled
+    normals, both in trace order.  An unread set is read from its branch
+    records, so that this builds nothing."""
+    if candidates._integer is None:
+        pairs = ((rec.doubled, rec.signs) for rec in candidates.trace if rec.outcome == "emitted")
+    else:
+        pairs = ((doubled, signs) for doubled, signs, _, _, ends in candidates._integer[0] if ends[0][1] == "emitted")
+    emitting: dict[tuple, dict[tuple, None]] = {}
+    for doubled, signs in pairs:
+        emitting.setdefault(doubled, {})[signs] = None
+    return emitting
 
 
 def _branches_rule_out(polygon: Polygon, branches) -> bool:
@@ -795,9 +793,8 @@ def _branches_rule_out(polygon: Polygon, branches) -> bool:
     decides nothing.  ``polygon`` must share the fan the branches come from.
     """
     data = spectral_data(polygon)
-    records, keys = _reconstruct(data, False, branches)
-    assignments = {rec[0] for rec in records if rec[5] == "emitted"}
-    return len(assignments) > 1 or len(keys) > _GENERIC_BOUND[data.parallel_pairs]
+    candidates = CandidateSet._from_keys(*_reconstruct(data, False, branches))
+    return len(_emitting(candidates)) > 1 or len(candidates) > _GENERIC_BOUND[data.parallel_pairs]
 
 
 def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:

@@ -21,11 +21,16 @@ from .zoo import ZooCensus
 
 
 def _load_document(data: Union[bytes, str]) -> dict:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    """The top-level object of a JSON document given as UTF-8 bytes or text.
+
+    Every way the document can fail to decode is a :class:`ParseError`:
+    invalid UTF-8 (a ``ValueError``), invalid JSON, an integer literal past
+    the interpreter's digit limit (also ``ValueError``s) and nesting deeper
+    than the decoder recurses.
+    """
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object at the top level")
@@ -254,8 +259,9 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     """The candidates JSON document.
 
     A set that was not read yet is written straight from its integer keys
-    and records, building no polygon and no trace; the records of one
-    branch then share their ``doubled``, ``signs`` and ``splits`` lists.
+    and branch records (see ``reconstruct._reconstruct``), building no
+    polygon and no trace; the entries of one branch then share their
+    ``doubled``, ``signs`` and ``splits`` lists.
     """
     if candidates._integer is None:
         return {
@@ -269,28 +275,25 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
         for key in index_of
     ]
     trace = []
-    last_doubled = last_signs = last_numerators = None
-    for doubled, signs, numerators, parameter, anchor, outcome, key in records:
-        # Records of one branch share these tuples, and so share their lists.
+    last_doubled = None
+    for doubled, signs, (den, raw), parameter, ends in records:
+        # The branches of one doubled-class choice share its normals, and so their list.
         if doubled is not last_doubled:
             last_doubled, doubled_list = doubled, [list(n) for n in doubled]
-        if signs is not last_signs:
-            last_signs, signs_list = signs, list(signs)
-        if numerators is not last_numerators:
-            last_numerators = numerators
-            # A no_closure record is already an AssignmentRecord, with () as its splits.
-            splits = [] if not numerators else [
-                [_ratio(a, numerators[0]), _ratio(b, numerators[0])] for a, b in numerators[1]
-            ]
-        trace.append({
-            "doubled": doubled_list,
-            "signs": signs_list,
-            "splits": splits,
-            "parameter": None if parameter is None else _ratio(*parameter),
-            "anchor": anchor,
-            "outcome": outcome,
-            "candidate": index_of.get(key),
-        })
+        signs_list = list(signs)
+        splits = [[_ratio(a, den), _ratio(b, den)] for a, b in raw]
+        if parameter is not None:
+            parameter = _ratio(*parameter)
+        for anchor, outcome, key in ends:
+            trace.append({
+                "doubled": doubled_list,
+                "signs": signs_list,
+                "splits": splits,
+                "parameter": parameter,
+                "anchor": anchor,
+                "outcome": outcome,
+                "candidate": index_of.get(key),
+            })
     return {"candidates": polygons, "assignmentTrace": trace}
 
 

@@ -1,6 +1,11 @@
 """Subcommand behaviour and exit codes by driving cli.main directly."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +17,9 @@ BAD_TRIANGLE = '{"dim":2,"vertices":[["0/1","0/1"],["2/1","0/1"],["0/1","3/1"]]}
 
 def run(args, stdin_text=None, monkeypatch=None, capsys=None):
     if stdin_text is not None:
-        import io
-
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        # The CLI reads stdin's bytes, as a real stdin has them.
+        stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
@@ -592,3 +597,73 @@ def test_help_names_the_equals_form(command, option, capsys):
     with pytest.raises(SystemExit):
         main(command + ["--help"])
     assert f"{option}=VALUE" in " ".join(capsys.readouterr().out.split())
+
+
+def _path_error(code, out, err, verb, path):
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot {verb} {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_in_exit_2(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / name
+    code, out, err = run(["validate", "--in", str(path)], None, monkeypatch, capsys)
+    _path_error(code, out, err, "read", path)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_equiv_other_exit_2(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / name
+    code, out, err = run(["equiv", "--other", str(path)], SQUARE, monkeypatch, capsys)
+    _path_error(code, out, err, "read", path)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."], ids=["missing", "directory"])
+def test_unreadable_render_overlay_exit_2(name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / name
+    code, out, err = run(["render", "--overlay", str(path)], SQUARE, monkeypatch, capsys)
+    _path_error(code, out, err, "read", path)
+
+
+@pytest.mark.parametrize("command", [["validate", "--json"], ["render"]], ids=["json", "raw"])
+@pytest.mark.parametrize("name", ["missing/out.json", "."], ids=["missing_folder", "directory"])
+def test_unwritable_out_exit_2(command, name, tmp_path, monkeypatch, capsys):
+    path = tmp_path / name
+    code, out, err = run(command + ["--out", str(path)], SQUARE, monkeypatch, capsys)
+    _path_error(code, out, err, "write", path)
+
+
+UNDECODABLE = {
+    "invalid_utf8": b'{"dim": 2, "vertices": "\xff"}',
+    "deep_nesting": b"[" * 1000 + b"]" * 1000,
+    "long_digits": b'{"d": ' + b"7" * 5000 + b', "classes": [], "area": "1"}',
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "reconstruct", "bundle-reconstruct"])
+@pytest.mark.parametrize("document", sorted(UNDECODABLE))
+def test_undecodable_document_exit_5(document, command, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "in.json"
+    path.write_bytes(UNDECODABLE[document])
+    code, out, err = run([command, "--in", str(path)], None, monkeypatch, capsys)
+    assert (code, out) == (5, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
+def test_invalid_utf8_on_stdin_exit_5():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONIOENCODING="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "delzant.cli", "validate"],
+        input=UNDECODABLE["invalid_utf8"], env=env, capture_output=True, timeout=60,
+    )
+    assert (result.returncode, result.stdout) == (5, b"")
+    assert result.stderr.startswith(b"error: invalid JSON: ") and result.stderr.count(b"\n") == 1
+
+
+@pytest.mark.parametrize("command", [["render"], ["heat", "--theta", "1,0", "--eval", "0.5"]], ids=["render", "heat"])
+def test_coordinates_past_the_float_range_exit_4(command, monkeypatch, capsys):
+    huge = '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, "1/' + "7" * 400 + '"]]}'
+    code, out, err = run(command, huge, monkeypatch, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,9 @@ document exits with a documented code (0, 2, 3, 4 or 5) and never raises.
 Documents are bounded (at most 8 vertices, classes, entries or records) so
 that enumeration stays small.  They mix well-formed documents from the
 library's own writers, documents of the right shape with arbitrary field
-values, arbitrary JSON values, and text that is not JSON at all.
+values, arbitrary JSON values, text that is not JSON at all, and raw bytes
+the decoder cannot take: invalid UTF-8, nesting past the decoder's recursion
+limit and integer literals past the interpreter's digit limit.
 """
 
 import contextlib
@@ -121,12 +123,35 @@ candidates_docs = st.one_of(
         "assignmentTrace": either(st.lists(either(records), max_size=MAX)),
     }),
 )
-documents = st.one_of(
-    st.one_of(json_values, polygon_docs, polytope_docs, spectral_docs, halfspace_docs, candidates_docs).map(
-        json.dumps
+json_documents = st.one_of(
+    json_values, polygon_docs, polytope_docs, spectral_docs, halfspace_docs, candidates_docs
+).map(json.dumps)
+invalid_utf8 = st.sampled_from([b"\xff", b"\xc3(", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"])
+raw_documents = st.one_of(
+    st.binary(max_size=12),
+    st.builds(
+        lambda doc, cut, bad: doc[:cut] + bad + doc[cut:],
+        json_documents.map(str.encode),
+        st.integers(0, 40),
+        invalid_utf8,
     ),
-    st.text(max_size=12),
+    st.builds(
+        lambda depth, nest: nest[0] * depth + nest[1] + nest[2] * depth,
+        st.sampled_from([1, 500, 990, 1000, 5000]),
+        st.sampled_from([(b"[", b"", b"]"), (b'{"a": ', b"1", b"}"), (b'{"dim": 2, "vertices": [', b"", b"]}")]),
+    ),
+    st.builds(
+        lambda digits, template: template.replace(b"N", b"7" * digits),
+        st.sampled_from([4300, 4301, 10000]),
+        st.sampled_from([
+            b"N",
+            b'{"d": N, "classes": [], "area": "1"}',
+            b'{"dim": 2, "vertices": [[N, 0], [1, 0], [0, 1]]}',
+            b'{"dim": 2, "entries": [{"normal": [1, 0], "offset": "N", "volume": "1"}]}',
+        ]),
+    ),
 )
+documents = st.one_of(json_documents, st.text(max_size=12), raw_documents)
 
 
 def reads(fmt):
@@ -172,11 +197,11 @@ def test_documented_exit_code_and_no_exception(command, fuzzed, data):
     with tempfile.TemporaryDirectory() as folder:
         infile = os.path.join(folder, "in.json")
         otherfile = os.path.join(folder, "other.json")
-        with open(infile, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(infile, "wb") as handle:
+            handle.write(text.encode("utf-8") if isinstance(text, str) else text)
         if other is not None:
-            with open(otherfile, "w", encoding="utf-8") as handle:
-                handle.write(other)
+            with open(otherfile, "wb") as handle:
+                handle.write(other.encode("utf-8") if isinstance(other, str) else other)
         argv = [command, "--in", infile, "--json"] + [otherfile if a == "{other}" else a for a in options]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

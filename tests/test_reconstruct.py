@@ -269,6 +269,29 @@ class TestTraceOracle:
                 checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("d", range(3, 10))
+    @pytest.mark.parametrize("trust_counts", [False, True])
+    def test_each_branch_is_one_unanchored_record_or_an_anchor_pair(self, d, trust_counts):
+        unanchored = {"no_closure", "inadmissible_split"}
+        for seed in range(8):
+            data = spectral_data(random_delzant(d, seed, 4, twist=seed % 2 == 1))
+            if data.parallel_pairs > 3:
+                continue
+            trace = enumerate_candidates(data, trust_counts=trust_counts).trace
+            i = 0
+            while i < len(trace):
+                record = trace[i]
+                if record.anchor == 0:
+                    assert record.outcome in unanchored
+                    if record.outcome == "no_closure":
+                        assert (record.splits, record.parameter) == ((), None)
+                    i += 1
+                    continue
+                twin = trace[i + 1]
+                assert (record.anchor, twin.anchor) == (1, -1) and record.outcome not in unanchored
+                assert record[:4] + (record.outcome,) == twin[:4] + (twin.outcome,)
+                i += 2
+
 
 def _reference_family(data, doubled, signs):
     """One three-pair branch built the slow way, all in Fraction: the split
