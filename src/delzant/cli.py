@@ -37,8 +37,6 @@ _ERROR_CODES = (
     (ParseError, EXIT_PARSE),
     (BudgetExceededError, EXIT_UNSUPPORTED),
     (UnsupportedError, EXIT_UNSUPPORTED),
-    # Only the float outputs, render and heat --eval, can overflow.
-    (OverflowError, EXIT_UNSUPPORTED),
     (ReconstructionInfeasibleError, EXIT_INFEASIBLE),
     (ChopError, EXIT_VALIDATION),
     (PoleError, EXIT_VALIDATION),

@@ -164,10 +164,11 @@ class CandidateSet:
     them together, on the first read of either, and the integer form is
     then dropped.  ``len`` reads whichever form there is, and
     ``serialize.candidates_to_json`` writes an unread set from the integer
-    form without building it.
+    form without building it.  The branches that emitted are kept apart
+    and outlive the build.
     """
 
-    __slots__ = ("_candidates", "_trace", "_integer")
+    __slots__ = ("_candidates", "_trace", "_integer", "_emitting")
 
     def __init__(self, candidates: tuple[Polygon, ...], trace: tuple[AssignmentRecord, ...]):
         self._candidates = candidates
@@ -175,10 +176,12 @@ class CandidateSet:
         self._integer = None
 
     @classmethod
-    def _from_keys(cls, records: list[tuple], keys: list[tuple]) -> "CandidateSet":
-        """The set of :func:`_reconstruct`'s ``records`` and emitted ``keys``."""
+    def _from_keys(cls, records: list[tuple], keys: list[tuple], emitting: dict) -> "CandidateSet":
+        """The set of :func:`_reconstruct`'s ``records``, emitted ``keys``
+        and ``emitting`` branches."""
         lazy = cls.__new__(cls)
         lazy._integer = (records, keys)
+        lazy._emitting = emitting
         return lazy
 
     def _build(self) -> None:
@@ -523,10 +526,11 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
         choices = list(combinations(range(r), p))
-    records, keys = _reconstruct(data, trust_counts, [(choice, _sign_patterns(r, choice)) for choice in choices])
+    branches = [(choice, _sign_patterns(r, choice)) for choice in choices]
+    records, keys, emitting = _reconstruct(data, trust_counts, branches)
     if not keys:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
-    return CandidateSet._from_keys(records, keys)
+    return CandidateSet._from_keys(records, keys, emitting)
 
 
 def _sign_patterns(r: int, choice: tuple[int, ...]):
@@ -541,22 +545,23 @@ def _sign_patterns(r: int, choice: tuple[int, ...]):
         yield tuple(signs)
 
 
-def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], list[tuple]]:
+def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], list[tuple], dict]:
     """Decide the branches ``(doubled classes, sign tuples)`` of ``branches``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
 
-    Returns the branch records and the emitted canonical keys, in first-seen
-    order.  There is one record per decided branch solution, in integers:
-    ``(doubled, signs, splits, parameter, ends)``.  ``splits`` is ``(den,
-    ((length+, length-) numerators, ...))``, ``(1, ())`` when the branch
-    has no closure; ``parameter`` is ``(numerator, denominator)`` or None;
-    ``ends`` lists the ``(anchor, outcome, key)`` of each trace entry the
-    branch adds, in trace order, naming an emitted candidate by its key and
-    any other by None.  A ``no_closure`` or ``inadmissible_split`` branch
-    has one end with anchor 0, any other two, with anchors 1 and -1 and one
-    outcome.  ``data`` must pass the checks of
-    :func:`enumerate_candidates`; a branch is decided the same way whichever
-    other branches are listed with it.
+    Returns the branch records, the emitted canonical keys in first-seen
+    order, and the branches that emitted: each doubled-class choice's sign
+    tuples, both in trace order.  There is one record per decided branch
+    solution, in integers: ``(doubled, signs, splits, parameter, ends)``.
+    ``splits`` is ``(den, ((length+, length-) numerators, ...))``, ``(1,
+    ())`` when the branch has no closure; ``parameter`` is ``(numerator,
+    denominator)`` or None; ``ends`` lists the ``(anchor, outcome, key)``
+    of each trace entry the branch adds, in trace order, naming an emitted
+    candidate by its key and any other by None.  A ``no_closure`` or
+    ``inadmissible_split`` branch has one end with anchor 0, any other two,
+    with anchors 1 and -1 and one outcome.  ``data`` must pass the checks
+    of :func:`enumerate_candidates`; a branch is decided the same way
+    whichever other branches are listed with it.
     """
     r = len(data.classes)
     p = data.vertex_count - r
@@ -572,6 +577,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
 
     records: list[tuple] = []
     emitted: dict[tuple, None] = {}
+    emitting: dict[tuple, dict[tuple, None]] = {}
 
     def emit(key: tuple) -> None:
         if key not in emitted:
@@ -675,13 +681,14 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                     plus, minus = keys if signs[0] > 0 else keys[::-1]
                     emit(plus)
                     emit(minus)
+                    emitting.setdefault(choice, {})[signs] = None
                     ends = ((1, "emitted", plus), (-1, "emitted", minus))
                 elif smooth:
                     ends = ((1, "dropped_mismatch", None), (-1, "dropped_mismatch", None))
                 else:
                     ends = ((1, "dropped_invalid", None), (-1, "dropped_invalid", None))
                 records.append((doubled_normals, signs, splits, parameter, ends))
-    return records, list(emitted)
+    return records, list(emitted), emitting
 
 
 def _reproduces(key: tuple, data: SpectralData, trust_counts: bool) -> bool:
@@ -756,8 +763,8 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
     subs = detect_subpolygons(polygon).subsets
     candidates = enumerate_candidates(data)
-    emitting = _emitting(candidates)
-    assignments = tuple(sorted(emitting))
+    normals = [tuple(c.normal) for c in data.classes]
+    assignments = tuple(sorted(tuple(normals[i] for i in choice) for choice in candidates._emitting))
     report = GenericityReport(
         generic=not subs and len(assignments) == 1 and len(candidates) <= _GENERIC_BOUND[p],
         rectangle=data.vertex_count == 4 and len(data.classes) == 2,
@@ -765,22 +772,7 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
         emitting_assignments=assignments,
         candidate_count=len(candidates),
     )
-    index = {tuple(c.normal): i for i, c in enumerate(data.classes)}
-    return report, tuple((tuple(index[n] for n in doubled), tuple(signs)) for doubled, signs in emitting.items())
-
-
-def _emitting(candidates: CandidateSet) -> dict[tuple, dict[tuple, None]]:
-    """The sign tuples of the branches that emitted, by their doubled
-    normals, both in trace order.  An unread set is read from its branch
-    records, so that this builds nothing."""
-    if candidates._integer is None:
-        pairs = ((rec.doubled, rec.signs) for rec in candidates.trace if rec.outcome == "emitted")
-    else:
-        pairs = ((doubled, signs) for doubled, signs, _, _, ends in candidates._integer[0] if ends[0][1] == "emitted")
-    emitting: dict[tuple, dict[tuple, None]] = {}
-    for doubled, signs in pairs:
-        emitting.setdefault(doubled, {})[signs] = None
-    return emitting
+    return report, tuple(candidates._emitting.items())
 
 
 def _branches_rule_out(polygon: Polygon, branches) -> bool:
@@ -793,8 +785,8 @@ def _branches_rule_out(polygon: Polygon, branches) -> bool:
     decides nothing.  ``polygon`` must share the fan the branches come from.
     """
     data = spectral_data(polygon)
-    candidates = CandidateSet._from_keys(*_reconstruct(data, False, branches))
-    return len(_emitting(candidates)) > 1 or len(candidates) > _GENERIC_BOUND[data.parallel_pairs]
+    _, keys, emitting = _reconstruct(data, False, branches)
+    return len(emitting) > 1 or len(keys) > _GENERIC_BOUND[data.parallel_pairs]
 
 
 def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:

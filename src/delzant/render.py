@@ -24,8 +24,11 @@ def render_svg(polygon, candidates=None) -> bytes:
         raise UnsupportedError("only 2D polygons can be rendered")
     overlays = list(candidates) if candidates is not None else []
     shapes = [polygon] + overlays
-    xs = [float(v.x) for shape in shapes for v in shape.vertices]
-    ys = [float(v.y) for shape in shapes for v in shape.vertices]
+    try:
+        xs = [float(v.x) for shape in shapes for v in shape.vertices]
+        ys = [float(v.y) for shape in shapes for v in shape.vertices]
+    except OverflowError as exc:
+        raise UnsupportedError("a vertex coordinate is past the float range") from exc
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
@@ -51,7 +54,10 @@ def render_svg(polygon, candidates=None) -> bytes:
     for i, edge in enumerate(polygon.edges):
         mid = (polygon.vertices[i] + polygon.vertices[(i + 1) % polygon.edge_count]) * Fraction(1, 2)
         mx, my = to_screen(mid)
-        norm = edge.normal.norm_float()
+        try:
+            norm = edge.normal.norm_float()
+        except OverflowError as exc:
+            raise UnsupportedError(f"the normal of edge {i} is past the float range") from exc
         dx = float(edge.normal.x) / norm * arrow
         dy = -float(edge.normal.y) / norm * arrow
         tip_x, tip_y = mx + dx, my + dy

@@ -78,6 +78,22 @@ def _canonical_normal(normal: tuple[int, ...], what: str) -> tuple[int, ...]:
     return normal
 
 
+def _read_points(raw, dim: int, too_few: str) -> list[tuple]:
+    """The coordinates of ``raw``, a JSON list of at least ``dim + 1`` vertices
+    of ``dim`` rationals each; ``too_few`` is the error when it is not that."""
+    if not isinstance(raw, list) or len(raw) <= dim:
+        raise ParseError(too_few)
+    points = []
+    for index, point in enumerate(raw):
+        if not isinstance(point, (list, tuple)) or len(point) != dim:
+            raise ParseError(f"vertex {index} is not a coordinate {'pair' if dim == 2 else 'triple'}")
+        try:
+            points.append(tuple(parse_rational(str(c)) for c in point))
+        except ParseError as exc:
+            raise ParseError(f"vertex {index}: {exc}") from exc
+    return points
+
+
 def polygon_to_json(polygon: Polygon) -> dict:
     return {
         "dim": 2,
@@ -89,17 +105,8 @@ def polygon_from_json(doc: dict) -> Polygon:
     dim = doc.get("dim")
     if type(dim) is not int or dim != 2:
         raise ParseError(f"expected dim 2, got {dim!r}")
-    raw = doc.get("vertices")
-    if not isinstance(raw, list) or len(raw) < 3:
-        raise ParseError("'vertices' must be a list of at least 3 coordinate pairs")
-    points = []
-    for index, pair in enumerate(raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ParseError(f"vertex {index} is not a coordinate pair")
-        try:
-            points.append(Vec2(parse_rational(str(pair[0])), parse_rational(str(pair[1]))))
-        except ParseError as exc:
-            raise ParseError(f"vertex {index}: {exc}") from exc
+    too_few = "'vertices' must be a list of at least 3 coordinate pairs"
+    points = [Vec2(*point) for point in _read_points(doc.get("vertices"), 2, too_few)]
     if len(set(points)) != len(points):
         dup = next(p for i, p in enumerate(points) if p in points[:i])
         raise ParseError(f"repeated vertex ({dup.x}, {dup.y})")
@@ -138,17 +145,7 @@ def polytope_from_json(doc: dict) -> Union[Polygon, Polytope3]:
         raise ParseError(f"expected dim 2 or 3, got {dim!r}")
     if dim == 2:
         return polygon_from_json(doc)
-    raw = doc.get("vertices")
-    if not isinstance(raw, list) or len(raw) < 4:
-        raise ParseError("'vertices' must list at least 4 points for a 3-polytope")
-    points = []
-    for index, triple in enumerate(raw):
-        if not isinstance(triple, (list, tuple)) or len(triple) != 3:
-            raise ParseError(f"vertex {index} is not a coordinate triple")
-        try:
-            points.append(tuple(parse_rational(str(c)) for c in triple))
-        except ParseError as exc:
-            raise ParseError(f"vertex {index}: {exc}") from exc
+    points = _read_points(doc.get("vertices"), 3, "'vertices' must list at least 4 points for a 3-polytope")
     try:
         return Polytope3(points)
     except StructuralPolygonError as exc:

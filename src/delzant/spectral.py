@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import PoleError
+from .errors import PoleError, UnsupportedError
 from .geometry import Polygon
 from .polytope3 import Polytope3
 from .vectors import Vec2, canonical_unsigned, is_primitive_integer
@@ -195,20 +195,28 @@ def evaluate_leading_coefficient(term: HeatLeadingTerm, s: float) -> float:
     """Numeric value of the term's coefficient at parameter ``s``.
 
     Raises :class:`PoleError` when any rotation factor 2 - 2cos(w*s) is
-    within 1e-12 of zero (which is always the case for a zero weight), and
-    ValueError when ``s`` is not finite.
+    within 1e-12 of zero (which is always the case for a zero weight),
+    :class:`UnsupportedError` naming a weight, the lattice volume or the
+    direction past the float range, and ValueError when ``s`` is not finite.
     """
     if not math.isfinite(s):
         raise ValueError(f"evaluation parameter must be finite, got {s}")
     denominator = 1.0
-    for w in term.weights:
-        factor = 2.0 - 2.0 * math.cos(w * s)
-        if abs(factor) < _POLE_TOLERANCE:
-            raise PoleError(f"2 - 2cos({w} * {s}) vanishes; coefficient has a pole")
-        denominator *= factor
-    volume = float(term.lattice_volume)
-    if term.direction is not None:
-        volume *= term.direction.norm_float()
+    name = "a weight"
+    try:
+        for w in term.weights:
+            factor = 2.0 - 2.0 * math.cos(w * s)
+            if abs(factor) < _POLE_TOLERANCE:
+                raise PoleError(f"2 - 2cos({w} * {s}) vanishes; coefficient has a pole")
+            denominator *= factor
+        name = "the lattice volume"
+        volume = float(term.lattice_volume)
+        if term.direction is not None:
+            name = "the direction"
+            volume *= term.direction.norm_float()
+    except OverflowError as exc:
+        where = term.stratum.kind if term.stratum.index is None else f"{term.stratum.kind} {term.stratum.index}"
+        raise UnsupportedError(f"{where}: {name} is past the float range") from exc
     return (2.0 * math.pi) ** term.two_pi_exponent * volume / denominator
 
 

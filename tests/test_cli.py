@@ -362,20 +362,27 @@ RECORD = {"doubled": [], "signs": [1, 1], "splits": [], "parameter": None, "anch
           "outcome": "emitted", "candidate": 0}
 
 
-@pytest.mark.parametrize("overlay", [
-    "{not json",
-    "[]",
-    '{"candidates": [], "assignmentTrace": 5}',
-    '{"candidates": [], "assignmentTrace": [{"doubled": 5}]}',
-    json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, signs=[1.7, 1])]}),
-    json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, anchor=True)]}),
-], ids=["invalid_json", "top_level_list", "trace_not_a_list", "doubled_not_a_list", "float_sign", "bool_anchor"])
-def test_render_rejects_malformed_overlay_exit_5(overlay, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("overlay, message", [
+    ("{not json", "invalid JSON: "),
+    ("[]", "expected a JSON object at the top level"),
+    ('{"candidates": [], "assignmentTrace": 5}', "'assignmentTrace' must be a list, got 5"),
+    ('{"candidates": [], "assignmentTrace": [{"doubled": 5}]}', "trace record 0: doubled must be a list, got 5"),
+    (json.dumps({"candidates": [json.loads(SQUARE)], "assignmentTrace": [dict(RECORD, signs=[1.7, 1])]}),
+     "trace record 0: sign must be an integer, got 1.7"),
+    (json.dumps({"candidates": [json.loads(SQUARE)], "assignmentTrace": [dict(RECORD, anchor=True)]}),
+     "trace record 0: anchor must be an integer, got true"),
+    ('{"candidates": [5]}', "candidate 0 must be an object, got 5"),
+    ('{"candidates": [], "assignmentTrace": [5]}', "trace record 0 must be an object, got 5"),
+    (json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, splits=[["1/1"]])]}),
+     'trace record 0: splits must be pairs of rationals, got [["1/1"]]'),
+], ids=["invalid_json", "top_level_list", "trace_not_a_list", "doubled_not_a_list", "float_sign", "bool_anchor",
+        "candidate_not_an_object", "record_not_an_object", "split_not_a_pair"])
+def test_render_rejects_malformed_overlay_exit_5(overlay, message, tmp_path, monkeypatch, capsys):
     path = tmp_path / "overlay.json"
     path.write_text(overlay)
     code, out, err = run(["render", "--overlay", str(path)], SQUARE, monkeypatch, capsys)
     assert code == 5 and out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
 UNIT_SQUARE_DOC = {"dim": 2, "vertices": [["0/1", "0/1"], ["1/1", "0/1"], ["1/1", "1/1"], ["0/1", "1/1"]]}
@@ -443,7 +450,8 @@ SIMPLEX3 = [["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"],
     (SIMPLEX3[:2] + [["0/1", "1/x", "0/1"]] + SIMPLEX3[3:], "vertex 2: malformed rational '1/x'"),
     ([["0/1", "0/1", "0/1"], ["1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"], ["1/1", "1/1", "0/1"]],
      "not the vertex set of a convex 3-polytope"),
-], ids=["repeated_vertex", "malformed_coordinate", "flat"])
+    ([["0/1", "0/1"]] + SIMPLEX3[1:], "vertex 0 is not a coordinate triple"),
+], ids=["repeated_vertex", "malformed_coordinate", "flat", "pair_in_3d"])
 def test_bundle_data_rejects_bad_solid_exit_5(vertices, message, monkeypatch, capsys):
     code, out, err = run(["bundle-data"], json.dumps({"dim": 3, "vertices": vertices}), monkeypatch, capsys)
     assert code == 5 and out == ""
@@ -468,6 +476,11 @@ def test_bundle_reconstruct_entry_without_offset_exit_5(monkeypatch, capsys):
     assert "entry 0 is malformed" in err
 
 
+def test_bundle_reconstruct_entry_not_an_object_exit_5(monkeypatch, capsys):
+    code, out, err = run(["bundle-reconstruct"], '{"dim": 2, "entries": [5]}', monkeypatch, capsys)
+    assert (code, out, err) == (5, "", "error: entry 0 must be an object, got 5\n")
+
+
 TRIANGLE_DATA = {"d": 3, "classes": [{"normal": [0, 1], "lengthSum": "1/1"},
                                      {"normal": [1, 0], "lengthSum": "1/1"},
                                      {"normal": [1, 1], "lengthSum": "1/1"}], "area": "1/2"}
@@ -479,10 +492,11 @@ TRIANGLE_DATA = {"d": 3, "classes": [{"normal": [0, 1], "lengthSum": "1/1"},
     ("normal", None, "class 0 is malformed"),
     ("area", "0/1", "area must be positive"),
     ("area", "-1/2", "area must be positive"),
+    ("classes", [5], "class 0 must be an object, got 5"),
 ])
 def test_reconstruct_rejects_malformed_data_exit_5(field, value, message, monkeypatch, capsys):
     doc = json.loads(json.dumps(TRIANGLE_DATA))
-    target = doc if field == "area" else doc["classes"][0]
+    target = doc if field in ("area", "classes") else doc["classes"][0]
     if value is None:
         del target[field]
     else:

@@ -355,3 +355,12 @@ class TestPolygonFromHalfplanes:
     def test_rejects_empty_system(self, offsets):
         with pytest.raises(StructuralPolygonError, match="do not face along"):
             polygon_from_halfplanes(self.NORMALS, offsets)
+
+    @pytest.mark.parametrize("normals, offsets, message", [
+        (NORMALS[:2], (0, 0), "need at least three half-planes with matching offsets"),
+        (NORMALS, (0, 0, 0), "need at least three half-planes with matching offsets"),
+        ((Vec2(0, -1), Vec2(0, 1), Vec2(1, 0)), (0, 1, 1), "consecutive half-planes 0 and 1 are parallel"),
+    ], ids=["two_half_planes", "offset_missing", "parallel_neighbours"])
+    def test_rejects_malformed_system(self, normals, offsets, message):
+        with pytest.raises(StructuralPolygonError, match=f"^{message}$"):
+            polygon_from_halfplanes(normals, offsets)

@@ -444,6 +444,13 @@ class TestThreePairFamily:
         # A target the constant family can never reach yields no roots.
         assert solve_three_pair_parameter(flat, flat.base_area + 1) == ()
 
+    def test_linear_area_family(self, three_pair_hexagon):
+        family = three_pair_family(three_pair_hexagon)
+        linear = replace(family, area_coefficients=(Fraction(3), Fraction(0)))
+        lo, hi = family.admissible_interval
+        for t0, roots in ((lo + (hi - lo) * Fraction(2, 5), 1), (hi + 1, 0), (lo - Fraction(1, 3), 0)):
+            assert solve_three_pair_parameter(linear, linear.base_area + 3 * t0) == (t0,) * roots
+
     def test_shifted_target_roots(self, three_pair_hexagon):
         family = three_pair_family(three_pair_hexagon)
         lo, hi = family.admissible_interval

@@ -1,8 +1,10 @@
 """SVG rendering: structure, determinism, unsupported input."""
 
+from fractions import Fraction
+
 import pytest
 
-from delzant import UnsupportedError, enumerate_candidates, spectral_data
+from delzant import Polygon, UnsupportedError, Vec2, enumerate_candidates, spectral_data
 from delzant.render import render_svg
 
 
@@ -29,3 +31,12 @@ def test_deterministic_bytes(hirzebruch_111):
 def test_rejects_3d(unit_cube):
     with pytest.raises(UnsupportedError):
         render_svg(unit_cube)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([(0, 0), (10**400, 0), (0, 1)], "a vertex coordinate is past the float range"),
+    ([(0, 0), (1, 0), (0, Fraction(1, int("7" * 400)))], "the normal of edge 1 is past the float range"),
+], ids=["vertex", "normal"])
+def test_past_the_float_range_is_unsupported(vertices, message):
+    with pytest.raises(UnsupportedError, match=f"^{message}$"):
+        render_svg(Polygon([Vec2(*v) for v in vertices]))

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delzant import (
+    HeatLeadingTerm,
     PoleError,
+    Stratum,
+    UnsupportedError,
     Vec2,
     bundle_facet_data,
     donnelly_leading_term,
@@ -126,6 +129,17 @@ class TestDonnellyLeadingTerm:
         with pytest.raises(PoleError):
             evaluate_leading_coefficient(term, 1e-10)
 
+    @pytest.mark.parametrize("stratum, volume, direction, weights, message", [
+        (Stratum("vertex", 1, 2), 1, None, (1, 10**400), "vertex 1: a weight"),
+        (Stratum("polygon", None, 0), Fraction(10**400, 3), None, (), "polygon: the lattice volume"),
+        (Stratum("edge", 2, 1), 1, Vec2(1, 10**400), (1,), "edge 2: the direction"),
+    ], ids=["weight", "lattice_volume", "direction"])
+    def test_past_the_float_range_is_unsupported(self, stratum, volume, direction, weights, message):
+        codim = stratum.codimension
+        term = HeatLeadingTerm(stratum, codim, codim - 2, 2 - codim, Fraction(volume), direction, weights)
+        with pytest.raises(UnsupportedError, match=f"^{message} is past the float range$"):
+            evaluate_leading_coefficient(term, 0.5)
+
     @given(seed=st.integers(0, 10**6), s=st.floats(0.3, 2.8), factor=st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
     def test_weight_scaling_identity(self, seed, s, factor):
@@ -210,6 +224,11 @@ class TestBundleFacetData:
         system = bundle_facet_data(three_pair_hexagon)
         for v in three_pair_hexagon.vertices:
             assert all(v.dot(Vec2(*e.normal)) <= e.offset for e in system.entries)
+
+    @pytest.mark.parametrize("value", [Vec2(0, 0), [(0, 0), (1, 0), (0, 1)], None])
+    def test_rejects_a_non_polytope(self, value):
+        with pytest.raises(TypeError, match=f"^expected Polygon or Polytope3, got {type(value).__name__}$"):
+            bundle_facet_data(value)
 
     def test_integrality_flag(self, projective_triangle):
         bundle_facet_data(projective_triangle)  # rational vertices accepted by default
