@@ -17,12 +17,10 @@ from dataclasses import dataclass, field
 from . import geometry, reconstruct, render, serialize, spectral, zoo
 from .errors import (
     BudgetExceededError,
-    ChopError,
     DelzantError,
     ParseError,
     PoleError,
     ReconstructionInfeasibleError,
-    StructuralPolygonError,
     UnsupportedError,
 )
 from .vectors import Vec2, format_rational, parse_integer, parse_rational
@@ -38,9 +36,6 @@ _ERROR_CODES = (
     (BudgetExceededError, EXIT_UNSUPPORTED),
     (UnsupportedError, EXIT_UNSUPPORTED),
     (ReconstructionInfeasibleError, EXIT_INFEASIBLE),
-    (ChopError, EXIT_VALIDATION),
-    (PoleError, EXIT_VALIDATION),
-    (StructuralPolygonError, EXIT_VALIDATION),
     (DelzantError, EXIT_VALIDATION),
     (ValueError, EXIT_VALIDATION),
 )

@@ -239,9 +239,9 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
     """Search for A in SL(2, Z) and a translation v with A.p + v == q.
 
     Candidate matrices are read off by mapping an adjacent pair of primitive
-    edge directions of ``p`` onto each adjacent pair of ``q``; Delzant
-    validity of ``p`` guarantees every candidate is integral with det 1.
-    Returns ``(matrix, translation)`` or ``None``.
+    edge directions of ``p`` onto each adjacent pair of ``q``; a candidate
+    that is not integral or not of det 1 (possible only when ``p`` or ``q``
+    is not Delzant) is skipped.  Returns ``(matrix, translation)`` or ``None``.
     """
     d = p.edge_count
     if d != q.edge_count:

@@ -3,6 +3,7 @@ overlays.  Byte-identical output for identical input."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import UnsupportedError
@@ -32,6 +33,8 @@ def render_svg(polygon, candidates=None) -> bytes:
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
+    if math.isinf(span):
+        raise UnsupportedError("the coordinate span is past the float range")
     scale = (_CANVAS - 2 * _MARGIN) / span
 
     def to_screen(v) -> tuple[float, float]:

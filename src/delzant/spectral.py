@@ -135,54 +135,35 @@ class HeatLeadingTerm(NamedTuple):
 
 
 def donnelly_leading_term(polygon: Polygon, theta: Vec2) -> tuple[HeatLeadingTerm, ...]:
-    """Leading heat-trace terms for the isometry generated by ``theta``.
+    """Leading heat-trace terms for the isometry generated by ``theta``, one
+    per stratum of :func:`fixed_point_strata` and in its order.
 
-    The zero direction gives the classical volume term; a primitive
-    direction normal to an edge gives one codimension-1 term per matching
-    edge (unit weight) plus the structural vertex terms; any other primitive
-    direction gives vertex terms only.
+    The whole polygon gives the classical volume term; a fixed edge gives
+    its lattice length and primitive direction with unit weight; a vertex
+    gives lattice volume 1 and the pairings of ``theta`` with its outgoing
+    and reversed incoming edge directions.
     """
-    if theta.is_zero():
-        return (
-            HeatLeadingTerm(
-                stratum=Stratum("polygon", None, 0),
-                codimension=0,
-                t_exponent=-2,
-                two_pi_exponent=2,
-                lattice_volume=polygon.area,
-                direction=None,
-                weights=(),
-            ),
-        )
-    if not is_primitive_integer(theta):
+    if not theta.is_zero() and not is_primitive_integer(theta):
         raise ValueError(f"direction {tuple(theta)} must be primitive; divide by the gcd first")
     terms = []
-    for i, edge in enumerate(polygon.edges):
-        if theta.cross(edge.normal) == 0:
-            terms.append(
-                HeatLeadingTerm(
-                    stratum=Stratum("edge", i, 1),
-                    codimension=1,
-                    t_exponent=-1,
-                    two_pi_exponent=1,
-                    lattice_volume=edge.lattice_length,
-                    direction=edge.direction,
-                    weights=(1,),
-                )
-            )
-    d = polygon.edge_count
-    for i in range(d):
-        outgoing = polygon.edges[i].direction
-        incoming = polygon.edges[(i - 1) % d].direction
+    for stratum in fixed_point_strata(polygon, theta):
+        volume, direction, weights = polygon.area, None, ()
+        if stratum.kind == "edge":
+            edge = polygon.edges[stratum.index]
+            volume, direction, weights = edge.lattice_length, edge.direction, (1,)
+        elif stratum.kind == "vertex":
+            outgoing = polygon.edges[stratum.index].direction
+            incoming = polygon.edges[stratum.index - 1].direction
+            volume, weights = Fraction(1), (int(theta.dot(outgoing)), int(theta.dot(-incoming)))
         terms.append(
             HeatLeadingTerm(
-                stratum=Stratum("vertex", i, 2),
-                codimension=2,
-                t_exponent=0,
-                two_pi_exponent=0,
-                lattice_volume=Fraction(1),
-                direction=None,
-                weights=(int(theta.dot(outgoing)), int(theta.dot(-incoming))),
+                stratum=stratum,
+                codimension=stratum.codimension,
+                t_exponent=stratum.codimension - 2,
+                two_pi_exponent=2 - stratum.codimension,
+                lattice_volume=volume,
+                direction=direction,
+                weights=weights,
             )
         )
     return tuple(terms)
@@ -196,8 +177,9 @@ def evaluate_leading_coefficient(term: HeatLeadingTerm, s: float) -> float:
 
     Raises :class:`PoleError` when any rotation factor 2 - 2cos(w*s) is
     within 1e-12 of zero (which is always the case for a zero weight),
-    :class:`UnsupportedError` naming a weight, the lattice volume or the
-    direction past the float range, and ValueError when ``s`` is not finite.
+    :class:`UnsupportedError` naming a weight (or a weight times ``s``), the
+    lattice volume or the direction past the float range, and ValueError
+    when ``s`` is not finite.
     """
     if not math.isfinite(s):
         raise ValueError(f"evaluation parameter must be finite, got {s}")
@@ -205,7 +187,11 @@ def evaluate_leading_coefficient(term: HeatLeadingTerm, s: float) -> float:
     name = "a weight"
     try:
         for w in term.weights:
-            factor = 2.0 - 2.0 * math.cos(w * s)
+            angle = w * s
+            if math.isinf(angle):
+                name = "a weight times the parameter"
+                raise OverflowError(name)
+            factor = 2.0 - 2.0 * math.cos(angle)
             if abs(factor) < _POLE_TOLERANCE:
                 raise PoleError(f"2 - 2cos({w} * {s}) vanishes; coefficient has a pole")
             denominator *= factor

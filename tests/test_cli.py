@@ -675,9 +675,20 @@ def test_invalid_utf8_on_stdin_exit_5():
     assert result.stderr.startswith(b"error: invalid JSON: ") and result.stderr.count(b"\n") == 1
 
 
-@pytest.mark.parametrize("command", [["render"], ["heat", "--theta", "1,0", "--eval", "0.5"]], ids=["render", "heat"])
-def test_coordinates_past_the_float_range_exit_4(command, monkeypatch, capsys):
-    huge = '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, "1/' + "7" * 400 + '"]]}'
-    code, out, err = run(command, huge, monkeypatch, capsys)
-    assert (code, out) == (4, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+HUGE = '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, "1/' + "7" * 400 + '"]]}'
+# The weight of vertex 1 fits a float; the weight times 1e10 does not.
+TALL = '{"dim": 2, "vertices": [[0, 0], [1, 0], [0, "1/' + "7" * 300 + '"]]}'
+# Every coordinate fits a float; their difference does not.
+WIDE = json.dumps({"dim": 2, "vertices": [[-int(1.5e308), 0], [int(1.5e308), 0], [0, 1]]})
+
+
+@pytest.mark.parametrize("command, document, message", [
+    (["render"], HUGE, "the normal of edge 1"),
+    (["heat", "--theta", "1,0", "--eval", "0.5"], HUGE, "vertex 1: a weight"),
+    (["heat", "--theta", "1,1", "--eval", "1e10"], TALL, "vertex 1: a weight times the parameter"),
+    (["render"], WIDE, "the coordinate span"),
+], ids=["render", "heat", "heat_angle", "render_span"])
+def test_coordinates_past_the_float_range_exit_4(command, document, message, monkeypatch, capsys):
+    code, out, err = run(command, document, monkeypatch, capsys)
+    assert (code, out, err) == (4, "", f"error: {message} is past the float range\n")
+

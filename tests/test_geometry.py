@@ -299,6 +299,17 @@ class TestSl2zEquivalent:
         assert sl2z_equivalent(unit_square, unit_triangle) is None
         assert sl2z_equivalent(unit_square, Polygon(((0, 0), (2, 0), (2, 1), (0, 1)))) is None
 
+    def test_non_delzant_source(self):
+        # det 3 between the first two directions: each candidate is divided by 3.
+        p = Polygon(((0, 0), (2, 0), (0, 3)))
+        rotation = ((0, -1), (1, 0))
+        assert sl2z_equivalent(p, p.transform(rotation)) == (rotation, Vec2(0, 0))
+
+    def test_non_delzant_pair_without_unimodular_map(self, unit_triangle):
+        doubled = Polygon(((0, 0), (1, 0), (0, 2)))
+        assert sl2z_equivalent(unit_triangle, doubled) is None
+        assert sl2z_equivalent(doubled, unit_triangle) is None
+
     @given(
         seed=st.integers(0, 10**6),
         d=st.integers(3, 7),

@@ -36,7 +36,8 @@ def test_rejects_3d(unit_cube):
 @pytest.mark.parametrize("vertices, message", [
     ([(0, 0), (10**400, 0), (0, 1)], "a vertex coordinate is past the float range"),
     ([(0, 0), (1, 0), (0, Fraction(1, int("7" * 400)))], "the normal of edge 1 is past the float range"),
-], ids=["vertex", "normal"])
+    ([(-int(1.5e308), 0), (int(1.5e308), 0), (0, 1)], "the coordinate span is past the float range"),
+], ids=["vertex", "normal", "span"])
 def test_past_the_float_range_is_unsupported(vertices, message):
     with pytest.raises(UnsupportedError, match=f"^{message}$"):
         render_svg(Polygon([Vec2(*v) for v in vertices]))

@@ -129,16 +129,17 @@ class TestDonnellyLeadingTerm:
         with pytest.raises(PoleError):
             evaluate_leading_coefficient(term, 1e-10)
 
-    @pytest.mark.parametrize("stratum, volume, direction, weights, message", [
-        (Stratum("vertex", 1, 2), 1, None, (1, 10**400), "vertex 1: a weight"),
-        (Stratum("polygon", None, 0), Fraction(10**400, 3), None, (), "polygon: the lattice volume"),
-        (Stratum("edge", 2, 1), 1, Vec2(1, 10**400), (1,), "edge 2: the direction"),
-    ], ids=["weight", "lattice_volume", "direction"])
-    def test_past_the_float_range_is_unsupported(self, stratum, volume, direction, weights, message):
+    @pytest.mark.parametrize("stratum, volume, direction, weights, s, message", [
+        (Stratum("vertex", 1, 2), 1, None, (1, 10**400), 0.5, "vertex 1: a weight"),
+        (Stratum("vertex", 1, 2), 1, None, (1, -(10**300)), 1e10, "vertex 1: a weight times the parameter"),
+        (Stratum("polygon", None, 0), Fraction(10**400, 3), None, (), 0.5, "polygon: the lattice volume"),
+        (Stratum("edge", 2, 1), 1, Vec2(1, 10**400), (1,), 0.5, "edge 2: the direction"),
+    ], ids=["weight", "weight_times_parameter", "lattice_volume", "direction"])
+    def test_past_the_float_range_is_unsupported(self, stratum, volume, direction, weights, s, message):
         codim = stratum.codimension
         term = HeatLeadingTerm(stratum, codim, codim - 2, 2 - codim, Fraction(volume), direction, weights)
         with pytest.raises(UnsupportedError, match=f"^{message} is past the float range$"):
-            evaluate_leading_coefficient(term, 0.5)
+            evaluate_leading_coefficient(term, s)
 
     @given(seed=st.integers(0, 10**6), s=st.floats(0.3, 2.8), factor=st.integers(2, 5))
     @settings(max_examples=40, deadline=None)
@@ -173,6 +174,23 @@ class TestDonnellyLeadingTerm:
             )
             symbolic = float(term.lattice_volume) * term.direction.norm_float()
             assert symbolic == pytest.approx(euclidean, rel=1e-12)
+
+
+def test_one_term_per_stratum():
+    """The heat terms follow the strata one for one, with exponents fixed by
+    the codimension, over zero, generic and edge-normal directions."""
+    for d in range(3, 10):
+        for seed in range(3):
+            p = random_delzant(d, seed, 4, twist=seed == 2)
+            thetas = [Vec2(a, b) for a in range(-2, 3) for b in range(-2, 3) if math.gcd(a, b) <= 1]
+            thetas += [e.normal for e in p.edges] + [-e.normal for e in p.edges]
+            for theta in thetas:
+                terms = donnelly_leading_term(p, theta)
+                assert [t.stratum for t in terms] == list(fixed_point_strata(p, theta))
+                for t in terms:
+                    codim = t.stratum.codimension
+                    assert t.codimension == codim
+                    assert (t.t_exponent, t.two_pi_exponent) == (codim - 2, 2 - codim)
 
 
 class TestEulerCharacteristic:
