@@ -99,9 +99,9 @@ def _cmd_validate(args) -> CommandResult:
     report = geometry.validate_delzant(polygon)
     payload = {
         "valid": report.valid,
-        "failures": [
-            {"vertexIndex": f.vertex_index, "determinant": f.determinant} for f in report.failures
-        ],
+        "failures": serialize._each(
+            "failure", report.failures, lambda f: {"vertexIndex": f.vertex_index, "determinant": serialize._decimal(f.determinant)}
+        ),
     }
     if report.valid:
         return CommandResult(EXIT_OK, payload)
@@ -112,18 +112,16 @@ def _cmd_validate(args) -> CommandResult:
 def _cmd_info(args) -> CommandResult:
     polygon = _read_polygon(args)
     data = spectral.spectral_data(polygon)
+    decimal = serialize._decimal
     payload = {
         "d": polygon.edge_count,
-        "area": format_rational(polygon.area),
+        "area": serialize._rational(polygon.area, "area"),
         "delzant": geometry.validate_delzant(polygon).valid,
-        "edges": [
-            {
-                "direction": [int(e.direction.x), int(e.direction.y)],
-                "normal": [int(e.normal.x), int(e.normal.y)],
-                "latticeLength": format_rational(e.lattice_length),
-            }
-            for e in polygon.edges
-        ],
+        "edges": serialize._each("edge", polygon.edges, lambda e: {
+            "direction": [decimal(int(e.direction.x)), decimal(int(e.direction.y))],
+            "normal": [decimal(int(e.normal.x)), decimal(int(e.normal.y))],
+            "latticeLength": format_rational(e.lattice_length),
+        }),
         "spectral": serialize.spectral_to_json(data),
     }
     return CommandResult(EXIT_OK, payload)
@@ -173,16 +171,20 @@ def _cmd_heat(args) -> CommandResult:
     terms = spectral.donnelly_leading_term(polygon, theta)
     diags = []
     rows = []
-    for term in terms:
-        row = {
-            "stratum": {"kind": term.stratum.kind, "index": term.stratum.index},
-            "codimension": term.codimension,
-            "tExponent": term.t_exponent,
-            "twoPiExponent": term.two_pi_exponent,
-            "latticeVolume": format_rational(term.lattice_volume),
-            "direction": None if term.direction is None else [int(term.direction.x), int(term.direction.y)],
-            "weights": list(term.weights),
-        }
+    decimal = serialize._decimal
+    for index, term in enumerate(terms):
+        try:
+            row = {
+                "stratum": {"kind": term.stratum.kind, "index": term.stratum.index},
+                "codimension": term.codimension,
+                "tExponent": term.t_exponent,
+                "twoPiExponent": term.two_pi_exponent,
+                "latticeVolume": format_rational(term.lattice_volume),
+                "direction": None if term.direction is None else [decimal(int(term.direction.x)), decimal(int(term.direction.y))],
+                "weights": [decimal(w) for w in term.weights],
+            }
+        except ValueError as exc:
+            raise serialize._too_long(f"term {index}") from exc
         if args.eval_at is not None:
             try:
                 row["value"] = spectral.evaluate_leading_coefficient(term, args.eval_at)

@@ -545,6 +545,33 @@ def _sign_patterns(r: int, choice: tuple[int, ...]):
         yield tuple(signs)
 
 
+def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
+    """Every (class, sign) of the class directions ``dirs`` in one angular
+    order; the ring of every branch is a subsequence of it."""
+    signed = [(i, s) for i in range(len(dirs)) for s in (1, -1)]
+    return [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
+
+
+def _residual(dirs: Sequence[Vec2], singles, signs, sums: Sequence[int]) -> tuple[int, int]:
+    """Minus the sum of the single classes' edges ``signs[i] sums[i]
+    dirs[i]``: what the doubled classes' split differences must sum to.
+    :func:`_reconstruct` computes it the same way, inline."""
+    rx = ry = 0
+    for i in singles:
+        rx -= dirs[i].x * signs[i] * sums[i]
+        ry -= dirs[i].y * signs[i] * sums[i]
+    return rx, ry
+
+
+def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]:
+    """Cramer's rule: ``((n1, n2), m)`` with ``(n1 w1 + n2 w2) / m = (rx,
+    ry)`` and ``m = |w1 x w2|``, as :func:`_reconstruct` solves the closure
+    of a branch with two or three doubled classes, inline."""
+    det = w1.cross(w2)
+    sign = 1 if det > 0 else -1
+    return (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx)), abs(det)
+
+
 def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], list[tuple], dict]:
     """Decide the branches ``(doubled classes, sign tuples)`` of ``branches``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
@@ -571,9 +598,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
     scale = lcm(*(s.denominator for s in sums))
     int_sums = [s.numerator * (scale // s.denominator) for s in sums]
     twice_area = 2 * Fraction(data.area)
-    # Every branch's fan is a subsequence of this one angular order.
-    signed = [(i, s) for i in range(r) for s in (1, -1)]
-    fan = [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
+    fan = _fan(dirs)
 
     records: list[tuple] = []
     emitted: dict[tuple, None] = {}
@@ -595,6 +620,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
             # (rx, ry) / scale is what the doubled-class split differences
             # must sum to.  A solution lists those differences as integer
             # numerators over a common denominator q, a multiple of scale.
+            # As _residual and _cramer, written out: this runs per branch.
             rx = ry = 0
             for i in singles:
                 rx -= dirs[i].x * signs[i] * int_sums[i]
@@ -775,18 +801,166 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
     return report, tuple(candidates._emitting.items())
 
 
-def _branches_rule_out(polygon: Polygon, branches) -> bool:
-    """Whether ``branches`` alone, decided on ``polygon``'s data, already
-    make it non-generic: they emit more than the generic number of
-    candidates, or emit for two doubled-class assignments.
+def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int, tuple], ...]]:
+    """Emitting branches that keep emitting on every polygon with this fan
+    where their splits are strictly admissible, as linear forms in the
+    edges' lattice lengths.
 
-    A True is exact: :func:`enumerate_candidates` decides these branches the
-    same way, so its candidates and assignments can only be more.  A False
-    decides nothing.  ``polygon`` must share the fan the branches come from.
+    ``branches`` are :func:`_genericity`'s.  A sign pattern's splits solve
+    its closure by Cramer's rule, as in :func:`_reconstruct`, so they are
+    linear in the class sums (and, with three pairs, in the family
+    parameter u), and twice its area is the integer quadratic of
+    :func:`_family_quadratic` in them.  With two pairs, a twin is an
+    emitting pattern, other than the polygon's own and its reflection,
+    whose quadratic equals the own one's coefficient for coefficient: it
+    meets the area of every polygon with this fan.  With three pairs, the
+    area of a polygon with this fan is the own quadratic at the class sums
+    and its own u, and a twin is a pattern whose equation for u against it
+    has a discriminant that is the square of a linear form in both: its
+    roots are then linear in the lengths, and so is the own equation's
+    other root.  A twin's fan is smooth, so wherever its splits are
+    strictly admissible at a root it emits a polygon and its reflection.
+
+    Returns ``(need, entries)``: each entry is ``(weight, forms)``, one
+    pattern at one root, whose integer forms in the lattice lengths of
+    ``polygon.edges`` are all positive exactly when it emits a polygon other
+    than the one shifted and the other entries' ones.  A twin with other
+    doubled classes weighs ``need``: it emits for a second assignment.
+    Others weigh 1: ``need`` of them emit the candidates past the bound.  A
+    polygon with this fan where the weights of such entries reach ``need``
+    is not generic.  No entries unless the polygon has two or three
+    parallel pairs and its own pattern emits, which makes its fan smooth.
     """
     data = spectral_data(polygon)
-    _, keys, emitting = _reconstruct(data, False, branches)
-    return len(emitting) > 1 or len(keys) > _GENERIC_BOUND[data.parallel_pairs]
+    normals = [c.normal for c in data.classes]
+    own_choice = tuple(k for k, c in enumerate(data.classes) if c.edge_count == 2)
+    p = len(own_choice)
+    need = _GENERIC_BOUND[p] // 2
+    if p not in (2, 3):
+        return need, ()
+    r = len(normals)
+    dirs = [Vec2(-int(n.y), int(n.x)) for n in normals]
+    index = {n: k for k, n in enumerate(normals)}
+    classes = [index[canonical_unsigned(e.normal)] for e in polygon.edges]
+    # Each edge runs along its class direction (+1) or against it (-1).
+    sides = [1 if e.normal == normals[k] else -1 for e, k in zip(polygon.edges, classes)]
+    signs = [1] * r
+    for k, side in zip(classes, sides):
+        if k not in own_choice:
+            signs[k] = side
+    own = tuple(signs)
+    # With every class doubled the own pattern is the only one.
+    if r == p or own not in dict(branches).get(own_choice, ()):
+        return need, ()
+    fan = _fan(dirs)
+    # The variables: the class sums and, with three pairs, the own u.  A
+    # quadratic form is fixed by its values at every e_k and e_k + e_l.
+    n = r + p - 2
+    units = [[int(k == j) for j in range(n)] for k in range(n)]
+    points = units + [[a + b for a, b in zip(units[k], units[l])] for k in range(n) for l in range(k + 1, n)]
+
+    def family(choice, signs) -> tuple[dict, int, list[tuple]]:
+        """The pattern's kernel, m, and (K0, K1, K2) and split numerators
+        at the class sums of each point."""
+        singles = [i for i in range(r) if i not in choice]
+        ring = [(i, s) for i, s in fan if s == signs[i] or i in choice]
+        kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice)) if p == 3 else (0, 0)))
+        values = []
+        for z in points:
+            pair, m = _cramer(dirs[choice[0]], dirs[choice[1]], *_residual(dirs, singles, signs, z[:r]))
+            base = dict(zip(choice, pair + (0,)))
+            values.append((_family_quadratic(dirs, ring, z[:r], m, base, kernel), base))
+        return kernel, m, values
+
+    def edges(coefficients) -> list[int]:
+        """A linear form in the variables as one in the edge lengths."""
+        return [coefficients[k] for k in classes]
+
+    own_kernel, own_m, own_values = family(own_choice, own)
+    # Twice the own area at each point, times (2 own_m)^2.
+    target = [k0 + k1 * z[-1] + k2 * z[-1] ** 2 if p == 3 else k0 for z, ((k0, k1, k2), _) in zip(points, own_values)]
+    if p == 3:
+        # The shifted polygon's own u is N / a: its third doubled class c has
+        # kernel entry a and split numerator N = m (length along - against).
+        c = own_choice[2]
+        a = own_kernel[c]
+        big_n = [own_m * side * (k == c) for k, side in zip(classes, sides)]
+        k1 = edges([own_values[k][0][1] for k in range(r)])
+        k2 = own_values[0][0][2]
+        # The own equation's other root is -(K1 a + K2 N) / (K2 a), another
+        # polygon unless 2 K2 N + K1 a = 0.
+        apart = [2 * k2 * y + x * a for x, y in zip(k1, big_n)]
+        roots = [(k2 * a, [-(x * a + k2 * y) for x, y in zip(k1, big_n)], apart)]
+    else:
+        roots = []
+
+    def emitting(weight, choice, kernel, m, values, at_roots) -> list[tuple[int, tuple]]:
+        """The entries of one pattern at the roots ``at_roots``, each
+        ``(scale, U, apart)`` with u = U / scale.  An ``apart`` form tells
+        the root from the other one where it is nonzero; the root then gets
+        an entry for each of its signs, so a double root counts once."""
+        splits = {i: edges([base[i] for _, base in values[:r]]) for i in choice}
+        entries = []
+        for scale, big_u, apart in at_roots:
+            # |base_i + u kernel_i| < m sum_i, times |scale|.
+            forms = tuple(
+                tuple(abs(scale) * m * (k == i) - sign * (scale * b + kernel[i] * v) for k, b, v in zip(classes, splits[i], big_u))
+                for i in choice
+                for sign in (1, -1)
+            )
+            if apart is None:
+                entries.append((weight, forms))
+            else:
+                entries += [(weight, forms + (tuple(apart),)), (weight, forms + (tuple(-x for x in apart),))]
+        return entries
+
+    entries = emitting(1, own_choice, own_kernel, own_m, own_values, roots)
+    seen = {own, tuple(s if k in own_choice else -s for k, s in enumerate(own))}
+    for choice, patterns in branches:
+        for signs in patterns:
+            if choice == own_choice and signs in seen:
+                continue
+            kernel, m, values = family(choice, signs)
+            if p == 2:
+                if any(v[0] * own_m * own_m != t * m * m for (v, _), t in zip(values, target)):
+                    continue
+                at_roots = [(1, [0] * len(classes), None)]
+            else:
+                # m_own^2 F(u) = m^2 F_own: A u^2 + B u + C = 0, with the
+                # discriminant B^2 - 4 A C = (W / s)^2 / 4 when it is a square.
+                big_a = own_m * own_m * values[0][0][2]
+                disc = [
+                    (own_m * own_m * k1) ** 2 - 4 * big_a * (own_m * own_m * k0 - m * m * t)
+                    for ((k0, k1, _), _), t in zip(values, target)
+                ]
+                # 4 x the symmetric matrix of the discriminant.
+                quad = [[4 * disc[k] if k == l else 0 for l in range(n)] for k in range(n)]
+                pair_at = iter(disc[n:])
+                for k in range(n):
+                    for l in range(k + 1, n):
+                        quad[k][l] = quad[l][k] = 2 * (next(pair_at) - disc[k] - disc[l])
+                pivot = next((k for k in range(n) if quad[k][k]), None)
+                if pivot is None:
+                    if any(any(row) for row in quad):
+                        continue
+                    root, w = 1, [0] * n
+                else:
+                    root, w = isqrt(max(quad[pivot][pivot], 0)), quad[pivot]
+                    if root * root != quad[pivot][pivot] or any(
+                        quad[k][l] * quad[pivot][pivot] != w[k] * w[l] for k in range(n) for l in range(n)
+                    ):
+                        continue
+                # u = (-2 root B +- W) / (4 root A), with u_own = N / a in W.
+                big_b = edges([own_m * own_m * values[k][0][1] for k in range(r)])
+                root_w = [a * x + w[r] * y for x, y in zip(edges(w), big_n)]
+                at_roots = [
+                    (4 * root * big_a * a, [-2 * root * a * x + sign * y for x, y in zip(big_b, root_w)], apart)
+                    for sign, apart in ((1, None), (-1, root_w))
+                ]
+            if choice == own_choice:
+                seen.add(tuple(s if k in choice else -s for k, s in enumerate(signs)))
+            entries += emitting(1 if choice == own_choice else need, choice, kernel, m, values, at_roots)
+    return need, tuple(entries)
 
 
 def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:

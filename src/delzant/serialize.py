@@ -7,11 +7,12 @@ the identity; vertex order, class order, and entry order are deterministic.
 from __future__ import annotations
 
 import json
+import sys
 import warnings
 from math import gcd
 from typing import Union
 
-from .errors import OrientationWarning, ParseError, StructuralPolygonError
+from .errors import OrientationWarning, ParseError, StructuralPolygonError, UnsupportedError
 from .geometry import Polygon
 from .polytope3 import Polytope3
 from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet, _candidate_index
@@ -35,6 +36,41 @@ def _load_document(data: Union[bytes, str]) -> dict:
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object at the top level")
     return doc
+
+
+def _too_long(what: str) -> UnsupportedError:
+    """The error for writing ``what`` when ``str`` cannot write an integer
+    in it: past the interpreter's digit limit it raises ``ValueError``."""
+    return UnsupportedError(
+        f"cannot write {what}: an integer in it has more than {sys.get_int_max_str_digits()} digits"
+    )
+
+
+def _decimal(n: int) -> int:
+    """``n`` once ``str`` has written it, so that a writer meets the digit
+    limit where it knows which field it is writing."""
+    str(n)
+    return n
+
+
+def _each(what: str, items, write) -> list:
+    """``write`` of every item, naming ``what`` and the item's index when
+    an integer in it is past the digit limit."""
+    written = []
+    for index, item in enumerate(items):
+        try:
+            written.append(write(item))
+        except ValueError as exc:
+            raise _too_long(f"{what} {index}") from exc
+    return written
+
+
+def _rational(value, what: str) -> str:
+    """``format_rational(value)``, naming ``what`` past the digit limit."""
+    try:
+        return format_rational(value)
+    except ValueError as exc:
+        raise _too_long(what) from exc
 
 
 def _read_int(value, what: str) -> int:
@@ -97,7 +133,7 @@ def _read_points(raw, dim: int, too_few: str) -> list[tuple]:
 def polygon_to_json(polygon: Polygon) -> dict:
     return {
         "dim": 2,
-        "vertices": [[format_rational(v.x), format_rational(v.y)] for v in polygon.vertices],
+        "vertices": _each("vertex", polygon.vertices, lambda v: [format_rational(v.x), format_rational(v.y)]),
     }
 
 
@@ -135,7 +171,7 @@ def polytope_to_json(polytope: Union[Polygon, Polytope3]) -> dict:
         return polygon_to_json(polytope)
     return {
         "dim": 3,
-        "vertices": [[format_rational(c) for c in v] for v in polytope.vertices],
+        "vertices": _each("vertex", polytope.vertices, lambda v: [format_rational(c) for c in v]),
     }
 
 
@@ -157,13 +193,16 @@ def parse_polytope(data: Union[bytes, str]) -> Union[Polygon, Polytope3]:
 
 
 def spectral_to_json(data: SpectralData) -> dict:
-    classes = []
-    for c in data.classes:
-        entry = {"normal": [int(c.normal.x), int(c.normal.y)], "lengthSum": format_rational(c.length_sum)}
+    def write(c: NormalClass) -> dict:
+        entry = {
+            "normal": [_decimal(int(c.normal.x)), _decimal(int(c.normal.y))],
+            "lengthSum": format_rational(c.length_sum),
+        }
         if c.edge_count is not None:
             entry["count"] = c.edge_count
-        classes.append(entry)
-    return {"d": data.vertex_count, "classes": classes, "area": format_rational(data.area)}
+        return entry
+
+    return {"d": data.vertex_count, "classes": _each("class", data.classes, write), "area": _rational(data.area, "area")}
 
 
 def spectral_from_json(doc: dict) -> SpectralData:
@@ -202,14 +241,11 @@ def parse_spectral(data: Union[bytes, str]) -> SpectralData:
 def halfspace_to_json(system: HalfSpaceSystem) -> dict:
     return {
         "dim": system.dim,
-        "entries": [
-            {
-                "normal": list(e.normal),
-                "offset": format_rational(e.offset),
-                "volume": format_rational(e.volume),
-            }
-            for e in system.entries
-        ],
+        "entries": _each("entry", system.entries, lambda e: {
+            "normal": [_decimal(c) for c in e.normal],
+            "offset": format_rational(e.offset),
+            "volume": format_rational(e.volume),
+        }),
     }
 
 
@@ -263,14 +299,13 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     if candidates._integer is None:
         return {
             "candidates": [polygon_to_json(p) for p in candidates.candidates],
-            "assignmentTrace": [_record_to_json(r) for r in candidates.trace],
+            "assignmentTrace": _each("trace record", candidates.trace, _record_to_json),
         }
     records, keys = candidates._integer
     index_of = _candidate_index(keys)
-    polygons = [
-        {"dim": 2, "vertices": [[_ratio(x, key[0]), _ratio(y, key[0])] for x, y in zip(key[1::2], key[2::2])]}
-        for key in index_of
-    ]
+    polygons = _each("candidate", index_of, lambda key: {
+        "dim": 2, "vertices": [[_ratio(x, key[0]), _ratio(y, key[0])] for x, y in zip(key[1::2], key[2::2])],
+    })
     trace = []
     last_doubled = None
     for doubled, signs, (den, raw), parameter, ends in records:
@@ -278,9 +313,12 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
         if doubled is not last_doubled:
             last_doubled, doubled_list = doubled, [list(n) for n in doubled]
         signs_list = list(signs)
-        splits = [[_ratio(a, den), _ratio(b, den)] for a, b in raw]
-        if parameter is not None:
-            parameter = _ratio(*parameter)
+        try:
+            splits = [[_ratio(a, den), _ratio(b, den)] for a, b in raw]
+            if parameter is not None:
+                parameter = _ratio(*parameter)
+        except ValueError as exc:
+            raise _too_long(f"trace record {len(trace)}") from exc
         for anchor, outcome, key in ends:
             trace.append({
                 "doubled": doubled_list,

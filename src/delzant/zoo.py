@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, ChopError, StructuralPolygonError
+from .errors import BudgetExceededError, ChopError
 from .geometry import Polygon, polygon_from_halfplanes, validate_delzant
-from .reconstruct import _branches_rule_out, _genericity, is_generic
-from .vectors import as_scalar
+from .reconstruct import _genericity, _structural_twins, is_generic
+from .vectors import Vec2, as_scalar
 
 
 class ChopSpec(NamedTuple):
@@ -148,6 +150,24 @@ def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False)
 _PERTURB_BASE = Fraction(1, 64)
 
 
+def _lattice_lengths(normals: list[Vec2], offsets: list) -> list:
+    """Per edge ``i`` of the lines ``x . normals[i] = offsets[i]`` (the
+    normals of a convex polygon, counterclockwise), its signed lattice
+    length times ``a b``, where ``a = n[i-1] x n[i] > 0`` and ``b = n[i] x
+    n[i+1] > 0``.  Edge ``i`` runs along line ``i`` from line ``i - 1`` to
+    line ``i + 1``, so this is ``c[i+1] a + c[i-1] b - c[i] (n[i-1] x
+    n[i+1])``.  The half-planes bound a polygon with these normals exactly
+    when every entry is positive; on a smooth fan (a = b = 1) the entries
+    are the lattice lengths."""
+    d = len(normals)
+    return [
+        offsets[(i + 1) % d] * normals[i - 1].cross(normals[i])
+        + offsets[i - 1] * normals[i].cross(normals[(i + 1) % d])
+        - offsets[i] * normals[i - 1].cross(normals[(i + 1) % d])
+        for i in range(d)
+    ]
+
+
 def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     """Shift the support offsets by small rationals until the polygon is
     generic, keeping the normal fan (hence the parallel-pair count) intact.
@@ -156,14 +176,18 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     1/64 and halves on every retry, with deterministic pseudo-random
     multipliers per edge, so results are reproducible.
 
-    The source's enumeration lists the branches (doubled classes and signs)
-    that emit; a shift keeps the fan, so they name the same branches at
-    every attempt.  An attempt is first decided on those branches alone:
-    when they already emit too many candidates or for two assignments, the
-    attempt is not generic, which the full test would also find, and it is
-    skipped.  Only the other attempts run :func:`is_generic`.  The result,
-    or the error and its ``partial``, is the same as with a full test per
-    attempt.
+    An attempt is settled in integers first, without building its polygon.
+    Its edges' lattice lengths are linear in the shifted offsets through
+    the fan (:func:`_lattice_lengths`); when one is not positive, the
+    half-planes bound no polygon with this fan and the attempt is skipped.
+    A source with two or three parallel pairs may have structural twins
+    (:func:`reconstruct._structural_twins`): emitting branches that meet
+    the area of every polygon with this fan.  Where enough of them have
+    strictly admissible splits, a linear test on the lengths, the attempt
+    is not generic and is skipped.  Only the other attempts build their
+    polygon and run :func:`is_generic`.  Every skip is exact, so the
+    result, or the error and its ``partial`` (the polygon of the last
+    attempt that bounds one), is the same as with a full test per attempt.
     """
     _int_at_least(budget, 0, "budget must be a nonnegative integer")
     report, branches = _genericity(polygon)
@@ -172,21 +196,35 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     d = polygon.edge_count
     normals = [e.normal for e in polygon.edges]
     offsets = [Fraction(normals[i].dot(polygon.vertices[i])) for i in range(d)]
+    common = lcm(*(c.denominator for c in offsets))
+    frame = [c.numerator * (common // c.denominator) for c in offsets]
+    need, twins = _structural_twins(polygon, branches)
+
+    def shifted(attempt: int, moves: list[int]) -> list[Fraction]:
+        step = _PERTURB_BASE / (1 << attempt)
+        return [c + step * k for c, k in zip(offsets, moves)]
+
     last = None
     for attempt in range(budget):
-        step = _PERTURB_BASE / (1 << attempt)
         rng = random.Random(attempt)
-        shifted = [c + step * rng.randint(0, 7) for c in offsets]
-        try:
-            candidate = polygon_from_halfplanes(normals, shifted)
-        except StructuralPolygonError:
+        moves = [rng.randint(0, 7) for _ in range(d)]
+        # The shifted offsets times common / step.
+        cs = [c * (_PERTURB_BASE.denominator << attempt) + k * common for c, k in zip(frame, moves)]
+        lengths = _lattice_lengths(normals, cs)
+        if min(lengths) <= 0:
+            # polygon_from_halfplanes raises StructuralPolygonError here.
             continue
-        last = candidate
-        if not _branches_rule_out(candidate, branches) and is_generic(candidate):
+        last = (attempt, moves)
+        # Twins exist only on a smooth fan, where these are the lattice lengths
+        # times common / step, and their forms are homogeneous.
+        if sum(weight for weight, forms in twins if all(sum(map(mul, f, lengths)) > 0 for f in forms)) >= need:
+            continue
+        candidate = last = polygon_from_halfplanes(normals, shifted(attempt, moves))
+        if is_generic(candidate):
             return candidate
-    raise BudgetExceededError(
-        f"no generic perturbation found in {budget} attempts", partial=last
-    )
+    if isinstance(last, tuple):
+        last = polygon_from_halfplanes(normals, shifted(*last))
+    raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=last)
 
 
 def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_000) -> ZooCensus:

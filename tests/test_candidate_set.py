@@ -185,9 +185,10 @@ def test_exhausted_perturbation_builds_only_its_attempts(built, monkeypatch):
     monkeypatch.setattr(zoo, "polygon_from_halfplanes", counted)
     with pytest.raises(BudgetExceededError):
         perturb_generic(polygon)
-    # One polygon per perturbation attempt, and no candidate.
-    assert len(attempts) == 24
-    assert built == {"frame": 0, "init": 24}
+    # Every attempt is settled in integers: the partial is the one polygon
+    # built, and no candidate is.
+    assert len(attempts) == 1
+    assert built == {"frame": 0, "init": 1}
 
 
 def test_reading_candidates_builds_each_once(built):
@@ -313,10 +314,9 @@ def test_frame_check_turns_a_clockwise_chain_around():
 
 def test_every_caller_asserts_the_emit_check(monkeypatch):
     polygon = random_delzant(6, 42, 4)
-    _, branches = reconstruct._genericity(polygon)
     monkeypatch.setattr(reconstruct, "_reproduces", lambda key, data, trust_counts: False)
     message = "a smooth fan chain of the data's area does not reproduce the data"
     with pytest.raises(AssertionError, match=message):
         enumerate_candidates(spectral_data(polygon))
     with pytest.raises(AssertionError, match=message):
-        reconstruct._branches_rule_out(polygon, branches)
+        is_generic(polygon)

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -126,6 +127,12 @@ candidates_docs = st.one_of(
 json_documents = st.one_of(
     json_values, polygon_docs, polytope_docs, spectral_docs, halfspace_docs, candidates_docs
 ).map(json.dumps)
+# A valid triangle whose literals fit the digit limit, though its normals,
+# determinants and lengths do not.
+LONG_TRIANGLE = json.dumps({
+    "dim": 2,
+    "vertices": [[0, 0], [1, 0], ["7" * 4000 + "/" + "3" * 3999 + "1", "1/" + "3" * 3999 + "7"]],
+})
 invalid_utf8 = st.sampled_from([b"\xff", b"\xc3(", b"\xc0\xaf", b"\xed\xa0\x80", b"\xf4\x90\x80\x80"])
 raw_documents = st.one_of(
     st.binary(max_size=12),
@@ -150,6 +157,7 @@ raw_documents = st.one_of(
             b'{"dim": 2, "entries": [{"normal": [1, 0], "offset": "N", "volume": "1"}]}',
         ]),
     ),
+    st.just(LONG_TRIANGLE.encode()),
 )
 documents = st.one_of(json_documents, st.text(max_size=12), raw_documents)
 
@@ -206,3 +214,21 @@ def test_documented_exit_code_and_no_exception(command, fuzzed, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 2, 3, 4, 5)
+
+
+@pytest.mark.parametrize("command, options, field", [
+    ("info", [], "edge 1"),
+    ("validate", [], "failure 2"),
+    ("spectral", [], "class 1"),
+    ("heat", ["--theta", "1,0"], "term 0"),
+    ("bundle-data", [], "entry 0"),
+])
+def test_output_past_the_digit_limit_exits_4(command, options, field, tmp_path, capsys):
+    """A valid polygon whose derived integers are too long to write is an
+    unsupported request naming the field, not an inadmissible argument."""
+    infile = tmp_path / "in.json"
+    infile.write_text(LONG_TRIANGLE)
+    assert main([command, "--in", str(infile)] + options) == 4
+    out, err = capsys.readouterr()
+    limit = sys.get_int_max_str_digits()
+    assert (out, err) == ("", f"error: cannot write {field}: an integer in it has more than {limit} digits\n")

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from delzant import (
     HeatLeadingTerm,
+    NormalClass,
     PoleError,
+    SpectralData,
     Stratum,
     UnsupportedError,
     Vec2,
@@ -23,6 +25,7 @@ from delzant import (
     spectral_data,
     vertex_count,
 )
+from delzant.vectors import canonical_unsigned
 
 rational = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -191,6 +194,46 @@ def test_one_term_per_stratum():
                     codim = t.stratum.codimension
                     assert t.codimension == codim
                     assert (t.t_exponent, t.two_pi_exponent) == (codim - 2, 2 - codim)
+
+
+def _lattice_parts(terms) -> dict:
+    """The exact lattice part of the aggregated heat coefficient at each
+    power of t: the lattice volumes of the terms with that exponent."""
+    parts = {}
+    for t in terms:
+        parts[t.t_exponent] = parts.get(t.t_exponent, 0) + t.lattice_volume
+    return parts
+
+
+@pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+@pytest.mark.parametrize("d", range(3, 10))
+def test_heat_terms_expose_the_spectral_data(d, twist):
+    """The hearable data is what the heat terms expose: theta = 0 gives the
+    area at t^-2, a class normal (either sign) gives its summed lattice
+    lengths at t^-1, the vertex count comes from the real manifold's Euler
+    characteristic, and no other primitive theta fixes an edge."""
+    for seed in range(4):
+        p = random_delzant(d, seed, 4, twist=twist)
+        area = _lattice_parts(donnelly_leading_term(p, Vec2(0, 0)))[-2]
+        sums = {}
+        for theta in [e.normal for e in p.edges] + [-e.normal for e in p.edges]:
+            length_sum = _lattice_parts(donnelly_leading_term(p, theta))[-1]
+            assert sums.setdefault(canonical_unsigned(theta), length_sum) == length_sum
+        heard = SpectralData(
+            vertex_count=vertex_count(euler_characteristic(p.edge_count)),
+            classes=tuple(NormalClass(normal, sums[normal], None) for normal in sorted(sums)),
+            area=area,
+        )
+        data = spectral_data(p)
+        assert heard == SpectralData(data.vertex_count, tuple(c._replace(edge_count=None) for c in data.classes), data.area)
+        others = [
+            Vec2(a, b) for a in range(-3, 4) for b in range(-3, 4)
+            if math.gcd(a, b) == 1 and canonical_unsigned(Vec2(a, b)) not in sums
+        ]
+        assert others
+        for theta in others:
+            parts = _lattice_parts(donnelly_leading_term(p, theta))
+            assert set(parts) == {0} and parts[0] == p.edge_count
 
 
 class TestEulerCharacteristic:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delzant.reconstruct as reconstruct
 import delzant.zoo as zoo
 from delzant import (
     BudgetExceededError,
@@ -165,15 +166,66 @@ class TestPerturbGeneric:
         assert [e.normal for e in partial.edges] == [e.normal for e in p.edges]
         assert partial != p
 
+    def test_structural_twin_settles_every_attempt_in_integers(self, monkeypatch):
+        """A two-pair polygon with a structural twin exhausts the budget with
+        the same partial as a full test per attempt, building only that
+        partial and enumerating nothing past its own genericity test."""
+        p = random_delzant(6, 42, 4)
+        calls = {"polygon_from_halfplanes": 0, "_reconstruct": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def spy(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, spy)
+
+        counted(zoo, "polygon_from_halfplanes")
+        counted(reconstruct, "_reconstruct")
+        reconstruct._genericity(p)
+        source_enumerations = calls["_reconstruct"]
+        calls["_reconstruct"] = 0
+        with pytest.raises(BudgetExceededError) as info:
+            perturb_generic(p)
+        assert str(info.value) == "no generic perturbation found in 24 attempts"
+        assert repr(info.value.partial) == (
+            "Polygon[(-3/268435456, 100663297/268435456), (201326589/536870912, -1/536870912), "
+            "(268435455/536870912, -1/536870912), (134217729/134217728, 67108865/134217728), "
+            "(134217729/134217728, 805306371/268435456), (-3/268435456, 805306371/268435456)]"
+        )
+        assert calls["polygon_from_halfplanes"] == 1
+        assert 1 <= calls["_reconstruct"] <= source_enumerations
+
+    def test_lengths_decide_which_attempts_bound_a_polygon(self):
+        """An attempt is skipped in integers exactly when the half-planes
+        bound no polygon with the source's fan, on fans with determinants
+        other than 1 too."""
+        fans = [random_delzant(d, seed, 4, twist=True) for d in (4, 6, 8) for seed in range(4)]
+        fans.append(Polygon(((0, 0), (2, 0), (0, 1))))  # a non-Delzant triangle
+        for polygon in fans:
+            normals = [e.normal for e in polygon.edges]
+            d = len(normals)
+            rng = random.Random(d)
+            for _ in range(40):
+                offsets = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)]
+                try:
+                    polygon_from_halfplanes(normals, offsets)
+                    bounded = True
+                except StructuralPolygonError:
+                    bounded = False
+                assert (min(zoo._lattice_lengths(normals, offsets)) > 0) == bounded
+
     @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "24"])
     def test_rejects_bad_budget(self, subpolygon_hexagon, budget):
         with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
             perturb_generic(subpolygon_hexagon, budget=budget)
 
     def test_matches_full_test_per_attempt(self, subpolygon_hexagon, monkeypatch):
-        """Deciding an attempt on the source's emitting branches first gives
-        the result (or error and partial) of a full genericity test per
-        attempt, and every attempt it rules out is indeed not generic."""
+        """Settling attempts in integers gives the result (or error and
+        partial) of a full genericity test per attempt, and every attempt it
+        settles is indeed not generic."""
         polygons = [subpolygon_hexagon]
         for d in range(6, 9):
             for seed in range(0, 60, 2):
@@ -181,26 +233,33 @@ class TestPerturbGeneric:
                     p = random_delzant(d, seed, 4, twist=twist)
                     if parallel_pair_count(p) <= 3 and not is_generic(p):
                         polygons.append(p)
-        ruled_out = []
-        rule_out = zoo._branches_rule_out
+        tested = []
+        full_test = zoo.is_generic
 
-        def spy(candidate, branches):
-            verdict = rule_out(candidate, branches)
-            ruled_out.append((candidate, verdict))
-            return verdict
+        def spy(candidate):
+            report = full_test(candidate)
+            tested.append(candidate)
+            return report
 
-        monkeypatch.setattr(zoo, "_branches_rule_out", spy)
+        monkeypatch.setattr(zoo, "is_generic", spy)
         exhausted = settled = 0
         for polygon in polygons:
-            ruled_out.clear()
+            tested.clear()
             reports = []
             expected = _outcome(_reference_perturb, polygon, reports)
             assert _outcome(perturb_generic, polygon) == expected
             exhausted += expected.startswith("BudgetExceededError")
-            assert [c for c, _ in ruled_out] == [c for c, _ in reports][: len(ruled_out)]
-            for (candidate, verdict), (_, generic) in zip(ruled_out, reports):
-                assert not (verdict and generic)
-                settled += verdict
+            # Every attempt that bounds a polygon is either tested in full,
+            # in order, or settled in integers; both stop at the same one.
+            full = iter(tested)
+            pending = next(full, None)
+            for candidate, generic in reports:
+                if candidate == pending:
+                    pending = next(full, None)
+                else:
+                    assert not generic
+                    settled += 1
+            assert pending is None
         assert exhausted >= 10 and settled >= 24 * exhausted
 
 
