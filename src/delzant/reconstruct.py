@@ -552,21 +552,26 @@ def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
     return [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
 
 
-def _residual(dirs: Sequence[Vec2], singles, signs, sums: Sequence[int]) -> tuple[int, int]:
-    """Minus the sum of the single classes' edges ``signs[i] sums[i]
-    dirs[i]``: what the doubled classes' split differences must sum to.
-    :func:`_reconstruct` computes it the same way, inline."""
+def _residual(edges: Sequence[Vec2], singles, signs) -> tuple[int, int]:
+    """Minus the sum of ``signs[i] edges[i]`` over the single classes,
+    where ``edges[i]`` is class ``i``'s direction times its sum: what the
+    doubled classes' split differences must sum to."""
     rx = ry = 0
     for i in singles:
-        rx -= dirs[i].x * signs[i] * sums[i]
-        ry -= dirs[i].y * signs[i] * sums[i]
+        x, y = edges[i]
+        if signs[i] > 0:
+            rx -= x
+            ry -= y
+        else:
+            rx += x
+            ry += y
     return rx, ry
 
 
 def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]:
     """Cramer's rule: ``((n1, n2), m)`` with ``(n1 w1 + n2 w2) / m = (rx,
-    ry)`` and ``m = |w1 x w2|``, as :func:`_reconstruct` solves the closure
-    of a branch with two or three doubled classes, inline."""
+    ry)`` and ``m = |w1 x w2|``: how :func:`_reconstruct` solves the
+    closure of a branch with two or three doubled classes."""
     det = w1.cross(w2)
     sign = 1 if det > 0 else -1
     return (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx)), abs(det)
@@ -599,6 +604,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
     int_sums = [s.numerator * (scale // s.denominator) for s in sums]
     twice_area = 2 * Fraction(data.area)
     fan = _fan(dirs)
+    edges = [w * s for w, s in zip(dirs, int_sums)]
 
     records: list[tuple] = []
     emitted: dict[tuple, None] = {}
@@ -620,11 +626,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
             # (rx, ry) / scale is what the doubled-class split differences
             # must sum to.  A solution lists those differences as integer
             # numerators over a common denominator q, a multiple of scale.
-            # As _residual and _cramer, written out: this runs per branch.
-            rx = ry = 0
-            for i in singles:
-                rx -= dirs[i].x * signs[i] * int_sums[i]
-                ry -= dirs[i].y * signs[i] * int_sums[i]
+            rx, ry = _residual(edges, singles, signs)
             solutions: list[tuple[tuple[int, ...], int, tuple[int, int] | None]] = []
             ring = None
             if p == 0:
@@ -636,18 +638,14 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                     # w is primitive, so the multiple of w is an integer.
                     solutions.append((((rx // w.x) if w.x != 0 else (ry // w.y),), scale, None))
             else:
-                # Solve with the first two doubled directions (Cramer's rule).
-                w1, w2 = dirs[choice[0]], dirs[choice[1]]
-                det = w1.cross(w2)
-                sign = 1 if det > 0 else -1
-                pair = (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx))
-                q = scale * abs(det)
+                # Solve with the first two doubled directions.
+                pair, m = _cramer(dirs[choice[0]], dirs[choice[1]], rx, ry)
+                q = scale * m
             if p == 2:
                 solutions.append((pair, q, None))
             elif p == 3:
                 # The third split is free: numerators base + u kernel over q,
                 # where u = q t.  Pin u against the area, in integers.
-                m = q // scale
                 base = dict(zip(choice, pair + (0,)))
                 ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
                 k0, k1, k2 = _family_quadratic(dirs, ring, int_sums, m, base, kernel)
@@ -867,7 +865,7 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
         kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice)) if p == 3 else (0, 0)))
         values = []
         for z in points:
-            pair, m = _cramer(dirs[choice[0]], dirs[choice[1]], *_residual(dirs, singles, signs, z[:r]))
+            pair, m = _cramer(dirs[choice[0]], dirs[choice[1]], *_residual([w * s for w, s in zip(dirs, z)], singles, signs))
             base = dict(zip(choice, pair + (0,)))
             values.append((_family_quadratic(dirs, ring, z[:r], m, base, kernel), base))
         return kernel, m, values

@@ -130,11 +130,12 @@ def _read_points(raw, dim: int, too_few: str) -> list[tuple]:
     return points
 
 
+def _point(v) -> list[str]:
+    return [format_rational(v.x), format_rational(v.y)]
+
+
 def polygon_to_json(polygon: Polygon) -> dict:
-    return {
-        "dim": 2,
-        "vertices": _each("vertex", polygon.vertices, lambda v: [format_rational(v.x), format_rational(v.y)]),
-    }
+    return {"dim": 2, "vertices": _each("vertex", polygon.vertices, _point)}
 
 
 def polygon_from_json(doc: dict) -> Polygon:
@@ -298,7 +299,9 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     """
     if candidates._integer is None:
         return {
-            "candidates": [polygon_to_json(p) for p in candidates.candidates],
+            "candidates": _each("candidate", candidates.candidates, lambda p: {
+                "dim": 2, "vertices": [_point(v) for v in p.vertices],
+            }),
             "assignmentTrace": _each("trace record", candidates.trace, _record_to_json),
         }
     records, keys = candidates._integer

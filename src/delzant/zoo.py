@@ -200,11 +200,12 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     frame = [c.numerator * (common // c.denominator) for c in offsets]
     need, twins = _structural_twins(polygon, branches)
 
-    def shifted(attempt: int, moves: list[int]) -> list[Fraction]:
-        step = _PERTURB_BASE / (1 << attempt)
-        return [c + step * k for c, k in zip(offsets, moves)]
+    def build(cs: list[int], attempt: int) -> Polygon:
+        step_den = common * (_PERTURB_BASE.denominator << attempt)
+        return polygon_from_halfplanes(normals, [Fraction(c, step_den) for c in cs])
 
-    last = None
+    # The last attempt that bounds a polygon, and that polygon once built.
+    last = candidate = None
     for attempt in range(budget):
         rng = random.Random(attempt)
         moves = [rng.randint(0, 7) for _ in range(d)]
@@ -214,17 +215,17 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
         if min(lengths) <= 0:
             # polygon_from_halfplanes raises StructuralPolygonError here.
             continue
-        last = (attempt, moves)
+        last, candidate = (cs, attempt), None
         # Twins exist only on a smooth fan, where these are the lattice lengths
         # times common / step, and their forms are homogeneous.
         if sum(weight for weight, forms in twins if all(sum(map(mul, f, lengths)) > 0 for f in forms)) >= need:
             continue
-        candidate = last = polygon_from_halfplanes(normals, shifted(attempt, moves))
+        candidate = build(cs, attempt)
         if is_generic(candidate):
             return candidate
-    if isinstance(last, tuple):
-        last = polygon_from_halfplanes(normals, shifted(*last))
-    raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=last)
+    if candidate is None and last is not None:
+        candidate = build(*last)
+    raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=candidate)
 
 
 def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_000) -> ZooCensus:

@@ -11,6 +11,7 @@ check rejects the key it is there for.
 import dataclasses
 import itertools
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from delzant import (
     CandidateSet,
     Polygon,
     StructuralPolygonError,
+    UnsupportedError,
     enumerate_candidates,
     hirzebruch,
     is_generic,
@@ -107,6 +109,21 @@ def test_written_set_still_reads_as_its_eager_twin():
         serialize.candidates_to_json(lazy)
         assert lazy == eager and hash(lazy) == hash(eager), (d, seed, twist)
         assert (lazy.candidates, lazy.trace, repr(lazy)) == (eager.candidates, eager.trace, repr(eager))
+
+
+def test_read_and_unread_sets_name_the_same_candidate_past_the_digit_limit():
+    # Lengths 1/P and 1/Q with coprime P, Q under the digit limit; the
+    # vertex (1/P + 1/Q, 0) of the trapezoid has P Q, past it, as denominator.
+    a, b = Fraction(1, 3**4600), Fraction(1, 2**7300)
+    data = spectral_data(Polygon([(0, 0), (a + b, 0), (a, b), (0, b)]))
+    read = enumerate_candidates(data)
+    read.trace
+    messages = []
+    for candidates in (enumerate_candidates(data), read):
+        with pytest.raises(UnsupportedError) as caught:
+            serialize.candidates_to_json(candidates)
+        messages.append(str(caught.value))
+    assert messages == [f"cannot write candidate 0: an integer in it has more than {sys.get_int_max_str_digits()} digits"] * 2
 
 
 def test_candidate_order_is_the_vertex_order_across_denominators():
