@@ -259,8 +259,8 @@ def _cmd_equiv(args) -> CommandResult:
     matrix, translation = match
     payload = {
         "equivalent": True,
-        "matrix": [list(matrix[0]), list(matrix[1])],
-        "translation": [format_rational(translation.x), format_rational(translation.y)],
+        "matrix": serialize._each("matrix row", matrix, lambda row: [serialize._decimal(a) for a in row]),
+        "translation": [serialize._rational(c, "translation") for c in translation],
     }
     return CommandResult(EXIT_OK, payload)
 

@@ -1,5 +1,16 @@
 """Exception hierarchy shared by every module in the package."""
 
+import sys
+
+
+def _with_values(write, without: str) -> str:
+    """The message ``write()``, or ``without`` when ``str`` cannot write a
+    value in it: past the interpreter's digit limit it raises ``ValueError``."""
+    try:
+        return write()
+    except ValueError:
+        return f"{without} (a value in it has more than {sys.get_int_max_str_digits()} digits)"
+
 
 class DelzantError(Exception):
     """Base class for all toolkit errors."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, StructuralPolygonError
@@ -101,6 +102,21 @@ def _convex_frame(xs: list[int], ys: list[int]) -> tuple[list[int], list[int], i
     return dxs, dys, twice, flipped
 
 
+def _translation_key(points: Sequence[tuple[int, int]], den: int, sign: int = 1) -> tuple:
+    """The canonical key of the closed chain through the integer points
+    ``points`` over ``den`` (with ``sign`` -1, of its point reflection): the
+    vertices from the lex-min one, translated to the origin, as ``(denominator,
+    x0, y0, x1, y1, ...)`` in lowest terms.  Translates have equal keys."""
+    start = points.index(min(points) if sign > 0 else max(points))
+    x0, y0 = points[start]
+    flat = []
+    for x, y in points[start:] + points[:start]:
+        flat.append(sign * (x - x0))
+        flat.append(sign * (y - y0))
+    g = math.gcd(den, *flat)
+    return (den // g,) + tuple(v // g for v in flat)
+
+
 def _turns(dxs: Sequence[int], dys: Sequence[int]) -> list[int]:
     """Per vertex ``i``, the determinant of the primitive directions of the
     nonzero integer edge vectors ``i - 1`` and ``i``."""
@@ -188,19 +204,17 @@ class Polygon:
         (a, b), (c, d) = matrix
         return Polygon(tuple(Vec2(a * v.x + b * v.y, c * v.x + d * v.y) for v in self.vertices))
 
-    def canonical(self) -> "Polygon":
-        """Translate the lex-min vertex to the origin and start the list there.
-
-        Two polygons are translates of each other iff their canonical forms
-        compare equal; the map is idempotent.
-        """
-        anchor = min(self.vertices)
-        idx = self.vertices.index(anchor)
-        rotated = self.vertices[idx:] + self.vertices[:idx]
-        return Polygon(tuple(v - anchor for v in rotated))
-
     def canonical_key(self) -> tuple:
-        return tuple(self.canonical().vertices)
+        """The key of :func:`_translation_key`: equal exactly for translates."""
+        common, dxs, dys = self._frame
+        # The frame's vertices, translated so that the first is the origin.
+        return _translation_key(list(zip(accumulate(dxs[:-1], initial=0), accumulate(dys[:-1], initial=0))), common)
+
+    def canonical(self) -> "Polygon":
+        """The polygon of :meth:`canonical_key`: its lex-min vertex first, at
+        the origin.  Equal exactly for translates, and idempotent."""
+        key = self.canonical_key()
+        return Polygon._from_frame(key[0], key[1::2], key[2::2])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -250,7 +264,9 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
     qd = [e.direction for e in q.edges]
     det_p = int(pd[0].cross(pd[1]))
     q_key = q.canonical_key()
-    q_anchor = min(q.vertices)
+    # A maps the points of p's key to those of its image's, over the same denominator.
+    key = p.canonical_key()
+    points = list(zip(key[1::2], key[2::2]))
     for j in range(d):
         f1, f2 = qd[j], qd[(j + 1) % d]
         # A = F . D^{-1} with D, F the column matrices of the direction pairs.
@@ -266,10 +282,8 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
         matrix = ((int(a11), int(a12)), (int(a21), int(a22)))
         if matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0] != 1:
             continue
-        image = p.transform(matrix)
-        if image.canonical_key() == q_key:
-            translation = q_anchor - min(image.vertices)
-            return matrix, translation
+        if _translation_key([(a11 * x + a12 * y, a21 * x + a22 * y) for x, y in points], key[0]) == q_key:
+            return matrix, min(q.vertices) - min(Vec2(a11 * v.x + a12 * v.y, a21 * v.x + a22 * v.y) for v in p.vertices)
     return None
 
 

@@ -30,8 +30,9 @@ from .errors import (
     ReconstructionInfeasibleError,
     StructuralPolygonError,
     UnsupportedAmbiguityError,
+    _with_values,
 )
-from .geometry import Polygon, _convex_frame, _turns, detect_subpolygons, polygon_from_halfplanes
+from .geometry import Polygon, _convex_frame, _translation_key, _turns, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, _class_sums, bundle_facet_data, spectral_data
 from .vectors import Vec2, Vec3, angle_order, canonical_unsigned, is_primitive_integer
@@ -218,7 +219,9 @@ class CandidateSet:
 
     def __contains__(self, polygon: Polygon) -> bool:
         key = polygon.canonical_key()
-        return any(c.canonical_key() == key for c in self.candidates)
+        if self._integer is not None:
+            return key in self._integer[1]
+        return any(c.canonical_key() == key for c in self._candidates)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -426,31 +429,15 @@ def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fr
 
 
 def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[tuple, tuple] | None:
-    """Canonical keys of the polygon chained along ``edges`` and of its point
-    reflection; None when the polygon does not have the area ``twice_area / 2``.
-
-    ``edges`` are integer vectors in counterclockwise order, counted over
-    ``den``.  A key is the vertex list from the lex-min vertex, translated to
-    the origin, written as ``(denominator, x0, y0, x1, y1, ...)`` in lowest
-    terms, so two polygons are translates of each other exactly when their
-    keys agree.
+    """Canonical keys (see :meth:`Polygon.canonical_key`) of the polygon
+    chained along ``edges`` and of its point reflection; None when the
+    polygon does not have the area ``twice_area / 2``.  ``edges`` are
+    integer vectors in counterclockwise order, counted over ``den``.
     """
     points, twice = _chain(edges)
     if twice * twice_area.denominator != twice_area.numerator * den * den:
         return None
-    n = len(points)
-    keys = []
-    # The reflection -P starts at the image of P's lex-max vertex.
-    for sign, start in ((1, points.index(min(points))), (-1, points.index(max(points)))):
-        x0, y0 = points[start]
-        flat = []
-        for k in range(start, start + n):
-            x, y = points[k % n]
-            flat.append(sign * (x - x0))
-            flat.append(sign * (y - y0))
-        g = gcd(den, *flat)
-        keys.append((den // g,) + tuple(v // g for v in flat))
-    return keys[0], keys[1]
+    return _translation_key(points, den), _translation_key(points, den, -1)
 
 
 # Every outcome enumerate_candidates writes into its trace; only
@@ -991,7 +978,10 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
         if key not in derived:
             raise InconsistentSystemError(f"half-space {key[0]} is redundant (no facet)")
         if derived[key] != volume:
-            raise InconsistentSystemError(f"facet {key[0]} has lattice volume {derived[key]}, data says {volume}")
+            raise InconsistentSystemError(_with_values(
+                lambda: f"facet {key[0]} has lattice volume {derived[key]}, data says {volume}",
+                f"facet {key[0]} has a lattice volume other than the data's",
+            ))
     return rebuilt
 
 

@@ -25,14 +25,17 @@ def _load_document(data: Union[bytes, str]) -> dict:
     """The top-level object of a JSON document given as UTF-8 bytes or text.
 
     Every way the document can fail to decode is a :class:`ParseError`:
-    invalid UTF-8 (a ``ValueError``), invalid JSON, an integer literal past
-    the interpreter's digit limit (also ``ValueError``s) and nesting deeper
-    than the decoder recurses.
+    invalid UTF-8, invalid JSON, nesting deeper than the decoder recurses
+    and an integer literal past the interpreter's digit limit (a bare
+    ``ValueError``, whose text would point at an interpreter setting).
     """
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (ValueError, RecursionError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: an integer literal has more than {limit} digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("expected a JSON object at the top level")
     return doc

@@ -13,7 +13,7 @@ from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .errors import BudgetExceededError, ChopError
+from .errors import BudgetExceededError, ChopError, _with_values
 from .geometry import Polygon, polygon_from_halfplanes, validate_delzant
 from .reconstruct import _genericity, _structural_twins, is_generic
 from .vectors import Vec2, as_scalar
@@ -70,16 +70,12 @@ def chop(polygon: Polygon, spec: ChopSpec) -> Polygon:
         raise ChopError("chop depth must be positive")
     incoming = polygon.edges[(i - 1) % d]
     outgoing = polygon.edges[i]
-    if depth >= incoming.lattice_length:
-        raise ChopError(
-            f"depth {depth} is not below the lattice length {incoming.lattice_length} "
-            f"of edge {(i - 1) % d} into vertex {i}"
-        )
-    if depth >= outgoing.lattice_length:
-        raise ChopError(
-            f"depth {depth} is not below the lattice length {outgoing.lattice_length} "
-            f"of edge {i} out of vertex {i}"
-        )
+    for edge, where in ((incoming, f"edge {(i - 1) % d} into vertex {i}"), (outgoing, f"edge {i} out of vertex {i}")):
+        if depth >= edge.lattice_length:
+            raise ChopError(_with_values(
+                lambda: f"depth {depth} is not below the lattice length {edge.lattice_length} of {where}",
+                f"depth is not below the lattice length of {where}",
+            ))
     v = polygon.vertices[i]
     a = v - incoming.direction * depth
     b = v + outgoing.direction * depth

@@ -221,6 +221,61 @@ def test_reading_candidates_builds_each_once(built):
         assert count > 0 and built == {"frame": count, "init": 0}
 
 
+MEMBERS = [(d, seed, seed % 2 == 1) for d in range(3, 10) for seed in range(4)]
+
+
+def test_membership_of_an_unread_set_builds_nothing(built, monkeypatch):
+    builds = []
+    build = CandidateSet._build
+    monkeypatch.setattr(CandidateSet, "_build", lambda self: builds.append(self) or build(self))
+    for d, seed, twist in MEMBERS:
+        polygon = random_delzant(d, seed, 4, twist=twist)
+        candidates = enumerate_candidates(spectral_data(polygon))
+        built.update(frame=0, init=0)
+        assert polygon in candidates
+        assert (builds, built) == ([], {"frame": 0, "init": 0}), (d, seed, twist)
+
+
+def test_membership_reads_the_same_on_unread_and_read_sets():
+    checked = 0
+    for d, seed, twist in MEMBERS:
+        polygon = random_delzant(d, seed, 4, twist=twist)
+        data = spectral_data(polygon)
+        read = enumerate_candidates(data)
+        read.trace
+        shifted = polygon.translate(Vec2(Fraction(1, 3), Fraction(-2, 7)))
+        other = random_delzant(d, seed + 100, 4, twist=twist)
+        for probe in (polygon, -polygon, shifted, other):
+            assert (probe in enumerate_candidates(data)) == (probe in read), (d, seed, twist)
+        assert polygon in read and -polygon in read and shifted in read
+        checked += other not in read
+    assert checked > 0
+
+
+def test_canonical_key_builds_no_polygon(built):
+    polygons = [random_delzant(d, seed, 4, twist=twist) for d, seed, twist in MEMBERS]
+    built.update(frame=0, init=0)
+    for polygon in polygons:
+        polygon.canonical_key()
+    assert built == {"frame": 0, "init": 0}
+
+
+def test_canonical_keys_are_the_keys_enumeration_emits():
+    pairs = 0
+    for d, seed, twist in MEMBERS:
+        polygon = random_delzant(d, seed, 4, twist=twist)
+        candidates = enumerate_candidates(spectral_data(polygon))
+        keys = candidates._integer[1]
+        own = {polygon.canonical_key(), (-polygon).canonical_key()}
+        assert own <= set(keys), (d, seed, twist)
+        if len(keys) == 2:
+            pairs += 1
+            assert set(keys) == own
+        # A built candidate's key is the key it was emitted as.
+        assert [c.canonical_key() for c in candidates.candidates] == list(reconstruct._candidate_index(keys))
+    assert pairs > 0
+
+
 # --- the emit check --------------------------------------------------------
 
 # hirzebruch(1, 2, 1): classes (0, 1), (1, 0) twice and (1, 1), with sums

@@ -211,9 +211,12 @@ def test_documented_exit_code_and_no_exception(command, fuzzed, data):
             with open(otherfile, "wb") as handle:
                 handle.write(other.encode("utf-8") if isinstance(other, str) else other)
         argv = [command, "--in", infile, "--json"] + [otherfile if a == "{other}" else a for a in options]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2, 3, 4, 5)
+    # The interpreter's own digit-limit text means a message failed to be written.
+    assert "sys.set_int_max_str_digits" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command, options, field", [
@@ -232,3 +235,44 @@ def test_output_past_the_digit_limit_exits_4(command, options, field, tmp_path, 
     out, err = capsys.readouterr()
     limit = sys.get_int_max_str_digits()
     assert (out, err) == ("", f"error: cannot write {field}: an integer in it has more than {limit} digits\n")
+
+
+def _shifted_triangle(shift):
+    return json.dumps({"dim": 2, "vertices": [[f"{x + shift}", f"{y + shift}"] for x, y in ((0, 0), (1, 0), (0, 1))]})
+
+
+# Valid documents whose error messages would have to write a value past the
+# digit limit: a chop deeper than a long edge, a lattice volume with a long
+# denominator, and a translation between two triangles with long shifts;
+# and a document with an integer literal past the limit.
+LONG_VOLUME = json.dumps({"dim": 2, "entries": [
+    {"normal": [1, 0], "offset": f"1/{3**8000}", "volume": "1"},
+    {"normal": [0, 1], "offset": f"1/{2**13000}", "volume": "1"},
+    {"normal": [-1, -1], "offset": "1", "volume": "1"},
+]})
+DIGITS = f"{sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("command, options, document, code, message", [
+    ("chop", ["--vertex", "0", "--depth", "1/1000"], LONG_TRIANGLE, 2,
+     f"depth is not below the lattice length of edge 2 into vertex 0 (a value in it has more than {DIGITS})"),
+    ("chop", ["--vertex", "1", "--depth", "1/1000"], LONG_TRIANGLE, 2,
+     f"depth is not below the lattice length of edge 1 out of vertex 1 (a value in it has more than {DIGITS})"),
+    ("chop", ["--vertex", "2", "--depth", "1/1000"], LONG_TRIANGLE, 2,
+     f"depth is not below the lattice length of edge 1 into vertex 2 (a value in it has more than {DIGITS})"),
+    ("bundle-reconstruct", [], LONG_VOLUME, 3,
+     f"facet (1, 0) has a lattice volume other than the data's (a value in it has more than {DIGITS})"),
+    ("equiv", ["--other", "{other}"], _shifted_triangle(Fraction(1, 3**9000)), 4,
+     f"cannot write translation: an integer in it has more than {DIGITS}"),
+    ("validate", [], '{"dim": 2, "vertices": [[' + "7" * 5000 + ", 0], [1, 0], [0, 1]]}", 5,
+     f"invalid JSON: an integer literal has more than {DIGITS}"),
+], ids=["chop_vertex_0", "chop_vertex_1", "chop_vertex_2", "bundle_volume", "equiv_translation", "long_literal"])
+def test_message_past_the_digit_limit_names_its_subject(command, options, document, code, message, tmp_path, capsys):
+    """An error whose values are too long to write still exits with its own
+    code and a message naming what failed, never the interpreter's text."""
+    infile, otherfile = tmp_path / "in.json", tmp_path / "other.json"
+    infile.write_text(document)
+    otherfile.write_text(_shifted_triangle(Fraction(1, 2**14000)))
+    argv = [command, "--in", str(infile)] + [str(otherfile) if a == "{other}" else a for a in options]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -270,6 +270,23 @@ class TestNormalizeTranslation:
         moved = p.translate(Vec2(dx, dy))
         assert normalize_translation(moved) == normalize_translation(p)
 
+    @given(seed=st.integers(0, 10**6), dx=rational, dy=rational, scale=st.sampled_from([1, 2, Fraction(2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_integer_key_is_equal_exactly_for_translates(self, seed, dx, dy, scale):
+        p = random_delzant(5, seed, 4)
+        key = p.canonical_key()
+        assert all(type(v) is int for v in key) and key[0] > 0
+        assert math.gcd(*key) == 1
+        assert p.translate(Vec2(dx, dy)).canonical_key() == key
+        # A scaled copy is a translate only at scale 1.
+        scaled = Polygon(tuple(v * scale for v in p.vertices))
+        assert (scaled.canonical_key() == key) == (scale == 1)
+        # canonical() is the polygon of the key, and its own key is the same.
+        canonical = p.canonical()
+        den = key[0]
+        assert canonical.vertices == tuple(Vec2(Fraction(x, den), Fraction(y, den)) for x, y in zip(key[1::2], key[2::2]))
+        assert canonical.canonical_key() == key
+
 
 class TestSl2zEquivalent:
     def test_identity(self, unit_square):
