@@ -226,6 +226,10 @@ class CandidateSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        # Equal integer forms build equal sets, so two unread sets that
+        # have them need no build.
+        if self._integer is not None and other._integer is not None and self._integer == other._integer:
+            return True
         return (self.candidates, self.trace) == (other.candidates, other.trace)
 
     def __hash__(self) -> int:
@@ -462,15 +466,19 @@ def _candidate_index(keys: Sequence[tuple]) -> dict[tuple, int]:
 def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> CandidateSet:
     """All translation classes of Delzant polygons with the given data.
 
-    Enumerates doubled-class assignments (all of them by default; the
-    stored per-class counts are only used when ``trust_counts`` is set) and
-    signs of the class representatives.  Each branch is then decided in
-    this order, in integers up to the last step:
+    Enumerates doubled-class choices (all of them by default; the stored
+    per-class counts are only used when ``trust_counts`` is set) and, for
+    each, every sign pattern of the single classes' representatives.  Each
+    branch, one choice with one pattern, is then decided in this order, in
+    integers up to the last step:
 
     1. closure: the length splits solve a small exact linear system, and
        three-pair branches are pinned against the area by the integer
        quadratic of :func:`_family_quadratic` (``no_closure``); a
-       split that is not positive on both sides is ``inadmissible_split``;
+       split that is not positive on both sides is ``inadmissible_split``.
+       What the splits must solve for is linear in the signs, so with up
+       to two pairs this step is decided for all patterns of a choice at
+       once (:func:`_reconstruct`);
     2. fan: the branch's signed edge directions, in angular order, must
        turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
@@ -486,7 +494,17 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     ``a`` on a branch whose first class has sign ``s`` builds the chained
     polygon when ``a * s > 0`` and its point reflection otherwise, and both
     share one outcome.
+
+    The vertex count must be an ``int`` and the area and class sums ``int``
+    or ``Fraction`` (``bool`` excluded); anything else raises ValueError.
     """
+    if not _exact(data.vertex_count, int):
+        raise ValueError(f"vertex count must be an int, got {type(data.vertex_count).__name__}")
+    if not _exact(data.area, (int, Fraction)):
+        raise ValueError(f"area must be an int or a Fraction, got {type(data.area).__name__}")
+    for k, c in enumerate(data.classes):
+        if not _exact(c.length_sum, (int, Fraction)):
+            raise ValueError(f"length sum of class {k} must be an int or a Fraction, got {type(c.length_sum).__name__}")
     r = len(data.classes)
     d = data.vertex_count
     p = d - r
@@ -513,23 +531,15 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
         choices = list(combinations(range(r), p))
-    branches = [(choice, _sign_patterns(r, choice)) for choice in choices]
-    records, keys, emitting = _reconstruct(data, trust_counts, branches)
+    records, keys, emitting = _reconstruct(data, trust_counts, choices)
     if not keys:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
     return CandidateSet._from_keys(records, keys, emitting)
 
 
-def _sign_patterns(r: int, choice: tuple[int, ...]):
-    """Every sign tuple of a doubled-class choice: the single classes run
-    through all sign patterns, the doubled ones keep +1."""
-    singles = [i for i in range(r) if i not in choice]
-    for bits in range(1 << len(singles)):
-        signs = [1] * r
-        for b, i in enumerate(singles):
-            if bits >> b & 1:
-                signs[i] = -1
-        yield tuple(signs)
+def _exact(value, types) -> bool:
+    """Whether ``value`` is an instance of ``types`` and not a ``bool``."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
@@ -558,15 +568,32 @@ def _residual(edges: Sequence[Vec2], singles, signs) -> tuple[int, int]:
 def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]:
     """Cramer's rule: ``((n1, n2), m)`` with ``(n1 w1 + n2 w2) / m = (rx,
     ry)`` and ``m = |w1 x w2|``: how :func:`_reconstruct` solves the
-    closure of a branch with two or three doubled classes."""
+    closure of a choice with two or three doubled classes."""
     det = w1.cross(w2)
     sign = 1 if det > 0 else -1
     return (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx)), abs(det)
 
 
-def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list[tuple], list[tuple], dict]:
-    """Decide the branches ``(doubled classes, sign tuples)`` of ``branches``
+# The ends of a branch that dies at closure, as its record lists them.
+_NO_CLOSURE = ((0, "no_closure", None),)
+_INADMISSIBLE = ((0, "inadmissible_split", None),)
+
+
+def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[tuple], list[tuple], dict]:
+    """Decide every sign pattern of each doubled-class choice in ``choices``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
+
+    The single classes of a choice run through all sign patterns, the first
+    one flipping fastest, and the doubled ones keep +1.  What the doubled
+    classes' split differences must sum to, the residual, is linear in the
+    signs: flipping single class ``i`` from +1 to -1 adds twice its edge
+    vector.  So one table, doubled once per single class from the all-plus
+    pattern, holds every pattern of a choice with its residual (with two or
+    three doubled classes, with its Cramer numerators, which are linear in
+    the residual), and closure and admissibility are read off it for all
+    patterns at once.  Only the patterns that close admissibly (with three
+    pairs, all of them: each needs its own ring and quadratic) go on to the
+    fan, area and key steps one by one.
 
     Returns the branch records, the emitted canonical keys in first-seen
     order, and the branches that emitted: each doubled-class choice's sign
@@ -579,17 +606,17 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
     candidate by its key and any other by None.  A ``no_closure`` or
     ``inadmissible_split`` branch has one end with anchor 0, any other two,
     with anchors 1 and -1 and one outcome.  ``data`` must pass the checks
-    of :func:`enumerate_candidates`; a branch is decided the same way
-    whichever other branches are listed with it.
+    of :func:`enumerate_candidates`; a choice is decided the same way
+    whichever other choices are listed with it.
     """
     r = len(data.classes)
     p = data.vertex_count - r
     normals = [c.normal for c in data.classes]
     dirs = [Vec2(-int(n.y), int(n.x)) for n in normals]
-    sums = [Fraction(c.length_sum) for c in data.classes]
+    sums = [c.length_sum for c in data.classes]
     scale = lcm(*(s.denominator for s in sums))
     int_sums = [s.numerator * (scale // s.denominator) for s in sums]
-    twice_area = 2 * Fraction(data.area)
+    twice_area = 2 * data.area
     fan = _fan(dirs)
     edges = [w * s for w, s in zip(dirs, int_sums)]
 
@@ -603,37 +630,67 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                 raise AssertionError("a smooth fan chain of the data's area does not reproduce the data")
             emitted[key] = None
 
-    for choice, sign_patterns in branches:
+    for choice in choices:
         chosen = set(choice)
         singles = [i for i in range(r) if i not in chosen]
         doubled_normals = tuple(tuple(normals[i]) for i in choice)
-        if p == 3:
+        # The residual (rx, ry) / scale is what the doubled-class split
+        # differences must sum to; a solution lists them as integer
+        # numerators over a common denominator, a multiple of scale.  With
+        # two or more pairs the table holds the Cramer numerators of the
+        # first two doubled directions instead, over q = scale m.
+        start = _residual(edges, singles, (1,) * r)
+        steps = [(2 * edges[i].x, 2 * edges[i].y) for i in singles]
+        if p >= 2:
+            w1, w2 = dirs[choice[0]], dirs[choice[1]]
+            start, m = _cramer(w1, w2, *start)
+            steps = [_cramer(w1, w2, x, y)[0] for x, y in steps]
+            q = scale * m
+        # Pattern k with its residual or numerators (us[k], vs[k]).
+        patterns, us, vs = [(1,) * r], [start[0]], [start[1]]
+        for i, (du, dv) in zip(singles, steps):
+            patterns += [s[:i] + (-1,) + s[i + 1:] for s in patterns]
+            us += [u + du for u in us]
+            vs += [v + dv for v in vs]
+        # Each pattern's record when it dies at closure, None when it goes on.
+        if p == 0:
+            rejected = [
+                None if u == 0 and v == 0 else (doubled_normals, s, (1, ()), None, _NO_CLOSURE)
+                for s, u, v in zip(patterns, us, vs)
+            ]
+        elif p == 1:
+            w = dirs[choice[0]]
+            rejected = [
+                None if u * w.y == v * w.x else (doubled_normals, s, (1, ()), None, _NO_CLOSURE)
+                for s, u, v in zip(patterns, us, vs)
+            ]
+        elif p == 2:
+            b1, b2 = int_sums[choice[0]] * m, int_sums[choice[1]] * m
+            rejected = [
+                None
+                if -b1 < u < b1 and -b2 < v < b2
+                else (doubled_normals, s, (2 * q, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, _INADMISSIBLE)
+                for s, u, v in zip(patterns, us, vs)
+            ]
+        else:
+            rejected = [None] * len(patterns)
             kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
-        for signs in sign_patterns:
-            # (rx, ry) / scale is what the doubled-class split differences
-            # must sum to.  A solution lists those differences as integer
-            # numerators over a common denominator q, a multiple of scale.
-            rx, ry = _residual(edges, singles, signs)
-            solutions: list[tuple[tuple[int, ...], int, tuple[int, int] | None]] = []
+        for signs, u, v, record in zip(patterns, us, vs, rejected):
+            if record is not None:
+                records.append(record)
+                continue
             ring = None
             if p == 0:
-                if rx == 0 and ry == 0:
-                    solutions.append(((), scale, None))
+                solutions = [((), scale, None)]
             elif p == 1:
-                w = dirs[choice[0]]
-                if rx * w.y == ry * w.x:
-                    # w is primitive, so the multiple of w is an integer.
-                    solutions.append((((rx // w.x) if w.x != 0 else (ry // w.y),), scale, None))
+                # w is primitive, so the multiple of w is an integer.
+                solutions = [(((u // w.x) if w.x != 0 else (v // w.y),), scale, None)]
+            elif p == 2:
+                solutions = [((u, v), q, None)]
             else:
-                # Solve with the first two doubled directions.
-                pair, m = _cramer(dirs[choice[0]], dirs[choice[1]], rx, ry)
-                q = scale * m
-            if p == 2:
-                solutions.append((pair, q, None))
-            elif p == 3:
                 # The third split is free: numerators base + u kernel over q,
                 # where u = q t.  Pin u against the area, in integers.
-                base = dict(zip(choice, pair + (0,)))
+                base = dict(zip(choice, (u, v, 0)))
                 ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
                 k0, k1, k2 = _family_quadratic(dirs, ring, int_sums, m, base, kernel)
                 # K2 != 0, so the area is never constant along a family:
@@ -646,21 +703,23 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                 # D (K0 + K1 u + K2 u^2) = N (2q)^2.
                 den = twice_area.denominator
                 target = twice_area.numerator * 4 * q * q
+                solutions = []
                 for un, ud in _quadratic_roots(den * k2, den * k1, den * k0 - target):
                     numerators = tuple(base[i] * ud + un * kernel[i] for i in choice)
                     if all(abs(n) < int_sums[i] * m * ud for i, n in zip(choice, numerators)):
                         # The parameter t = u / q, as (numerator, denominator).
                         solutions.append((numerators, q * ud, (un, q * ud)))
-            if not solutions:
-                records.append((doubled_normals, signs, (1, ()), None, ((0, "no_closure", None),)))
-                continue
+                if not solutions:
+                    records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
+                    continue
             smooth = None
-            for numerators, q, parameter in solutions:
-                m = q // scale
+            for numerators, q_sol, parameter in solutions:
+                m_sol = q_sol // scale
                 delta = dict(zip(choice, numerators))
-                splits = (2 * q, tuple((int_sums[i] * m + n, int_sums[i] * m - n) for i, n in delta.items()))
-                if any(abs(n) >= int_sums[i] * m for i, n in delta.items()):
-                    records.append((doubled_normals, signs, splits, parameter, ((0, "inadmissible_split", None),)))
+                splits = (2 * q_sol, tuple((int_sums[i] * m_sol + n, int_sums[i] * m_sol - n) for i, n in delta.items()))
+                # Only a one-pair closure can still be inadmissible here.
+                if any(abs(n) >= int_sums[i] * m_sol for i, n in delta.items()):
+                    records.append((doubled_normals, signs, splits, parameter, _INADMISSIBLE))
                     continue
                 if smooth is None:
                     if ring is None:
@@ -677,14 +736,15 @@ def _reconstruct(data: SpectralData, trust_counts: bool, branches) -> tuple[list
                     )
                 keys = None
                 if smooth:
-                    # Lengths over 2q: a doubled class with integer sum S and
-                    # numerator n has S m + n forward and S m - n back.
+                    # Lengths over 2 q_sol: a doubled class with integer sum S
+                    # and numerator n has S m_sol + n forward and S m_sol - n
+                    # back.
                     keys = _fan_chain(
                         [
-                            dirs[i] * (s * int_sums[i] * m + delta[i] if i in delta else 2 * s * m * int_sums[i])
+                            dirs[i] * (s * int_sums[i] * m_sol + delta[i] if i in delta else 2 * s * m_sol * int_sums[i])
                             for i, s in ring
                         ],
-                        2 * q,
+                        2 * q_sol,
                         twice_area,
                     )
                 if keys is not None:

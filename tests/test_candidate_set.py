@@ -252,6 +252,46 @@ def test_membership_reads_the_same_on_unread_and_read_sets():
     assert checked > 0
 
 
+EQUAL = [(d, seed, seed % 2 == 1) for d in range(3, 10) for seed in range(2)]
+
+
+def test_two_unread_sets_compare_without_a_build(built, monkeypatch):
+    builds = []
+    build = CandidateSet._build
+    monkeypatch.setattr(CandidateSet, "_build", lambda self: builds.append(self) or build(self))
+    for d, seed, twist in EQUAL:
+        data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        one, two = enumerate_candidates(data), enumerate_candidates(data)
+        built.update(frame=0, init=0)
+        assert one == two and two == one and not one != two
+        assert (builds, built) == ([], {"frame": 0, "init": 0}), (d, seed, twist)
+        assert one._integer is not None and two._integer is not None
+
+
+def test_sets_from_different_data_compare_unequal():
+    compared = 0
+    for d, seed, twist in EQUAL:
+        data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        other = spectral_data(random_delzant(d, seed + 100, 4, twist=twist))
+        if data.parallel_pairs > 3 or other.parallel_pairs > 3:
+            continue
+        assert enumerate_candidates(data) != enumerate_candidates(other), (d, seed, twist)
+        assert not enumerate_candidates(data) == enumerate_candidates(other), (d, seed, twist)
+        if data.parallel_pairs > 0:
+            # Trusted counts decide one choice: the same data, another trace.
+            assert enumerate_candidates(data) != enumerate_candidates(data, trust_counts=True), (d, seed, twist)
+        compared += 1
+    assert compared > 0
+
+
+def test_unread_set_equals_its_read_copy():
+    for d, seed, twist in EQUAL:
+        data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        read = enumerate_candidates(data)
+        read.trace
+        assert enumerate_candidates(data) == read and read == enumerate_candidates(data), (d, seed, twist)
+
+
 def test_canonical_key_builds_no_polygon(built):
     polygons = [random_delzant(d, seed, 4, twist=twist) for d, seed, twist in MEMBERS]
     built.update(frame=0, init=0)

@@ -4,7 +4,8 @@ genericity, and half-space reconstruction."""
 import importlib
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -213,6 +214,37 @@ class TestEnumerateCandidates:
                         with pytest.raises(ReconstructionInfeasibleError, match="no Delzant polygon"):
                             enumerate_candidates(replace(data, area=data.area + nudge), trust_counts=trust_counts)
 
+    # The seed-3 pentagon's data: area 55/8, class sums 7/2, 13/2 and 1/2.
+    @pytest.mark.parametrize("field, value", [
+        ("area", 6.875),
+        ("area", True),
+        ("length_sum", 3.5),
+        ("length_sum", 0.1),
+        ("length_sum", True),
+        ("vertex_count", 5.0),
+        ("vertex_count", True),
+    ])
+    def test_rejects_inexact_input_naming_the_field(self, field, value):
+        data = spectral_data(random_delzant(5, 3, 4))
+        if field == "length_sum":
+            data = replace(data, classes=(data.classes[0]._replace(length_sum=value),) + data.classes[1:])
+        else:
+            data = replace(data, **{field: value})
+        with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')}.* must be an int"):
+            enumerate_candidates(data)
+
+    @pytest.mark.parametrize("trust_counts", [False, True])
+    def test_int_area_and_sums_are_exact_input(self, unit_square, subpolygon_hexagon, trust_counts):
+        for polygon in (unit_square, subpolygon_hexagon):
+            data = spectral_data(polygon)
+            ints = replace(
+                data,
+                area=int(data.area),
+                classes=tuple(c._replace(length_sum=int(c.length_sum)) for c in data.classes),
+            )
+            assert ints.area == data.area and type(ints.area) is int
+            assert enumerate_candidates(ints, trust_counts) == enumerate_candidates(data, trust_counts)
+
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 7))
     @settings(max_examples=30, deadline=None)
     def test_round_trip_contains_source(self, seed, d):
@@ -291,6 +323,82 @@ class TestTraceOracle:
                 assert (record.anchor, twin.anchor) == (1, -1) and record.outcome not in unanchored
                 assert record[:4] + (record.outcome,) == twin[:4] + (twin.outcome,)
                 i += 2
+
+    @pytest.mark.parametrize("d", range(3, 10))
+    @pytest.mark.parametrize("twist", [False, True])
+    @pytest.mark.parametrize("trust_counts", [False, True])
+    def test_unanchored_records_match_a_fraction_reference(self, d, twist, trust_counts):
+        """Every doubled choice is traced with every sign pattern of its
+        single classes, the first single flipping fastest.  A branch that
+        dies at closure has no solution of it (no_closure), or its splits
+        are the solution and one of them is not positive
+        (inadmissible_split); both are checked in Fraction."""
+        checked = 0
+        for seed in range(4):
+            data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+            p, r = data.parallel_pairs, len(data.classes)
+            if p > 3:
+                continue
+            trace = enumerate_candidates(data, trust_counts=trust_counts).trace
+            if trust_counts:
+                choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
+            else:
+                choices = list(combinations(range(r), p))
+            expected = []
+            for choice in choices:
+                singles = [i for i in range(r) if i not in choice]
+                for bits in range(1 << len(singles)):
+                    flipped = {i for b, i in enumerate(singles) if bits >> b & 1}
+                    signs = tuple(-1 if i in flipped else 1 for i in range(r))
+                    expected.append((tuple(tuple(data.classes[i].normal) for i in choice), signs))
+            # A branch's records are adjacent, and two adjacent branches differ.
+            traced = []
+            for record in trace:
+                if not traced or traced[-1] != (record.doubled, record.signs):
+                    traced.append((record.doubled, record.signs))
+            assert traced == expected
+            for record in trace:
+                if record.anchor == 0:
+                    assert _closure_dies(data, record)
+                    checked += 1
+        assert checked > 0
+
+
+def _closure_dies(data, record):
+    """Whether an unanchored record's outcome holds, decided in Fraction."""
+    fixed = Vec2(0, 0)
+    doubled = {}
+    for c, sign in zip(data.classes, record.signs):
+        w = c.normal.perp_ccw()
+        if tuple(c.normal) in record.doubled:
+            doubled[tuple(c.normal)] = (w, c.length_sum)
+        else:
+            fixed = fixed + w * (sign * c.length_sum)
+    p = len(record.doubled)
+    if record.outcome == "no_closure":
+        if p == 0:
+            return not fixed.is_zero()
+        if p == 1:
+            (w, _), = doubled.values()
+            return fixed.cross(w) != 0
+        # Two pairs always solve; three are pinned against the area.
+        assert p == 3
+        reference = _reference_family(data, record.doubled, record.signs)
+        if reference is None:
+            return True
+        _, _, _, (lo, hi), area = reference
+        a0, a1, a2 = area(0), (area(1) - area(-1)) / 2, (area(1) + area(-1)) / 2 - area(0)
+        disc = a1 * a1 - 4 * a2 * (a0 - data.area)
+        if disc < 0 or isqrt(disc.numerator) ** 2 != disc.numerator or isqrt(disc.denominator) ** 2 != disc.denominator:
+            return True
+        root = Fraction(isqrt(disc.numerator), isqrt(disc.denominator))
+        return not any(lo < (-a1 + sign * root) / (2 * a2) < hi for sign in (1, -1))
+    assert record.outcome == "inadmissible_split" and record.parameter is None and p in (1, 2)
+    total = fixed
+    for (w, length_sum), (plus, minus) in zip(doubled.values(), record.splits):
+        assert plus + minus == length_sum
+        total = total + w * (plus - minus)
+    return total.is_zero() and min(min(pair) for pair in record.splits) <= 0
 
 
 def _reference_family(data, doubled, signs):
