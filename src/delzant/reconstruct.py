@@ -258,19 +258,6 @@ def _quadratic_roots(b2: int, b1: int, b0: int) -> list[tuple[int, int]]:
     return [(n // gcd(n, den), den // gcd(n, den)) for n in roots]
 
 
-def _chain(edges: Sequence[Vec2]) -> tuple[list[tuple], Fraction | int]:
-    """Vertices 0, e0, e0+e1, ... of a chain of edges, with twice its
-    signed shoelace area (no validity check)."""
-    points = []
-    x = y = twice = 0
-    for e in edges:
-        points.append((x, y))
-        nx, ny = x + e.x, y + e.y
-        twice += x * ny - nx * y
-        x, y = nx, ny
-    return points, twice
-
-
 @dataclass(frozen=True)
 class ThreePairFamily:
     """The one-parameter family of a three-parallel-pair configuration.
@@ -438,7 +425,14 @@ def _fan_chain(edges: Sequence[Vec2], den: int, twice_area: Fraction) -> tuple[t
     polygon does not have the area ``twice_area / 2``.  ``edges`` are
     integer vectors in counterclockwise order, counted over ``den``.
     """
-    points, twice = _chain(edges)
+    # The vertices 0, e0, e0+e1, ... with twice the signed shoelace area.
+    points = []
+    x = y = twice = 0
+    for e in edges:
+        points.append((x, y))
+        nx, ny = x + e.x, y + e.y
+        twice += x * ny - nx * y
+        x, y = nx, ny
     if twice * twice_area.denominator != twice_area.numerator * den * den:
         return None
     return _translation_key(points, den), _translation_key(points, den, -1)
@@ -476,9 +470,11 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
        three-pair branches are pinned against the area by the integer
        quadratic of :func:`_family_quadratic` (``no_closure``); a
        split that is not positive on both sides is ``inadmissible_split``.
-       What the splits must solve for is linear in the signs, so with up
-       to two pairs this step is decided for all patterns of a choice at
-       once (:func:`_reconstruct`);
+       What the splits must solve for is linear in the signs, so one
+       integer table per choice gives every pattern its residual or
+       numerators, and one closure step per pattern decides closure (and,
+       with one or two pairs, admissibility) from them; only the patterns
+       it leaves open reach the fan (:func:`_reconstruct`);
     2. fan: the branch's signed edge directions, in angular order, must
        turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
@@ -495,8 +491,9 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     polygon when ``a * s > 0`` and its point reflection otherwise, and both
     share one outcome.
 
-    The vertex count must be an ``int`` and the area and class sums ``int``
-    or ``Fraction`` (``bool`` excluded); anything else raises ValueError.
+    The vertex count, the edge counts (or None) and the normal coordinates
+    must be ``int`` and the area and class sums ``int`` or ``Fraction``
+    (``bool`` excluded); anything else raises ValueError naming the field.
     """
     if not _exact(data.vertex_count, int):
         raise ValueError(f"vertex count must be an int, got {type(data.vertex_count).__name__}")
@@ -505,6 +502,11 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     for k, c in enumerate(data.classes):
         if not _exact(c.length_sum, (int, Fraction)):
             raise ValueError(f"length sum of class {k} must be an int or a Fraction, got {type(c.length_sum).__name__}")
+        if c.edge_count is not None and not _exact(c.edge_count, int):
+            raise ValueError(f"edge count of class {k} must be an int or None, got {type(c.edge_count).__name__}")
+        for x in c.normal:
+            if not _exact(x, int):
+                raise ValueError(f"normal of class {k} must be an int vector, got a {type(x).__name__} coordinate")
     r = len(data.classes)
     d = data.vertex_count
     p = d - r
@@ -553,16 +555,7 @@ def _residual(edges: Sequence[Vec2], singles, signs) -> tuple[int, int]:
     """Minus the sum of ``signs[i] edges[i]`` over the single classes,
     where ``edges[i]`` is class ``i``'s direction times its sum: what the
     doubled classes' split differences must sum to."""
-    rx = ry = 0
-    for i in singles:
-        x, y = edges[i]
-        if signs[i] > 0:
-            rx -= x
-            ry -= y
-        else:
-            rx += x
-            ry += y
-    return rx, ry
+    return -sum(signs[i] * edges[i].x for i in singles), -sum(signs[i] * edges[i].y for i in singles)
 
 
 def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]:
@@ -588,12 +581,12 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
     classes' split differences must sum to, the residual, is linear in the
     signs: flipping single class ``i`` from +1 to -1 adds twice its edge
     vector.  So one table, doubled once per single class from the all-plus
-    pattern, holds every pattern of a choice with its residual (with two or
-    three doubled classes, with its Cramer numerators, which are linear in
-    the residual), and closure and admissibility are read off it for all
-    patterns at once.  Only the patterns that close admissibly (with three
-    pairs, all of them: each needs its own ring and quadratic) go on to the
-    fan, area and key steps one by one.
+    pattern, gives every pattern of a choice its residual (with two or three
+    doubled classes, its Cramer numerators, which are linear in the
+    residual).  One closure step per pattern reads them off the table and
+    decides closure, and admissibility with one or two pairs; with three it
+    solves the pattern's own quadratic along its ring.  Only the open
+    patterns go on to the fan, area and key steps.
 
     Returns the branch records, the emitted canonical keys in first-seen
     order, and the branches that emitted: each doubled-class choice's sign
@@ -612,7 +605,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
     r = len(data.classes)
     p = data.vertex_count - r
     normals = [c.normal for c in data.classes]
-    dirs = [Vec2(-int(n.y), int(n.x)) for n in normals]
+    dirs = [n.perp_ccw() for n in normals]
     sums = [c.length_sum for c in data.classes]
     scale = lcm(*(s.denominator for s in sums))
     int_sums = [s.numerator * (scale // s.denominator) for s in sums]
@@ -652,46 +645,41 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
             patterns += [s[:i] + (-1,) + s[i + 1:] for s in patterns]
             us += [u + du for u in us]
             vs += [v + dv for v in vs]
-        # Each pattern's record when it dies at closure, None when it goes on.
-        if p == 0:
-            rejected = [
-                None if u == 0 and v == 0 else (doubled_normals, s, (1, ()), None, _NO_CLOSURE)
-                for s, u, v in zip(patterns, us, vs)
-            ]
-        elif p == 1:
+        if p == 1:
             w = dirs[choice[0]]
-            rejected = [
-                None if u * w.y == v * w.x else (doubled_normals, s, (1, ()), None, _NO_CLOSURE)
-                for s, u, v in zip(patterns, us, vs)
-            ]
+            b1 = int_sums[choice[0]]
         elif p == 2:
             b1, b2 = int_sums[choice[0]] * m, int_sums[choice[1]] * m
-            rejected = [
-                None
-                if -b1 < u < b1 and -b2 < v < b2
-                else (doubled_normals, s, (2 * q, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, _INADMISSIBLE)
-                for s, u, v in zip(patterns, us, vs)
-            ]
-        else:
-            rejected = [None] * len(patterns)
+        elif p == 3:
             kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
-        for signs, u, v, record in zip(patterns, us, vs, rejected):
-            if record is not None:
-                records.append(record)
-                continue
-            ring = None
+        for signs, u, v in zip(patterns, us, vs):
+            # Closure: a branch that dies here writes its record, one that
+            # goes on lists its solutions (numerators, q, parameter).
             if p == 0:
+                if u != 0 or v != 0:
+                    records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
+                    continue
                 solutions = [((), scale, None)]
             elif p == 1:
+                if u * w.y != v * w.x:
+                    records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
+                    continue
                 # w is primitive, so the multiple of w is an integer.
-                solutions = [(((u // w.x) if w.x != 0 else (v // w.y),), scale, None)]
+                n = u // w.x if w.x != 0 else v // w.y
+                if not -b1 < n < b1:
+                    records.append((doubled_normals, signs, (2 * scale, ((b1 + n, b1 - n),)), None, _INADMISSIBLE))
+                    continue
+                solutions = [((n,), scale, None)]
             elif p == 2:
+                if not (-b1 < u < b1 and -b2 < v < b2):
+                    records.append((doubled_normals, signs, (2 * q, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, _INADMISSIBLE))
+                    continue
                 solutions = [((u, v), q, None)]
-            else:
+            ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
+            if p == 3:
                 # The third split is free: numerators base + u kernel over q,
                 # where u = q t.  Pin u against the area, in integers.
                 base = dict(zip(choice, (u, v, 0)))
-                ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
                 k0, k1, k2 = _family_quadratic(dirs, ring, int_sums, m, base, kernel)
                 # K2 != 0, so the area is never constant along a family:
                 # along the ring the u-parts of the doubled edges are
@@ -712,28 +700,17 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
                 if not solutions:
                     records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
                     continue
-            smooth = None
+            # The fan is convex: admissible splits make every length
+            # positive, so the ring's directions sum to zero with positive
+            # weights.  They lie on at least two lines (a choice exists only
+            # when r >= 2), so no gap between angular neighbours reaches pi
+            # and every turn is positive.  Only the determinant is left to
+            # test.
+            smooth = all(s * t * dirs[i].cross(dirs[j]) == 1 for (i, s), (j, t) in zip(ring, ring[1:] + ring[:1]))
             for numerators, q_sol, parameter in solutions:
                 m_sol = q_sol // scale
                 delta = dict(zip(choice, numerators))
                 splits = (2 * q_sol, tuple((int_sums[i] * m_sol + n, int_sums[i] * m_sol - n) for i, n in delta.items()))
-                # Only a one-pair closure can still be inadmissible here.
-                if any(abs(n) >= int_sums[i] * m_sol for i, n in delta.items()):
-                    records.append((doubled_normals, signs, splits, parameter, _INADMISSIBLE))
-                    continue
-                if smooth is None:
-                    if ring is None:
-                        ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
-                    # The fan is convex: admissible splits make every length
-                    # positive, so the ring's directions sum to zero with
-                    # positive weights.  They lie on at least two lines (a
-                    # choice exists only when r >= 2), so no gap between
-                    # angular neighbours reaches pi and every turn is
-                    # positive.  Only the determinant is left to test.
-                    smooth = all(
-                        s * t * dirs[i].cross(dirs[j]) == 1
-                        for (i, s), (j, t) in zip(ring, ring[1:] + ring[:1])
-                    )
                 keys = None
                 if smooth:
                     # Lengths over 2 q_sol: a doubled class with integer sum S
@@ -884,7 +861,7 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
     if p not in (2, 3):
         return need, ()
     r = len(normals)
-    dirs = [Vec2(-int(n.y), int(n.x)) for n in normals]
+    dirs = [n.perp_ccw() for n in normals]
     index = {n: k for k, n in enumerate(normals)}
     classes = [index[canonical_unsigned(e.normal)] for e in polygon.edges]
     # Each edge runs along its class direction (+1) or against it (-1).

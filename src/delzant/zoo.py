@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError, ChopError, _with_values
 from .geometry import Polygon, polygon_from_halfplanes, validate_delzant
-from .reconstruct import _genericity, _structural_twins, is_generic
+from .reconstruct import _exact, _genericity, _structural_twins, is_generic
 from .vectors import Vec2, as_scalar
 
 
@@ -44,8 +44,7 @@ def hirzebruch(m: int, w, h) -> Polygon:
     Delzant for every nonnegative integer slope parameter m and positive
     rational width and height.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("slope parameter m must be a nonnegative integer")
+    _int_at_least(m, 0, "slope parameter m must be a nonnegative integer")
     w = as_scalar(w)
     h = as_scalar(h)
     if w <= 0 or h <= 0:
@@ -63,8 +62,13 @@ def chop(polygon: Polygon, spec: ChopSpec) -> Polygon:
     """
     d = polygon.edge_count
     i = spec.vertex_index
+    if not _exact(i, int):
+        raise ValueError(f"vertex index must be an int, got {type(i).__name__}")
     if not 0 <= i < d:
-        raise ChopError(f"vertex index {i} out of range for a {d}-gon")
+        raise ChopError(_with_values(
+            lambda: f"vertex index {i} out of range for a {d}-gon",
+            f"vertex index out of range for a {d}-gon",
+        ))
     depth = as_scalar(spec.depth)
     if depth <= 0:
         raise ChopError("chop depth must be positive")
@@ -103,7 +107,7 @@ def _random_unimodular(rng: random.Random, bound: int) -> tuple[tuple[int, int],
 
 def _int_at_least(value, low: int, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ValueError(f"{what}, got {value!r}")
+        raise ValueError(_with_values(lambda: f"{what}, got {value!r}", what))
     return value
 
 

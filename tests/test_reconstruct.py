@@ -214,7 +214,8 @@ class TestEnumerateCandidates:
                         with pytest.raises(ReconstructionInfeasibleError, match="no Delzant polygon"):
                             enumerate_candidates(replace(data, area=data.area + nudge), trust_counts=trust_counts)
 
-    # The seed-3 pentagon's data: area 55/8, class sums 7/2, 13/2 and 1/2.
+    # The seed-3 pentagon's data: area 55/8, class sums 7/2, 13/2 and 1/2;
+    # class 0 has normal (0, 1) and two edges.
     @pytest.mark.parametrize("field, value", [
         ("area", 6.875),
         ("area", True),
@@ -223,11 +224,15 @@ class TestEnumerateCandidates:
         ("length_sum", True),
         ("vertex_count", 5.0),
         ("vertex_count", True),
+        ("edge_count", 2.0),
+        ("edge_count", True),
+        ("normal", Vec2(Fraction(0), Fraction(1))),
+        ("normal", Vec2(False, True)),
     ])
     def test_rejects_inexact_input_naming_the_field(self, field, value):
         data = spectral_data(random_delzant(5, 3, 4))
-        if field == "length_sum":
-            data = replace(data, classes=(data.classes[0]._replace(length_sum=value),) + data.classes[1:])
+        if field in ("length_sum", "edge_count", "normal"):
+            data = replace(data, classes=(data.classes[0]._replace(**{field: value}),) + data.classes[1:])
         else:
             data = replace(data, **{field: value})
         with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')}.* must be an int"):
@@ -362,6 +367,29 @@ class TestTraceOracle:
                     assert _closure_dies(data, record)
                     checked += 1
         assert checked > 0
+
+    def test_every_way_to_die_at_closure_is_written(self):
+        """A branch dies at closure with no solution (no_closure: with no,
+        one or three pairs) or with a split that is not positive
+        (inadmissible_split: with one or two pairs).  This sweep meets every
+        one of these, and each record's outcome holds in Fraction."""
+        seen = set()
+        for d in range(3, 8):
+            for seed in range(65):
+                data = spectral_data(random_delzant(d, seed, 4))
+                if data.parallel_pairs > 3:
+                    continue
+                for record in enumerate_candidates(data).trace:
+                    if record.anchor == 0:
+                        assert _closure_dies(data, record)
+                        seen.add((len(record.doubled), record.outcome))
+        assert seen == {
+            (0, "no_closure"),
+            (1, "no_closure"),
+            (1, "inadmissible_split"),
+            (2, "inadmissible_split"),
+            (3, "no_closure"),
+        }
 
 
 def _closure_dies(data, record):

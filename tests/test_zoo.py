@@ -58,6 +58,15 @@ class TestHirzebruch:
         with pytest.raises(ValueError):
             hirzebruch(0, 0, 1)
 
+    @pytest.mark.parametrize("m", [-1, True, False, 1.0, Fraction(1), "1", None])
+    def test_rejects_a_slope_that_is_not_a_nonnegative_int(self, m):
+        with pytest.raises(ValueError, match="slope parameter m must be a nonnegative integer"):
+            hirzebruch(m, 1, 1)
+
+    def test_rejects_a_slope_past_the_digit_limit_by_name(self):
+        with pytest.raises(ValueError, match="^slope parameter m must be a nonnegative integer .*digits"):
+            hirzebruch(-10**5000, 1, 1)
+
 
 class TestChop:
     def test_square_corner(self, unit_square):
@@ -97,6 +106,18 @@ class TestChop:
             chop(unit_square, ChopSpec(0, Fraction(0)))
         with pytest.raises(ChopError):
             chop(unit_square, ChopSpec(9, Fraction(1, 3)))
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, Fraction(1), "1", None])
+    def test_rejects_a_vertex_index_that_is_not_an_int(self, unit_square, index):
+        with pytest.raises(ValueError, match="vertex index must be an int"):
+            chop(unit_square, ChopSpec(index, Fraction(1, 3)))
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_out_of_range_vertex_index_is_a_chop_error(self, unit_square, index):
+        with pytest.raises(ChopError, match=f"vertex index {index} out of range for a 4-gon"):
+            chop(unit_square, ChopSpec(index, Fraction(1, 3)))
+        with pytest.raises(ChopError, match="^vertex index out of range for a 4-gon .*digits"):
+            chop(unit_square, ChopSpec(index * 10**5000, Fraction(1, 3)))
 
 
 class TestRandomDelzant:
