@@ -118,8 +118,8 @@ def _cmd_info(args) -> CommandResult:
         "area": serialize._rational(polygon.area, "area"),
         "delzant": geometry.validate_delzant(polygon).valid,
         "edges": serialize._each("edge", polygon.edges, lambda e: {
-            "direction": [decimal(int(e.direction.x)), decimal(int(e.direction.y))],
-            "normal": [decimal(int(e.normal.x)), decimal(int(e.normal.y))],
+            "direction": [decimal(e.direction.x), decimal(e.direction.y)],
+            "normal": [decimal(e.normal.x), decimal(e.normal.y)],
             "latticeLength": format_rational(e.lattice_length),
         }),
         "spectral": serialize.spectral_to_json(data),
@@ -159,7 +159,7 @@ def _cmd_strata(args) -> CommandResult:
     theta = _parse_theta(args.theta)
     strata = spectral.fixed_point_strata(polygon, theta)
     payload = {
-        "theta": [int(theta.x), int(theta.y)],
+        "theta": list(theta),
         "strata": [{"kind": s.kind, "index": s.index, "codimension": s.codimension} for s in strata],
     }
     return CommandResult(EXIT_OK, payload)
@@ -180,7 +180,7 @@ def _cmd_heat(args) -> CommandResult:
                 "tExponent": term.t_exponent,
                 "twoPiExponent": term.two_pi_exponent,
                 "latticeVolume": format_rational(term.lattice_volume),
-                "direction": None if term.direction is None else [decimal(int(term.direction.x)), decimal(int(term.direction.y))],
+                "direction": None if term.direction is None else [decimal(term.direction.x), decimal(term.direction.y)],
                 "weights": [decimal(w) for w in term.weights],
             }
         except ValueError as exc:
@@ -192,7 +192,7 @@ def _cmd_heat(args) -> CommandResult:
                 row["value"] = None
                 diags.append(f"{term.stratum.kind} {term.stratum.index}: {exc}")
         rows.append(row)
-    payload = {"theta": [int(theta.x), int(theta.y)], "terms": rows}
+    payload = {"theta": list(theta), "terms": rows}
     if args.eval_at is not None:
         payload["evaluatedAt"] = args.eval_at
     return CommandResult(EXIT_OK, payload, diagnostics=diags)

@@ -15,7 +15,7 @@ from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceededError, StructuralPolygonError
-from .vectors import Vec2, as_scalar, primitive_part
+from .vectors import Vec2, as_scalar, exact_points, integer_frame, primitive_part
 
 # Integer 2x2 matrices travel as ((a, b), (c, d)), acting as rows on columns.
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -137,20 +137,13 @@ class Polygon:
     __slots__ = ("vertices", "edges", "_area", "_frame")
 
     def __init__(self, vertices: Iterable[Sequence]):
-        pts: list[Vec2] = []
-        try:
-            # extend keeps the points read before a bad vertex, so its index is len(pts).
-            pts.extend(Vec2(as_scalar(x), as_scalar(y)) for x, y in vertices)
-        except ValueError:
-            raise TypeError(f"vertex {len(pts)} does not have 2 coordinates") from None
+        pts = exact_points(vertices, Vec2)
         if len(pts) < 3:
             raise StructuralPolygonError("a polygon needs at least 3 vertices")
         # One integer frame: every coordinate times the common denominator L.
         # L > 0, so every sign in the frame is the sign of the rational expression.
-        common = math.lcm(*(c.denominator for v in pts for c in v))
-        xs = [v.x.numerator * (common // v.x.denominator) for v in pts]
-        ys = [v.y.numerator * (common // v.y.denominator) for v in pts]
-        self._fill(pts, common, xs, ys)
+        common, flat = integer_frame([c for v in pts for c in v])
+        self._fill(pts, common, flat[0::2], flat[1::2])
 
     @classmethod
     def _from_frame(cls, common: int, xs: Sequence[int], ys: Sequence[int]) -> "Polygon":
@@ -262,7 +255,7 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
         return None
     pd = [e.direction for e in p.edges]
     qd = [e.direction for e in q.edges]
-    det_p = int(pd[0].cross(pd[1]))
+    det_p = pd[0].cross(pd[1])
     q_key = q.canonical_key()
     # A maps the points of p's key to those of its image's, over the same denominator.
     key = p.canonical_key()
@@ -279,8 +272,8 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
             if any(v % det_p for v in (a11, a12, a21, a22)):
                 continue
             a11, a12, a21, a22 = (v // det_p for v in (a11, a12, a21, a22))
-        matrix = ((int(a11), int(a12)), (int(a21), int(a22)))
-        if matrix[0][0] * matrix[1][1] - matrix[0][1] * matrix[1][0] != 1:
+        matrix = ((a11, a12), (a21, a22))
+        if a11 * a22 - a12 * a21 != 1:
             continue
         if _translation_key([(a11 * x + a12 * y, a21 * x + a22 * y) for x, y in points], key[0]) == q_key:
             return matrix, min(q.vertices) - min(Vec2(a11 * v.x + a12 * v.y, a21 * v.x + a22 * v.y) for v in p.vertices)

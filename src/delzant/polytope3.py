@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import StructuralPolygonError
-from .vectors import Vec2, Vec3, angle_order, as_scalar
+from .vectors import Vec2, Vec3, angle_order, exact_points, integer_frame
 
 
 class Facet(NamedTuple):
@@ -35,12 +35,7 @@ class Polytope3:
     __slots__ = ("vertices", "facets")
 
     def __init__(self, vertices: Iterable[Sequence]):
-        pts: list[Vec3] = []
-        try:
-            # extend keeps the points read before a bad vertex, so its index is len(pts).
-            pts.extend(Vec3(as_scalar(x), as_scalar(y), as_scalar(z)) for x, y, z in vertices)
-        except ValueError:
-            raise TypeError(f"vertex {len(pts)} does not have 3 coordinates") from None
+        pts = exact_points(vertices, Vec3)
         if len(set(pts)) != len(pts):
             i = next(i for i, p in enumerate(pts) if p in pts[:i])
             raise StructuralPolygonError(f"repeated vertex at index {i}")
@@ -58,8 +53,8 @@ class Polytope3:
     def _derive_facets(self) -> tuple[Facet, ...]:
         # One integer frame: every coordinate times the common denominator L,
         # so point P is on the plane (n, t) when n . P + t L = 0.
-        common = math.lcm(*(c.denominator for p in self.vertices for c in p))
-        pts = [Vec3(*(c.numerator * (common // c.denominator) for c in p)) for p in self.vertices]
+        common, flat = integer_frame([c for p in self.vertices for c in p])
+        pts = [Vec3(*flat[k:k + 3]) for k in range(0, len(flat), 3)]
         planes: dict[Vec3, int] = {}
         for n, t in _supporting([(p, common) for p in pts]):
             g = math.gcd(*n)

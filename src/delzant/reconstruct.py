@@ -35,7 +35,7 @@ from .errors import (
 from .geometry import Polygon, _convex_frame, _translation_key, _turns, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, _class_sums, bundle_facet_data, spectral_data
-from .vectors import Vec2, Vec3, angle_order, canonical_unsigned, is_primitive_integer
+from .vectors import Vec2, Vec3, angle_order, as_scalar, canonical_unsigned, integer_frame, is_exact, is_primitive_integer
 
 
 @dataclass(frozen=True)
@@ -364,14 +364,14 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
     choice = [i for i, c in enumerate(classes) if c.edge_count == 2]
     splits = tuple(edges[i, 1].lattice_length - edges[i, -1].lattice_length for i in choice)
     sums = tuple(classes[i].length_sum for i in choice)
-    q = lcm(*(c.length_sum.denominator for c in classes), *(x.denominator for x in splits))
+    q, frame = integer_frame([c.length_sum for c in classes] + list(splits))
     kernel = _family_kernel(*(dirs[i] for i in choice))
     k0, k1, k2 = _family_quadratic(
         dirs,
         list(edges),
-        [int(c.length_sum * q) for c in classes],
+        frame[:len(classes)],
         1,
-        {i: int(x * q) for i, x in zip(choice, splits)},
+        dict(zip(choice, frame[len(classes):])),
         dict(zip(choice, kernel)),
     )
     # t is admissible when |delta + t alpha| < s for every doubled class;
@@ -413,9 +413,8 @@ def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fr
                 "area is constant along the family; every parameter matches", interval=(lo, hi)
             )
         return ()
-    coeffs = [Fraction(c) for c in (coeff_b, coeff_a, family.base_area - target)]
-    scale = lcm(*(c.denominator for c in coeffs))
-    roots = _quadratic_roots(*(c.numerator * (scale // c.denominator) for c in coeffs))
+    _, coeffs = integer_frame([Fraction(c) for c in (coeff_b, coeff_a, family.base_area - target)])
+    roots = _quadratic_roots(*coeffs)
     return tuple(t for t in (Fraction(n, d) for n, d in roots) if lo < t < hi)
 
 
@@ -495,17 +494,17 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     must be ``int`` and the area and class sums ``int`` or ``Fraction``
     (``bool`` excluded); anything else raises ValueError naming the field.
     """
-    if not _exact(data.vertex_count, int):
+    if not is_exact(data.vertex_count, int):
         raise ValueError(f"vertex count must be an int, got {type(data.vertex_count).__name__}")
-    if not _exact(data.area, (int, Fraction)):
+    if not is_exact(data.area):
         raise ValueError(f"area must be an int or a Fraction, got {type(data.area).__name__}")
     for k, c in enumerate(data.classes):
-        if not _exact(c.length_sum, (int, Fraction)):
+        if not is_exact(c.length_sum):
             raise ValueError(f"length sum of class {k} must be an int or a Fraction, got {type(c.length_sum).__name__}")
-        if c.edge_count is not None and not _exact(c.edge_count, int):
+        if c.edge_count is not None and not is_exact(c.edge_count, int):
             raise ValueError(f"edge count of class {k} must be an int or None, got {type(c.edge_count).__name__}")
         for x in c.normal:
-            if not _exact(x, int):
+            if not is_exact(x, int):
                 raise ValueError(f"normal of class {k} must be an int vector, got a {type(x).__name__} coordinate")
     r = len(data.classes)
     d = data.vertex_count
@@ -537,11 +536,6 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     if not keys:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
     return CandidateSet._from_keys(records, keys, emitting)
-
-
-def _exact(value, types) -> bool:
-    """Whether ``value`` is an instance of ``types`` and not a ``bool``."""
-    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
@@ -606,9 +600,7 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
     p = data.vertex_count - r
     normals = [c.normal for c in data.classes]
     dirs = [n.perp_ccw() for n in normals]
-    sums = [c.length_sum for c in data.classes]
-    scale = lcm(*(s.denominator for s in sums))
-    int_sums = [s.numerator * (scale // s.denominator) for s in sums]
+    scale, int_sums = integer_frame([c.length_sum for c in data.classes])
     twice_area = 2 * data.area
     fan = _fan(dirs)
     edges = [w * s for w, s in zip(dirs, int_sums)]
@@ -990,7 +982,8 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
 
     The offsets are absolute, so there is no translation ambiguity; the
     result must reproduce every entry (normal, offset and facet volume) or
-    an inconsistency is raised.
+    an inconsistency is raised.  An offset or volume that is not an
+    ``int`` or a ``Fraction`` raises TypeError.
     """
     dim = system.dim
     if dim not in (2, 3):
@@ -1003,9 +996,9 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
     for e in entries:
         if not is_primitive_integer(e.normal):
             raise InconsistentSystemError(f"normal {tuple(e.normal)} is not a primitive integer vector")
+    given = {(e.normal, as_scalar(e.offset)): as_scalar(e.volume) for e in entries}
     rebuilt = _reconstruct_polygon(entries) if dim == 2 else _reconstruct_polytope(entries)
     derived = {(e.normal, e.offset): e.volume for e in bundle_facet_data(rebuilt).entries}
-    given = {(e.normal, Fraction(e.offset)): Fraction(e.volume) for e in entries}
     for key in derived:
         if key not in given:
             raise ReconstructionInfeasibleError(
@@ -1035,9 +1028,8 @@ def _reconstruct_polygon(entries: Sequence[HalfSpaceEntry]) -> Polygon:
 
 
 def _reconstruct_polytope(entries: Sequence[HalfSpaceEntry]) -> Polytope3:
-    offsets = [Fraction(e.offset) for e in entries]
-    common = lcm(*(c.denominator for c in offsets))
-    rows = [(Vec3(*e.normal), -c.numerator * (common // c.denominator)) for e, c in zip(entries, offsets)]
+    common, offsets = integer_frame([e.offset for e in entries])
+    rows = [(Vec3(*e.normal), -c) for e, c in zip(entries, offsets)]
     # A kept (y, w) has n . y <= c D w on every row; for w > 0, y / (D w) is a vertex.
     points = dict.fromkeys(
         Vec3(*(Fraction(v, common * w) for v in y)) for y, w in _supporting(rows) if w > 0

@@ -17,7 +17,7 @@ from .geometry import Polygon
 from .polytope3 import Polytope3
 from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet, _candidate_index
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, NormalClass, SpectralData
-from .vectors import Vec2, canonical_unsigned, format_rational, is_primitive_integer, parse_rational
+from .vectors import Vec2, canonical_unsigned, format_rational, is_exact, is_primitive_integer, parse_rational
 from .zoo import ZooCensus
 
 
@@ -78,8 +78,8 @@ def _rational(value, what: str) -> str:
 
 def _read_int(value, what: str) -> int:
     """A JSON integer as it is: floats, booleans and strings are rejected,
-    never coerced (``bool`` is a subclass of ``int``, hence the exact type)."""
-    if type(value) is not int:
+    never coerced."""
+    if not is_exact(value, int):
         raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
     return value
 
@@ -98,7 +98,7 @@ def _read_object(value, what: str) -> dict:
 
 def _read_ints(value, count: int, what: str) -> tuple[int, ...]:
     """A JSON list of exactly ``count`` integers, read as :func:`_read_int` does."""
-    if not isinstance(value, list) or len(value) != count or any(type(c) is not int for c in value):
+    if not isinstance(value, list) or len(value) != count or not all(is_exact(c, int) for c in value):
         raise ParseError(f"{what} must be a list of {count} integers, got {json.dumps(value)}")
     return tuple(value)
 
@@ -143,7 +143,7 @@ def polygon_to_json(polygon: Polygon) -> dict:
 
 def polygon_from_json(doc: dict) -> Polygon:
     dim = doc.get("dim")
-    if type(dim) is not int or dim != 2:
+    if not is_exact(dim, int) or dim != 2:
         raise ParseError(f"expected dim 2, got {dim!r}")
     too_few = "'vertices' must be a list of at least 3 coordinate pairs"
     points = [Vec2(*point) for point in _read_points(doc.get("vertices"), 2, too_few)]
@@ -181,7 +181,7 @@ def polytope_to_json(polytope: Union[Polygon, Polytope3]) -> dict:
 
 def polytope_from_json(doc: dict) -> Union[Polygon, Polytope3]:
     dim = doc.get("dim")
-    if type(dim) is not int or dim not in (2, 3):
+    if not is_exact(dim, int) or dim not in (2, 3):
         raise ParseError(f"expected dim 2 or 3, got {dim!r}")
     if dim == 2:
         return polygon_from_json(doc)
@@ -255,7 +255,7 @@ def halfspace_to_json(system: HalfSpaceSystem) -> dict:
 
 def halfspace_from_json(doc: dict) -> HalfSpaceSystem:
     dim = doc.get("dim")
-    if type(dim) is not int or dim not in (2, 3):
+    if not is_exact(dim, int) or dim not in (2, 3):
         raise ParseError(f"expected dim 2 or 3, got {dim!r}")
     entries = []
     for index, entry in enumerate(_read_list(doc.get("entries"), "'entries'")):

@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 from .errors import PoleError, UnsupportedError
 from .geometry import Polygon
 from .polytope3 import Polytope3
-from .vectors import Vec2, canonical_unsigned, is_primitive_integer
+from .vectors import Vec2, canonical_unsigned, is_exact, is_primitive_integer
 
 
 class NormalClass(NamedTuple):
@@ -100,8 +100,11 @@ def fixed_point_strata(polygon: Polygon, theta: Vec2) -> tuple[Stratum, ...]:
 
     Zero direction fixes everything; a direction parallel to an edge normal
     fixes the matching edges plus every vertex; any other direction fixes
-    the vertices only.
+    the vertices only.  A coordinate of ``theta`` that is not an ``int``
+    raises ValueError.
     """
+    if not all(is_exact(c, int) for c in theta):
+        raise ValueError(f"direction {tuple(theta)} must have int coordinates")
     if theta.is_zero():
         return (Stratum("polygon", None, 0),)
     strata = [
@@ -141,12 +144,14 @@ def donnelly_leading_term(polygon: Polygon, theta: Vec2) -> tuple[HeatLeadingTer
     The whole polygon gives the classical volume term; a fixed edge gives
     its lattice length and primitive direction with unit weight; a vertex
     gives lattice volume 1 and the pairings of ``theta`` with its outgoing
-    and reversed incoming edge directions.
+    and reversed incoming edge directions.  ``theta`` must have ``int``
+    coordinates and be zero or primitive, or ValueError is raised.
     """
+    strata = fixed_point_strata(polygon, theta)
     if not theta.is_zero() and not is_primitive_integer(theta):
         raise ValueError(f"direction {tuple(theta)} must be primitive; divide by the gcd first")
     terms = []
-    for stratum in fixed_point_strata(polygon, theta):
+    for stratum in strata:
         volume, direction, weights = polygon.area, None, ()
         if stratum.kind == "edge":
             edge = polygon.edges[stratum.index]
@@ -154,7 +159,7 @@ def donnelly_leading_term(polygon: Polygon, theta: Vec2) -> tuple[HeatLeadingTer
         elif stratum.kind == "vertex":
             outgoing = polygon.edges[stratum.index].direction
             incoming = polygon.edges[stratum.index - 1].direction
-            volume, weights = Fraction(1), (int(theta.dot(outgoing)), int(theta.dot(-incoming)))
+            volume, weights = Fraction(1), (theta.dot(outgoing), theta.dot(-incoming))
         terms.append(
             HeatLeadingTerm(
                 stratum=stratum,
@@ -207,14 +212,20 @@ def evaluate_leading_coefficient(term: HeatLeadingTerm, s: float) -> float:
 
 
 def euler_characteristic(d: int) -> int:
-    """Euler characteristic of the real manifold of a d-gon: 4 - d."""
+    """Euler characteristic of the real manifold of a d-gon: 4 - d.  A
+    ``d`` that is not an ``int`` raises ValueError."""
+    if not is_exact(d, int):
+        raise ValueError(f"vertex count must be an int, got {type(d).__name__}")
     if d < 3:
         raise ValueError("a polygon has at least 3 edges")
     return 4 - d
 
 
 def vertex_count(chi: int) -> int:
-    """Inverse of :func:`euler_characteristic`."""
+    """Inverse of :func:`euler_characteristic`.  A ``chi`` that is not an
+    ``int`` raises ValueError."""
+    if not is_exact(chi, int):
+        raise ValueError(f"Euler characteristic must be an int, got {type(chi).__name__}")
     if chi > 1:
         raise ValueError("Euler characteristic of the real surface is at most 1")
     return 4 - chi
@@ -243,12 +254,12 @@ def bundle_facet_data(polytope: Union[Polygon, Polytope3], require_integral: boo
     """
     if require_integral:
         for v in polytope.vertices:
-            if any(Fraction(c).denominator != 1 for c in v):
+            if any(c.denominator != 1 for c in v):
                 raise ValueError(f"vertex {tuple(v)} is not integral")
     if isinstance(polytope, Polygon):
         entries = [
             HalfSpaceEntry(
-                normal=(int(e.normal.x), int(e.normal.y)),
+                normal=tuple(e.normal),
                 offset=Fraction(e.normal.dot(polytope.vertices[i])),
                 volume=e.lattice_length,
             )
@@ -258,7 +269,7 @@ def bundle_facet_data(polytope: Union[Polygon, Polytope3], require_integral: boo
     elif isinstance(polytope, Polytope3):
         entries = [
             HalfSpaceEntry(
-                normal=tuple(int(c) for c in f.normal),
+                normal=tuple(f.normal),
                 offset=f.offset,
                 volume=f.lattice_area,
             )

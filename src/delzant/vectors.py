@@ -8,19 +8,45 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
 
 
+def is_exact(value, types=(int, Fraction)) -> bool:
+    """Whether ``value`` is an instance of ``types`` and not a ``bool``: the
+    one test of an exact scalar (by default an int or a Fraction)."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def as_scalar(value) -> Fraction | int:
     """The value itself when it is an int or a Fraction; anything else, a
-    float or a string included, raises TypeError."""
-    if isinstance(value, (int, Fraction)):
+    bool, a float or a string included, raises TypeError."""
+    if is_exact(value):
         return value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def exact_points(vertices: Iterable[Sequence], point: type) -> list:
+    """Each vertex as a ``point`` (Vec2 or Vec3) of exact scalars (see
+    :func:`as_scalar`); one with another coordinate count raises TypeError."""
+    points = []
+    for vertex in vertices:
+        coords = tuple(vertex)
+        if len(coords) != len(point._fields):
+            raise TypeError(f"vertex {len(points)} does not have {len(point._fields)} coordinates")
+        points.append(point(*map(as_scalar, coords)))
+    return points
+
+
+def integer_frame(values: Sequence) -> tuple[int, list[int]]:
+    """The least common denominator ``L`` of the exact rationals ``values``
+    and their numerators over it, each ``value * L`` as an int."""
+    common = math.lcm(*(v.denominator for v in values))
+    return common, [v.numerator * (common // v.denominator) for v in values]
 
 
 # An integer as every reader accepts it: an optional sign and ASCII digits.
@@ -29,32 +55,35 @@ _INTEGER = re.compile(_INT)
 _RATIONAL = re.compile(f"({_INT})(?:/({_INT}))?")
 
 
+def _literal(digits: str) -> int:
+    """The int of a literal that matched ``_INT``; past the interpreter's
+    digit limit, where ``int`` raises ValueError, a ParseError naming it."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"an integer literal has more than {sys.get_int_max_str_digits()} digits") from exc
+
+
 def parse_integer(text: str) -> int:
     """Parse an integer string, surrounding whitespace stripped; unlike
     ``int()``, reject underscores and non-ASCII digits."""
-    try:
-        if _INTEGER.fullmatch(text.strip()):
-            return int(text)
-    except ValueError as exc:
-        raise ParseError(f"malformed integer {text!r}") from exc
-    raise ParseError(f"malformed integer {text!r}")
+    stripped = text.strip()
+    if not _INTEGER.fullmatch(stripped):
+        raise ParseError(f"malformed integer {text!r}")
+    return _literal(stripped)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a 'p/q' (or bare 'p') string into a reduced Fraction; surrounding
     whitespace is stripped and p, q are read as :func:`parse_integer` does."""
     match = _RATIONAL.fullmatch(text.strip())
-    try:
-        if match:
-            num, den = match.groups()
-            if den is None:
-                return Fraction(int(num))
-            if int(den) == 0:
-                raise ParseError(f"zero denominator in rational {text!r}")
-            return Fraction(int(num), int(den))
-    except ValueError as exc:
-        raise ParseError(f"malformed rational {text!r}") from exc
-    raise ParseError(f"malformed rational {text!r}")
+    if not match:
+        raise ParseError(f"malformed rational {text!r}")
+    num, den = match.groups()
+    q = 1 if den is None else _literal(den)
+    if q == 0:
+        raise ParseError(f"zero denominator in rational {text!r}")
+    return Fraction(_literal(num), q)
 
 
 def format_rational(value) -> str:
@@ -141,24 +170,21 @@ class Vec3(NamedTuple):
 def primitive_part(vector):
     """Primitive integer vector parallel to ``vector`` with the same orientation.
 
-    Works for Vec2 and Vec3 with rational components; raises on zero input.
+    Works for Vec2 and Vec3 with exact components (see :func:`as_scalar`);
+    raises on zero input.
     """
-    coords = tuple(Fraction(c) for c in vector)
-    if all(c == 0 for c in coords):
+    _, ints = integer_frame([as_scalar(c) for c in vector])
+    if not any(ints):
         raise ValueError("zero vector has no primitive part")
-    common = math.lcm(*(c.denominator for c in coords))
-    ints = [int(c * common) for c in coords]
-    g = math.gcd(*(abs(v) for v in ints))
-    scaled = tuple(v // g for v in ints)
-    return type(vector)(*scaled)
+    g = math.gcd(*ints)
+    return type(vector)(*(v // g for v in ints))
 
 
 def is_primitive_integer(vector) -> bool:
     coords = tuple(vector)
-    if not all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1) for c in coords):
+    if not all(is_exact(c) and c.denominator == 1 for c in coords):
         return False
-    ints = [abs(int(c)) for c in coords]
-    return any(ints) and math.gcd(*ints) == 1
+    return any(coords) and math.gcd(*(c.numerator for c in coords)) == 1
 
 
 def canonical_unsigned(vector):

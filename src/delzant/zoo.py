@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, ChopError, _with_values
 from .geometry import Polygon, polygon_from_halfplanes, validate_delzant
-from .reconstruct import _exact, _genericity, _structural_twins, is_generic
-from .vectors import Vec2, as_scalar
+from .reconstruct import _genericity, _structural_twins, is_generic
+from .vectors import Vec2, as_scalar, integer_frame, is_exact
 
 
 class ChopSpec(NamedTuple):
@@ -62,7 +61,7 @@ def chop(polygon: Polygon, spec: ChopSpec) -> Polygon:
     """
     d = polygon.edge_count
     i = spec.vertex_index
-    if not _exact(i, int):
+    if not is_exact(i, int):
         raise ValueError(f"vertex index must be an int, got {type(i).__name__}")
     if not 0 <= i < d:
         raise ChopError(_with_values(
@@ -106,7 +105,7 @@ def _random_unimodular(rng: random.Random, bound: int) -> tuple[tuple[int, int],
 
 
 def _int_at_least(value, low: int, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+    if not is_exact(value, int) or value < low:
         raise ValueError(_with_values(lambda: f"{what}, got {value!r}", what))
     return value
 
@@ -121,7 +120,7 @@ def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False)
     map (off by default to keep coordinates small).
     """
     _int_at_least(d, 3, "a polygon needs at least 3 edges: d must be an integer >= 3")
-    if isinstance(seed, bool) or not isinstance(seed, int):
+    if not is_exact(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     bound = _int_at_least(param_bound, 1, "parameter bound must be a positive integer")
     rng = random.Random(seed)
@@ -195,9 +194,7 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
         return polygon
     d = polygon.edge_count
     normals = [e.normal for e in polygon.edges]
-    offsets = [Fraction(normals[i].dot(polygon.vertices[i])) for i in range(d)]
-    common = lcm(*(c.denominator for c in offsets))
-    frame = [c.numerator * (common // c.denominator) for c in offsets]
+    common, frame = integer_frame([normals[i].dot(polygon.vertices[i]) for i in range(d)])
     need, twins = _structural_twins(polygon, branches)
 
     def build(cs: list[int], attempt: int) -> Polygon:

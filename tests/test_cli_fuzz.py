@@ -266,7 +266,10 @@ DIGITS = f"{sys.get_int_max_str_digits()} digits"
      f"cannot write translation: an integer in it has more than {DIGITS}"),
     ("validate", [], '{"dim": 2, "vertices": [[' + "7" * 5000 + ", 0], [1, 0], [0, 1]]}", 5,
      f"invalid JSON: an integer literal has more than {DIGITS}"),
-], ids=["chop_vertex_0", "chop_vertex_1", "chop_vertex_2", "bundle_volume", "equiv_translation", "long_literal"])
+    ("validate", [], '{"dim": 2, "vertices": [["0/1", "0/1"], ["1/' + "7" * 5000 + '", "0/1"], ["0/1", "1/1"]]}', 5,
+     f"vertex 1: an integer literal has more than {DIGITS}"),
+], ids=["chop_vertex_0", "chop_vertex_1", "chop_vertex_2", "bundle_volume", "equiv_translation", "long_literal",
+        "long_rational"])
 def test_message_past_the_digit_limit_names_its_subject(command, options, document, code, message, tmp_path, capsys):
     """An error whose values are too long to write still exits with its own
     code and a message naming what failed, never the interpreter's text."""
@@ -276,3 +279,13 @@ def test_message_past_the_digit_limit_names_its_subject(command, options, docume
     argv = [command, "--in", str(infile)] + [str(otherfile) if a == "{other}" else a for a in options]
     assert main(argv) == code
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_integer_option_past_the_digit_limit_exits_2(capsys):
+    """A well-formed integer argument past the digit limit is named as such,
+    not called malformed, and its digits are not echoed."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["random", "--edges", "5", "--seed", "1" * 5000])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"error: argument --seed: an integer literal has more than {DIGITS}\n")

@@ -5,12 +5,40 @@ name ``float``, a float literal, or a ``math`` function other than the
 exact integer ones.  Only the numeric heat-trace evaluation (with
 ``Vec2.norm_float`` and ``heat --eval``, which feed it), the SVG renderer
 and the sampler's coin flip may use one.
+
+Nor does one enter through an argument: every public entry point that
+takes a scalar rejects a ``bool`` and a ``float`` with its documented
+exception.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
+import pytest
+
 import delzant
+from delzant import (
+    ChopSpec,
+    Polygon,
+    Polytope3,
+    Vec2,
+    bundle_facet_data,
+    bundle_reconstruct,
+    chop,
+    donnelly_leading_term,
+    enumerate_candidates,
+    euler_characteristic,
+    fixed_point_strata,
+    hirzebruch,
+    parallel_pair_census,
+    perturb_generic,
+    polygon_from_halfplanes,
+    primitive_outward_normal,
+    random_delzant,
+    spectral_data,
+    vertex_count,
+)
 
 PACKAGE = Path(delzant.__file__).parent
 
@@ -91,3 +119,61 @@ def test_floats_only_at_allowed_sites():
     assert stray == [], "float outside the allowed sites: " + ", ".join(stray)
     # A site that no longer uses a float leaves the list.
     assert found == ALLOWED
+
+
+SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+CUBE = Polytope3([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
+DATA = spectral_data(hirzebruch(1, 1, 1))
+
+
+def _with_class(**change):
+    """``DATA`` with its first class changed."""
+    return dataclasses.replace(DATA, classes=(DATA.classes[0]._replace(**change),) + DATA.classes[1:])
+
+
+def _with_entry(polytope, **change):
+    """The half-space system of ``polytope`` with its first entry changed."""
+    system = bundle_facet_data(polytope)
+    return dataclasses.replace(system, entries=(system.entries[0]._replace(**change),) + system.entries[1:])
+
+
+# (entry point and argument, call with the value x, documented exception)
+ENTRY_POINTS = [
+    ("Polygon", lambda x: Polygon(((0, 0), (x, 0), (0, 1))), TypeError),
+    ("Polytope3", lambda x: Polytope3([(0, 0, 0), (x, 0, 0), (0, 1, 0), (0, 0, 1)]), TypeError),
+    ("primitive_outward_normal", lambda x: primitive_outward_normal(Vec2(1, x)), TypeError),
+    ("polygon_from_halfplanes", lambda x: polygon_from_halfplanes([Vec2(0, -1), Vec2(1, 1), Vec2(-1, 0)], [0, x, 0]),
+     TypeError),
+    ("hirzebruch.m", lambda x: hirzebruch(x, 1, 1), ValueError),
+    ("hirzebruch.w", lambda x: hirzebruch(0, x, 1), TypeError),
+    ("chop.vertex_index", lambda x: chop(SQUARE, ChopSpec(x, 0)), ValueError),
+    ("chop.depth", lambda x: chop(hirzebruch(0, 2, 2), ChopSpec(0, x)), TypeError),
+    ("random_delzant.d", lambda x: random_delzant(x, 0), ValueError),
+    ("random_delzant.seed", lambda x: random_delzant(5, x), ValueError),
+    ("random_delzant.param_bound", lambda x: random_delzant(5, 0, x), ValueError),
+    ("perturb_generic.budget", lambda x: perturb_generic(SQUARE, x), ValueError),
+    ("parallel_pair_census.d", lambda x: parallel_pair_census(x, 2), ValueError),
+    ("parallel_pair_census.param_bound", lambda x: parallel_pair_census(5, x), ValueError),
+    ("parallel_pair_census.max_instances", lambda x: parallel_pair_census(5, 2, x), ValueError),
+    ("enumerate_candidates.vertex_count", lambda x: enumerate_candidates(dataclasses.replace(DATA, vertex_count=x)),
+     ValueError),
+    ("enumerate_candidates.area", lambda x: enumerate_candidates(dataclasses.replace(DATA, area=x)), ValueError),
+    ("enumerate_candidates.length_sum", lambda x: enumerate_candidates(_with_class(length_sum=x)), ValueError),
+    ("enumerate_candidates.edge_count", lambda x: enumerate_candidates(_with_class(edge_count=x)), ValueError),
+    ("enumerate_candidates.normal", lambda x: enumerate_candidates(_with_class(normal=Vec2(x, 0))), ValueError),
+    ("bundle_reconstruct.2d.offset", lambda x: bundle_reconstruct(_with_entry(SQUARE, offset=x)), TypeError),
+    ("bundle_reconstruct.2d.volume", lambda x: bundle_reconstruct(_with_entry(SQUARE, volume=x)), TypeError),
+    ("bundle_reconstruct.3d.offset", lambda x: bundle_reconstruct(_with_entry(CUBE, offset=x)), TypeError),
+    ("bundle_reconstruct.3d.volume", lambda x: bundle_reconstruct(_with_entry(CUBE, volume=x)), TypeError),
+    ("fixed_point_strata", lambda x: fixed_point_strata(SQUARE, Vec2(x, 0)), ValueError),
+    ("donnelly_leading_term", lambda x: donnelly_leading_term(SQUARE, Vec2(x, 0)), ValueError),
+    ("euler_characteristic", euler_characteristic, ValueError),
+    ("vertex_count", vertex_count, ValueError),
+]
+
+
+@pytest.mark.parametrize("value", [True, 0.5], ids=["bool", "float"])
+@pytest.mark.parametrize("call, error", [row[1:] for row in ENTRY_POINTS], ids=[row[0] for row in ENTRY_POINTS])
+def test_entry_points_reject_inexact_scalars(call, error, value):
+    with pytest.raises(error):
+        call(value)

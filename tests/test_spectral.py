@@ -2,6 +2,7 @@
 and per-facet bundle data."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,14 @@ class TestFixedPointStrata:
         strata = fixed_point_strata(unit_square, Vec2(1, 2))
         assert all(s.kind == "vertex" for s in strata)
         assert len(strata) == 4
+
+    @pytest.mark.parametrize("x", [1.0, True, Fraction(1, 2)])
+    def test_rejects_non_int_direction(self, unit_square, x):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'direction ({x!r}, 0)')} must have int coordinates$"):
+            fixed_point_strata(unit_square, Vec2(x, 0))
+
+    def test_non_primitive_direction(self, unit_square):
+        assert fixed_point_strata(unit_square, Vec2(2, 0)) == fixed_point_strata(unit_square, Vec2(1, 0))
 
     @given(seed=st.integers(0, 10**6), a=st.integers(-5, 5), b=st.integers(-5, 5))
     @settings(max_examples=40, deadline=None)
@@ -251,6 +260,8 @@ class TestEulerCharacteristic:
             euler_characteristic(2)
         with pytest.raises(ValueError):
             vertex_count(2)
+        with pytest.raises(ValueError, match="^vertex count must be an int, got float$"):
+            euler_characteristic(3.5)
 
     @given(d=st.integers(3, 40))
     @settings(max_examples=30, deadline=None)

@@ -1,6 +1,9 @@
 """Generators: Hirzebruch trapezoids, chopping, sampling, perturbation, census."""
 
+import inspect
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -218,6 +221,52 @@ class TestPerturbGeneric:
         )
         assert calls["polygon_from_halfplanes"] == 1
         assert 1 <= calls["_reconstruct"] <= source_enumerations
+
+    def test_structural_twins_skip_a_pattern_whose_area_form_differs(self):
+        """A sign pattern of another doubled-class choice whose area form is
+        not the source's is no twin: it adds no entry.  The source is the
+        first two-pair stubborn source of generic_sample seed 1, its own
+        branches with every sign pattern of the other 5 choices added."""
+        p = Polygon([(0, 0), (3, 0), (3, 2), (Fraction(9, 4), Fraction(11, 4)), (Fraction(27, 16), Fraction(11, 4)),
+                     (0, Fraction(17, 16))])
+        _, branches = reconstruct._genericity(p)
+        classes = spectral_data(p).classes
+        own, r = tuple(k for k, c in enumerate(classes) if c.edge_count == 2), len(classes)
+        others = []
+        for choice in itertools.combinations(range(r), 2):
+            if choice != own:
+                singles = [k for k in range(r) if k not in choice]
+                patterns = {}
+                for flips in itertools.product((1, -1), repeat=len(singles)):
+                    signs = dict(zip(singles, flips))
+                    patterns[tuple(signs.get(k, 1) for k in range(r))] = None
+                others.append((choice, patterns))
+        # The line of the skip, counted by a line tracer on _structural_twins.
+        source, first = inspect.getsourcelines(reconstruct._structural_twins)
+        test = next(i for i, line in enumerate(source) if "v[0] * own_m * own_m != t * m * m" in line)
+        assert source[test + 1].strip() == "continue"
+        skip, code, hits = first + test + 1, reconstruct._structural_twins.__code__, []
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+
+            def line(frame, event, arg):
+                if event == "line" and frame.f_lineno == skip:
+                    hits.append(skip)
+                return line
+
+            return line
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            widened = reconstruct._structural_twins(p, branches + tuple(others))
+        finally:
+            sys.settrace(previous)
+        assert sum(len(patterns) for _, patterns in others) == 20
+        assert len(hits) == 20
+        assert widened == reconstruct._structural_twins(p, branches)
 
     def test_lengths_decide_which_attempts_bound_a_polygon(self):
         """An attempt is skipped in integers exactly when the half-planes
