@@ -76,6 +76,10 @@ def _parse_theta(text: str) -> Vec2:
     try:
         return Vec2(parse_integer(parts[0]), parse_integer(parts[1]))
     except ParseError as exc:
+        # A literal past the digit limit keeps its own message, which does
+        # not echo the digits; a malformed one is named with the text.
+        if isinstance(exc.__cause__, ValueError):
+            raise ParseError(f"argument --theta: {exc}") from exc
         raise ParseError(f"direction coordinates must be integers: {text!r}") from exc
 
 

@@ -10,7 +10,8 @@ along the branch's normal fan and solved exactly against the data's area),
 then the signed normal fan (smooth, by integer determinants; positive
 lengths already make it convex), then the area of the chained edges.  The
 one polygon a surviving branch bounds is then Delzant with exactly the
-input data, which is asserted, not decided.
+input data; :func:`enumerate_candidates` proves this from the steps before
+it, so nothing re-checks it at run time.
 :func:`build_most_obtuse` is the paper's per-branch builder; the tests use
 it as the reference for the enumeration.
 """
@@ -32,9 +33,9 @@ from .errors import (
     UnsupportedAmbiguityError,
     _with_values,
 )
-from .geometry import Polygon, _convex_frame, _translation_key, _turns, detect_subpolygons, polygon_from_halfplanes
+from .geometry import Polygon, _translation_key, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
-from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, _class_sums, bundle_facet_data, spectral_data
+from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
 from .vectors import Vec2, Vec3, angle_order, as_scalar, canonical_unsigned, integer_frame, is_exact, is_primitive_integer
 
 
@@ -279,7 +280,9 @@ class ThreePairFamily:
     admissible_interval: tuple[Fraction, Fraction]     # open interval for t
 
     def splits_at(self, t) -> tuple[Fraction, Fraction, Fraction]:
-        t = Fraction(t)
+        """The split differences at ``t``, an int or a Fraction; anything
+        else raises TypeError, as it does for every method that takes one."""
+        t = Fraction(as_scalar(t))
         return tuple(d + t * a for d, a in zip(self.base_splits, self.kernel))
 
     def edge_multiset(self, t) -> tuple[Vec2, ...]:
@@ -296,7 +299,7 @@ class ThreePairFamily:
         return _chain_polygon([edges[i] for i in order])
 
     def predicted_area(self, t) -> Fraction:
-        t = Fraction(t)
+        t = Fraction(as_scalar(t))
         a, b = self.area_coefficients
         return self.base_area + a * t + b * t * t
 
@@ -350,7 +353,12 @@ def _family_quadratic(
 
 
 def three_pair_family(polygon: Polygon) -> ThreePairFamily:
-    """The family through a polygon with exactly three parallel pairs."""
+    """The family through a polygon with exactly three parallel pairs.
+
+    Its ``base_area`` is the polygon's area: at ``t = 0`` the family's edges
+    are the polygon's own, read in its counterclockwise order, so ``K0 /
+    (2q)^2`` of :func:`_family_quadratic` is twice that area.
+    """
     data = spectral_data(polygon)
     if data.parallel_pairs != 3:
         raise ValueError(f"polygon has {data.parallel_pairs} parallel pairs, need exactly 3")
@@ -378,7 +386,7 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
     # the polygon's own lengths are positive, so t = 0 always is.
     bounds = [sorted(((-s - x) / a, (s - x) / a)) for x, a, s in zip(splits, kernel, sums)]
     lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
-    family = ThreePairFamily(
+    return ThreePairFamily(
         directions=tuple(dirs[i] for i in choice),
         sums=sums,
         base_splits=splits,
@@ -388,9 +396,6 @@ def three_pair_family(polygon: Polygon) -> ThreePairFamily:
         area_coefficients=(Fraction(k1, 8 * q), Fraction(k2, 8)),
         admissible_interval=(lo, hi),
     )
-    if family.base_area != polygon.area:
-        raise AssertionError("family anchor does not reproduce the source polygon's area")
-    return family
 
 
 def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fraction, ...]:
@@ -402,9 +407,10 @@ def solve_three_pair_parameter(family: ThreePairFamily, target_area) -> tuple[Fr
     :class:`DegenerateFamilyError` carrying the interval is raised.  No
     family from :func:`three_pair_family` is constant (its ``u^2``
     coefficient never vanishes, see :func:`enumerate_candidates`), so only a
-    hand-built :class:`ThreePairFamily` can raise it.
+    hand-built :class:`ThreePairFamily` can raise it.  ``target_area`` must
+    be an int or a Fraction; anything else raises TypeError.
     """
-    target = Fraction(target_area)
+    target = as_scalar(target_area)
     coeff_a, coeff_b = family.area_coefficients
     lo, hi = family.admissible_interval
     if coeff_a == 0 and coeff_b == 0:
@@ -478,11 +484,33 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
        turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
        (``dropped_mismatch``);
-    4. the surviving polygon's canonical key is emitted.  Determinant 1 at
-       every turn, positive lengths, closure and the area make it Delzant
-       with exactly ``data``; that it does is asserted on the key's
-       integers (:func:`_reproduces`).  The polygon itself is built when
-       the returned set is first read.
+    4. the surviving polygon's canonical key is emitted, and the polygon
+       itself is built when the returned set is first read.  It is Delzant
+       with exactly ``data`` (with the counts too, when they are trusted),
+       clause by clause:
+
+       - vertex count: the branch's ring lists each single class once, with
+         its sign, and each doubled class twice, so it has ``r + p = d``
+         entries, one edge and one vertex each;
+       - convex, one turn round: admissible splits make every edge a
+         positive multiple of its signed direction, and step 2 found
+         determinant 1, so every turn is positive; the ring is a
+         subsequence of one angular revolution of all signed directions,
+         so the closed chain is strictly convex, winds once and has no
+         two edges on one line;
+       - closure and the class sums: the splits solve closure (step 1); a
+         single class's edge has the class sum as its lattice length and a
+         doubled class's two edges add up to it, and each edge's normal is
+         its class normal or its negative, so the polygon has exactly the
+         data's classes and sums;
+       - counts: each class has 1 edge, or 2 when the choice doubles it;
+         with ``trust_counts`` the one choice is the classes counted 2,
+         and every count was checked to be 1 or 2;
+       - determinants and area: step 2 tested determinant 1 for the
+         primitive edge directions at every vertex, step 3 the area.
+
+       The point reflection, emitted with it, has the same data: ``-1`` is
+       in SL(2, Z) and maps each class to itself.
 
     Every branch that reaches step 2 is recorded twice, once per
     ``anchor`` of :func:`build_most_obtuse`, the reference builder: anchor
@@ -532,7 +560,7 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
         choices = list(combinations(range(r), p))
-    records, keys, emitting = _reconstruct(data, trust_counts, choices)
+    records, keys, emitting = _reconstruct(data, choices)
     if not keys:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
     return CandidateSet._from_keys(records, keys, emitting)
@@ -566,7 +594,7 @@ _NO_CLOSURE = ((0, "no_closure", None),)
 _INADMISSIBLE = ((0, "inadmissible_split", None),)
 
 
-def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[tuple], list[tuple], dict]:
+def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple], dict]:
     """Decide every sign pattern of each doubled-class choice in ``choices``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
 
@@ -594,7 +622,9 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
     ``inadmissible_split`` branch has one end with anchor 0, any other two,
     with anchors 1 and -1 and one outcome.  ``data`` must pass the checks
     of :func:`enumerate_candidates`; a choice is decided the same way
-    whichever other choices are listed with it.
+    whichever other choices are listed with it.  Every emitted key names a
+    Delzant polygon with exactly ``data``, by the proof in step 4 of
+    :func:`enumerate_candidates`; it is not rebuilt to check.
     """
     r = len(data.classes)
     p = data.vertex_count - r
@@ -608,12 +638,6 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
     records: list[tuple] = []
     emitted: dict[tuple, None] = {}
     emitting: dict[tuple, dict[tuple, None]] = {}
-
-    def emit(key: tuple) -> None:
-        if key not in emitted:
-            if not _reproduces(key, data, trust_counts):
-                raise AssertionError("a smooth fan chain of the data's area does not reproduce the data")
-            emitted[key] = None
 
     for choice in choices:
         chosen = set(choice)
@@ -719,8 +743,8 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
                 if keys is not None:
                     # Anchor a builds the chained polygon when a * signs[0] > 0.
                     plus, minus = keys if signs[0] > 0 else keys[::-1]
-                    emit(plus)
-                    emit(minus)
+                    emitted[plus] = None
+                    emitted[minus] = None
                     emitting.setdefault(choice, {})[signs] = None
                     ends = ((1, "emitted", plus), (-1, "emitted", minus))
                 elif smooth:
@@ -729,39 +753,6 @@ def _reconstruct(data: SpectralData, trust_counts: bool, choices) -> tuple[list[
                     ends = ((1, "dropped_invalid", None), (-1, "dropped_invalid", None))
                 records.append((doubled_normals, signs, splits, parameter, ends))
     return records, list(emitted), emitting
-
-
-def _reproduces(key: tuple, data: SpectralData, trust_counts: bool) -> bool:
-    """Whether the canonical key ``(L, x0, y0, x1, y1, ...)`` names a
-    Delzant polygon with exactly ``data`` (and its counts when trusted).
-
-    Decided on the key's integers: the chain through the points
-    ``(x, y) / L`` must bound a strictly convex polygon, through the frame
-    check :class:`Polygon` makes, turn with determinant 1 at every vertex,
-    and have the data's vertex count, classes and class sums (as
-    :func:`spectral_data` groups them) and area.
-    """
-    den, xs, ys = key[0], list(key[1::2]), list(key[2::2])
-    if len(xs) != data.vertex_count:
-        return False
-    try:
-        dxs, dys, twice, _ = _convex_frame(xs, ys)
-    except StructuralPolygonError:
-        return False
-    if any(det != 1 for det in _turns(dxs, dys)):
-        return False
-    sums = _class_sums(dxs, dys)
-    classes = {c.normal: c for c in data.classes}
-    if sums.keys() != classes.keys():
-        return False
-    for normal, (total, count) in sums.items():
-        c = classes[normal]
-        if total * c.length_sum.denominator != c.length_sum.numerator * den:
-            return False
-        if trust_counts and count != c.edge_count:
-            return False
-    # twice / (2 L^2) is the area.
-    return twice * data.area.denominator == 2 * data.area.numerator * den * den
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
-"""CandidateSet built on first read, and the integer check every emitted
-key passes.
+"""CandidateSet built on first read, and what every emitted candidate is.
 
 enumerate_candidates keeps its trace and candidates as integers until one
 of them is read; these tests pin that a set read in any order equals the
 set built eagerly from the same polygons and records, that the genericity
-paths never build a candidate polygon, and that each clause of the emit
-check rejects the key it is there for.
+paths never build a candidate polygon, and that every candidate of a wide
+sweep is Delzant with exactly its data.
 """
 
 import dataclasses
@@ -20,6 +19,7 @@ from delzant import (
     BudgetExceededError,
     CandidateSet,
     Polygon,
+    ReconstructionInfeasibleError,
     StructuralPolygonError,
     UnsupportedError,
     enumerate_candidates,
@@ -28,10 +28,10 @@ from delzant import (
     perturb_generic,
     random_delzant,
     spectral_data,
+    validate_delzant,
 )
 from delzant import reconstruct, serialize, zoo
 from delzant.geometry import _convex_frame
-from delzant.spectral import NormalClass, SpectralData
 from delzant.vectors import Vec2
 
 READS = {
@@ -316,94 +316,38 @@ def test_canonical_keys_are_the_keys_enumeration_emits():
     assert pairs > 0
 
 
-# --- the emit check --------------------------------------------------------
+# --- every emitted candidate reproduces its data --------------------------
 
-# hirzebruch(1, 2, 1): classes (0, 1), (1, 0) twice and (1, 1), with sums
-# 2, 1 + 3 and 2; area 4.
-TRAPEZOID = (1, 0, 0, 2, 0, 2, 1, 0, 3)
+ORACLE = [(d, seed, twist) for d in range(3, 10) for seed in range(65) for twist in (False, True)]
 
 
-def _trapezoid_data() -> SpectralData:
-    return spectral_data(hirzebruch(1, 2, 1))
+def test_every_emitted_candidate_is_delzant_with_its_data():
+    """The oracle for step 4 of enumerate_candidates, which proves rather
+    than checks that every emitted key is a Delzant polygon with exactly the
+    data (and its counts, when trusted): each candidate of the sweep is
+    rebuilt and checked through the public API alone."""
+    enumerations = emitted = 0
+    for d, seed, twist in ORACLE:
+        source = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        if source.parallel_pairs > 3:
+            continue
+        for area in (source.area, source.area + Fraction(1, 7)):
+            data = dataclasses.replace(source, area=area)
+            for trust_counts in (False, True):
+                enumerations += 1
+                try:
+                    candidates = enumerate_candidates(data, trust_counts=trust_counts)
+                except ReconstructionInfeasibleError:
+                    continue
+                for c in candidates:
+                    assert validate_delzant(c), (d, seed, twist, area, trust_counts, c)
+                    assert spectral_data(c).matches(data, with_counts=trust_counts), (d, seed, twist, area, trust_counts, c)
+                emitted += len(candidates)
+    # Only the four sampled polygons with more than three pairs drop out.
+    assert (enumerations, emitted) == (3624, 4212)
 
 
-def _with_class(data, normal, **changes):
-    return dataclasses.replace(
-        data, classes=tuple(c._replace(**changes) if c.normal == normal else c for c in data.classes)
-    )
-
-
-def test_emit_check_accepts_the_source():
-    data = _trapezoid_data()
-    assert [tuple(c) for c in data.classes] == [
-        ((0, 1), 2, 1), ((1, 0), 4, 2), ((1, 1), 2, 1)
-    ]
-    for trust_counts in (False, True):
-        assert reconstruct._reproduces(TRAPEZOID, data, trust_counts)
-    # The same polygon over a common denominator 2.
-    assert reconstruct._reproduces((2,) + tuple(2 * v for v in TRAPEZOID[1:]), data, True)
-
-
-def test_emit_check_rejects_a_non_delzant_key():
-    # A lattice triangle whose corner at (2, 0) has determinant 3.
-    key = (1, 0, 0, 2, 0, 0, 3)
-    data = spectral_data(Polygon(((0, 0), (2, 0), (0, 3))))
-    assert not reconstruct._reproduces(key, data, True)
-
-
-def test_emit_check_rejects_a_wrong_class_sum():
-    data = _with_class(_trapezoid_data(), Vec2(1, 0), length_sum=Fraction(7, 2))
-    assert not reconstruct._reproduces(TRAPEZOID, data, False)
-
-
-def test_emit_check_rejects_a_wrong_class_set():
-    data = _trapezoid_data()
-    extra = dataclasses.replace(data, classes=data.classes + (NormalClass(Vec2(1, 2), Fraction(1), 1),))
-    assert not reconstruct._reproduces(TRAPEZOID, extra, False)
-
-
-def test_emit_check_rejects_a_wrong_count_only_when_trusted():
-    data = _with_class(_with_class(_trapezoid_data(), Vec2(1, 0), edge_count=1), Vec2(0, 1), edge_count=2)
-    assert reconstruct._reproduces(TRAPEZOID, data, False)
-    assert not reconstruct._reproduces(TRAPEZOID, data, True)
-
-
-def test_emit_check_rejects_a_wrong_area():
-    data = _trapezoid_data()
-    assert not reconstruct._reproduces(TRAPEZOID, dataclasses.replace(data, area=data.area + Fraction(1, 7)), True)
-
-
-def test_emit_check_rejects_a_wrong_vertex_count():
-    data = _trapezoid_data()
-    assert not reconstruct._reproduces(TRAPEZOID, dataclasses.replace(data, vertex_count=5), True)
-
-
-def test_emit_check_rejects_a_repeated_vertex():
-    key = TRAPEZOID[:5] + TRAPEZOID[3:]
-    data = dataclasses.replace(_trapezoid_data(), vertex_count=5)
-    assert not reconstruct._reproduces(key, data, False)
-
-
-def _twice_area(xs, ys):
-    return sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(len(xs)))
-
-
-def test_emit_check_rejects_a_star_that_winds_twice():
-    # Eight left turns of a quarter each, every one with determinant 1: the
-    # edges run around the square's four directions twice.
-    points = [(0, 0), (3, 0), (3, 3), (2, 3), (2, 2), (3, 2), (3, 4), (0, 4)]
-    xs, ys = [x for x, _ in points], [y for _, y in points]
-    data = SpectralData(
-        vertex_count=8,
-        classes=(
-            NormalClass(Vec2(0, 1), Fraction(3 + 1 + 1 + 3), 4),
-            NormalClass(Vec2(1, 0), Fraction(3 + 1 + 2 + 4), 4),
-        ),
-        area=Fraction(_twice_area(xs, ys), 2),
-    )
-    key = (1,) + tuple(v for point in points for v in point)
-    assert not reconstruct._reproduces(key, data, True)
-
+# --- the frame check of Polygon ---------------------------------------------
 
 @pytest.mark.parametrize("points, message", [
     ([(0, 0), (1, 0), (1, 0), (0, 1)], "repeated vertex at index 1"),
@@ -422,13 +366,3 @@ def test_frame_check_turns_a_clockwise_chain_around():
     dxs, dys, twice, flipped = _convex_frame(xs, ys)
     assert flipped and (xs, ys) == ([1, 0, 0], [0, 1, 0])
     assert (dxs, dys, twice) == ([-1, 0, 1], [1, -1, 0], 1)
-
-
-def test_every_caller_asserts_the_emit_check(monkeypatch):
-    polygon = random_delzant(6, 42, 4)
-    monkeypatch.setattr(reconstruct, "_reproduces", lambda key, data, trust_counts: False)
-    message = "a smooth fan chain of the data's area does not reproduce the data"
-    with pytest.raises(AssertionError, match=message):
-        enumerate_candidates(spectral_data(polygon))
-    with pytest.raises(AssertionError, match=message):
-        is_generic(polygon)

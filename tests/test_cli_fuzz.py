@@ -244,7 +244,7 @@ def _shifted_triangle(shift):
 # Valid documents whose error messages would have to write a value past the
 # digit limit: a chop deeper than a long edge, a lattice volume with a long
 # denominator, and a translation between two triangles with long shifts;
-# and a document with an integer literal past the limit.
+# a document with an integer literal past the limit, and a direction with one.
 LONG_VOLUME = json.dumps({"dim": 2, "entries": [
     {"normal": [1, 0], "offset": f"1/{3**8000}", "volume": "1"},
     {"normal": [0, 1], "offset": f"1/{2**13000}", "volume": "1"},
@@ -268,8 +268,10 @@ DIGITS = f"{sys.get_int_max_str_digits()} digits"
      f"invalid JSON: an integer literal has more than {DIGITS}"),
     ("validate", [], '{"dim": 2, "vertices": [["0/1", "0/1"], ["1/' + "7" * 5000 + '", "0/1"], ["0/1", "1/1"]]}', 5,
      f"vertex 1: an integer literal has more than {DIGITS}"),
+    ("strata", ["--theta", "1" * 5000 + ",0"], _shifted_triangle(0), 5,
+     f"argument --theta: an integer literal has more than {DIGITS}"),
 ], ids=["chop_vertex_0", "chop_vertex_1", "chop_vertex_2", "bundle_volume", "equiv_translation", "long_literal",
-        "long_rational"])
+        "long_rational", "long_theta"])
 def test_message_past_the_digit_limit_names_its_subject(command, options, document, code, message, tmp_path, capsys):
     """An error whose values are too long to write still exits with its own
     code and a message naming what failed, never the interpreter's text."""

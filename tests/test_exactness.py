@@ -9,6 +9,10 @@ and the sampler's coin flip may use one.
 Nor does one enter through an argument: every public entry point that
 takes a scalar rejects a ``bool`` and a ``float`` with its documented
 exception.
+
+No module re-checks at run time what its construction proves: a proof is
+written once, in a docstring, and tested in the suite, so the package has
+no ``assert`` statement and no ``AssertionError``.
 """
 
 import ast
@@ -36,7 +40,9 @@ from delzant import (
     polygon_from_halfplanes,
     primitive_outward_normal,
     random_delzant,
+    solve_three_pair_parameter,
     spectral_data,
+    three_pair_family,
     vertex_count,
 )
 
@@ -121,9 +127,20 @@ def test_floats_only_at_allowed_sites():
     assert found == ALLOWED
 
 
+def test_no_runtime_self_check():
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Name) and node.id == "AssertionError":
+                sites.append(f"{path.stem}.py:{node.lineno}")
+    assert sites == [], "assert or AssertionError at " + ", ".join(sites)
+
+
 SQUARE = Polygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 CUBE = Polytope3([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 DATA = spectral_data(hirzebruch(1, 1, 1))
+# The family through a 5 x 4 rectangle with two opposite corners chopped.
+FAMILY = three_pair_family(chop(chop(hirzebruch(0, 5, 4), ChopSpec(0, 1)), ChopSpec(3, 2)))
 
 
 def _with_class(**change):
@@ -165,6 +182,11 @@ ENTRY_POINTS = [
     ("bundle_reconstruct.2d.volume", lambda x: bundle_reconstruct(_with_entry(SQUARE, volume=x)), TypeError),
     ("bundle_reconstruct.3d.offset", lambda x: bundle_reconstruct(_with_entry(CUBE, offset=x)), TypeError),
     ("bundle_reconstruct.3d.volume", lambda x: bundle_reconstruct(_with_entry(CUBE, volume=x)), TypeError),
+    ("ThreePairFamily.splits_at", FAMILY.splits_at, TypeError),
+    ("ThreePairFamily.edge_multiset", FAMILY.edge_multiset, TypeError),
+    ("ThreePairFamily.polygon_at", FAMILY.polygon_at, TypeError),
+    ("ThreePairFamily.predicted_area", FAMILY.predicted_area, TypeError),
+    ("solve_three_pair_parameter", lambda x: solve_three_pair_parameter(FAMILY, x), TypeError),
     ("fixed_point_strata", lambda x: fixed_point_strata(SQUARE, Vec2(x, 0)), ValueError),
     ("donnelly_leading_term", lambda x: donnelly_leading_term(SQUARE, Vec2(x, 0)), ValueError),
     ("euler_characteristic", euler_characteristic, ValueError),

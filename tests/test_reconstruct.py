@@ -29,6 +29,7 @@ from delzant import (
     enumerate_candidates,
     hirzebruch,
     is_generic,
+    parallel_pair_count,
     random_delzant,
     solve_three_pair_parameter,
     spectral_data,
@@ -535,9 +536,14 @@ class TestThreePairOracle:
 
 class TestThreePairFamily:
     def test_anchor_is_always_a_root(self, three_pair_hexagon):
-        family = three_pair_family(three_pair_hexagon)
-        roots = solve_three_pair_parameter(family, three_pair_hexagon.area)
-        assert Fraction(0) in roots
+        three_pair = [random_delzant(d, seed, 4, twist=twist) for d in range(6, 10) for seed in range(16)
+                      for twist in (False, True)]
+        polygons = [three_pair_hexagon] + [p for p in three_pair if parallel_pair_count(p) == 3]
+        for polygon in polygons:
+            family = three_pair_family(polygon)
+            assert family.base_area == polygon.area, polygon
+            assert Fraction(0) in solve_three_pair_parameter(family, polygon.area), polygon
+        assert len(polygons) > 10
 
     def test_two_roots_and_both_polygons_match(self, three_pair_hexagon):
         family = three_pair_family(three_pair_hexagon)

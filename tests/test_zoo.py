@@ -124,10 +124,10 @@ class TestChop:
 
 
 class TestRandomDelzant:
-    @given(seed=st.integers(0, 10**9), d=st.integers(3, 9))
+    @given(seed=st.integers(0, 10**9), d=st.integers(3, 9), twist=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_valid_with_requested_edges(self, seed, d):
-        p = random_delzant(d, seed, 4)
+    def test_valid_with_requested_edges(self, seed, d, twist):
+        p = random_delzant(d, seed, 4, twist=twist)
         assert p.edge_count == d
         assert validate_delzant(p).valid
 
