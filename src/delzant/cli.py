@@ -69,10 +69,22 @@ def _read_polygon(args):
     return serialize.parse_polygon(_read_input(args))
 
 
+# The most characters of a malformed option that its message quotes.
+_QUOTED = 64
+
+
+def _quote(text: str) -> str:
+    """``text`` as ``repr`` writes it, or its first ``_QUOTED`` characters
+    and its length when it is longer."""
+    if len(text) <= _QUOTED:
+        return repr(text)
+    return f"{text[:_QUOTED]!r}... ({len(text)} characters)"
+
+
 def _parse_theta(text: str) -> Vec2:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(f"expected a direction like '1,0', got {text!r}")
+        raise ParseError(f"expected a direction like '1,0', got {_quote(text)}")
     try:
         return Vec2(parse_integer(parts[0]), parse_integer(parts[1]))
     except ParseError as exc:
@@ -80,7 +92,7 @@ def _parse_theta(text: str) -> Vec2:
         # not echo the digits; a malformed one is named with the text.
         if isinstance(exc.__cause__, ValueError):
             raise ParseError(f"argument --theta: {exc}") from exc
-        raise ParseError(f"direction coordinates must be integers: {text!r}") from exc
+        raise ParseError(f"direction coordinates must be integers: {_quote(text)}") from exc
 
 
 def _integer(text: str) -> int:

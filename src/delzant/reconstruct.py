@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence, Union
 
@@ -161,13 +161,14 @@ class AssignmentRecord(NamedTuple):
 class CandidateSet:
     """Canonical-form candidates together with the full assignment trace.
 
-    :func:`enumerate_candidates` hands over its integer records and the
-    canonical keys it emitted; the polygons and the trace are built from
-    them together, on the first read of either, and the integer form is
-    then dropped.  ``len`` reads whichever form there is, and
-    ``serialize.candidates_to_json`` writes an unread set from the integer
-    form without building it.  The branches that emitted are kept apart
-    and outlive the build.
+    :func:`enumerate_candidates` hands over the emitted canonical keys and
+    its integer branch blocks.  The polygons are built from the keys alone
+    on the first read of the candidates, and the trace is expanded from the
+    blocks on its first read (also by ``==``, ``hash`` and ``repr``); the
+    integer form is dropped once both exist.  ``len`` and ``in`` read
+    whichever form there is, and ``serialize.candidates_to_json`` writes
+    an unread set from the integer form without building it.  The branches
+    that emitted are kept apart and outlive the build.
     """
 
     __slots__ = ("_candidates", "_trace", "_integer", "_emitting")
@@ -178,38 +179,47 @@ class CandidateSet:
         self._integer = None
 
     @classmethod
-    def _from_keys(cls, records: list[tuple], keys: list[tuple], emitting: dict) -> "CandidateSet":
-        """The set of :func:`_reconstruct`'s ``records``, emitted ``keys``
-        and ``emitting`` branches."""
+    def _from_keys(cls, blocks: list[tuple], keys: list[tuple], emitting: dict) -> "CandidateSet":
+        """The set of :func:`_reconstruct`'s ``blocks``, emitted ``keys``
+        and ``emitting`` branches, none of which it changes."""
         lazy = cls.__new__(cls)
-        lazy._integer = (records, keys)
+        lazy._candidates = lazy._trace = None
+        lazy._integer = (blocks, keys)
         lazy._emitting = emitting
         return lazy
 
     def _build(self) -> None:
-        records, keys = self._integer
+        """The candidate polygons, from the emitted keys."""
+        keys = self._integer[1]
+        self._candidates = tuple(Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in _candidate_index(keys))
+        if self._trace is not None:
+            self._integer = None
+
+    def _expand(self) -> None:
+        """The trace, from the branch blocks."""
+        blocks, keys = self._integer
         index_of = _candidate_index(keys)
         trace = []
-        for doubled, signs, (den, raw), parameter, ends in records:
+        for doubled, signs, (den, raw), parameter, ends in _branches(blocks):
             splits = tuple((Fraction(a, den), Fraction(b, den)) for a, b in raw)
             if parameter is not None:
                 parameter = Fraction(*parameter)
             for anchor, outcome, key in ends:
                 trace.append(AssignmentRecord(doubled, signs, splits, parameter, anchor, outcome, index_of.get(key)))
-        self._candidates = tuple(Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in index_of)
         self._trace = tuple(trace)
-        self._integer = None
+        if self._candidates is not None:
+            self._integer = None
 
     @property
     def candidates(self) -> tuple[Polygon, ...]:
-        if self._integer is not None:
+        if self._candidates is None:
             self._build()
         return self._candidates
 
     @property
     def trace(self) -> tuple[AssignmentRecord, ...]:
-        if self._integer is not None:
-            self._build()
+        if self._trace is None:
+            self._expand()
         return self._trace
 
     def __len__(self) -> int:
@@ -227,8 +237,8 @@ class CandidateSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # Equal integer forms build equal sets, so two unread sets that
-        # have them need no build.
+        # Equal integer forms make equal sets, so two sets that still have
+        # them need no build.
         if self._integer is not None and other._integer is not None and self._integer == other._integer:
             return True
         return (self.candidates, self.trace) == (other.candidates, other.trace)
@@ -462,6 +472,11 @@ def _candidate_index(keys: Sequence[tuple]) -> dict[tuple, int]:
     return {key: i for i, key in enumerate(ordered)}
 
 
+# enumerate_candidates' one-entry memo: the last successful enumeration, as
+# ``(datum, blocks, keys, emitting)``.  It is replaced whole, never changed.
+_last = None
+
+
 def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> CandidateSet:
     """All translation classes of Delzant polygons with the given data.
 
@@ -477,9 +492,9 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
        split that is not positive on both sides is ``inadmissible_split``.
        What the splits must solve for is linear in the signs, so one
        integer table per choice gives every pattern its residual or
-       numerators, and one closure step per pattern decides closure (and,
-       with one or two pairs, admissibility) from them; only the patterns
-       it leaves open reach the fan (:func:`_reconstruct`);
+       numerators, and one comprehension over it decides closure (with two
+       pairs, admissibility) for every pattern; only the patterns it keeps
+       get a sign tuple and go on (:func:`_reconstruct`);
     2. fan: the branch's signed edge directions, in angular order, must
        turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
@@ -518,10 +533,24 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     polygon when ``a * s > 0`` and its point reflection otherwise, and both
     share one outcome.
 
+    The last successful enumeration is kept.  A call whose data and
+    ``trust_counts`` equal it, once every check below has passed, returns a
+    new set around the same integer result without enumerating again, so a
+    caller that tests ``is_generic(p)`` and then enumerates
+    ``spectral_data(p)`` pays once.  Nothing can tell such a call from a
+    fresh one: the checks run first, so an input they reject is rejected
+    however it compares; past them every scalar is an ``int`` or a
+    ``Fraction``, which compare equal exactly when their values do, and the
+    enumeration reads values only; the integer result is never changed, and
+    every call gets a set of its own, so what one caller reads builds
+    nothing another one sees.  Only a success is kept: infeasible data
+    raises on every call.
+
     The vertex count, the edge counts (or None) and the normal coordinates
     must be ``int`` and the area and class sums ``int`` or ``Fraction``
     (``bool`` excluded); anything else raises ValueError naming the field.
     """
+    global _last
     if not is_exact(data.vertex_count, int):
         raise ValueError(f"vertex count must be an int, got {type(data.vertex_count).__name__}")
     if not is_exact(data.area):
@@ -556,14 +585,19 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         raise ReconstructionInfeasibleError(
             "normal classes need distinct canonical primitive normals and positive length sums"
         )
+    datum = (bool(trust_counts), d, data.area, tuple(data.classes))
+    last = _last
+    if last is not None and last[0] == datum:
+        return CandidateSet._from_keys(*last[1:])
     if trust_counts:
         choices = [tuple(i for i, c in enumerate(data.classes) if c.edge_count == 2)]
     else:
         choices = list(combinations(range(r), p))
-    records, keys, emitting = _reconstruct(data, choices)
+    blocks, keys, emitting = _reconstruct(data, choices)
     if not keys:
         raise ReconstructionInfeasibleError("no Delzant polygon is consistent with the data")
-    return CandidateSet._from_keys(records, keys, emitting)
+    _last = (datum, blocks, keys, emitting)
+    return CandidateSet._from_keys(blocks, keys, emitting)
 
 
 def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
@@ -594,6 +628,28 @@ _NO_CLOSURE = ((0, "no_closure", None),)
 _INADMISSIBLE = ((0, "inadmissible_split", None),)
 
 
+def _table(start: tuple[int, int], steps) -> tuple[list[int], list[int]]:
+    """The two coordinates of every sign pattern's residual (or Cramer
+    numerators), by pattern index: ``start`` is pattern 0's, and ``steps[j]``
+    is added where bit ``j`` of the index is set."""
+    us, vs = [start[0]], [start[1]]
+    for du, dv in steps:
+        us += [u + du for u in us]
+        vs += [v + dv for v in vs]
+    return us, vs
+
+
+def _sign_patterns(r: int, singles: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every sign pattern of a choice with single classes ``singles``, by
+    pattern index: bit ``j`` of the index flips ``singles[j]`` to -1."""
+    # product() flips its last factor fastest, so it runs over the classes
+    # backwards and each pattern is turned round.
+    factors = [(1,)] * r
+    for i in singles:
+        factors[i] = (1, -1)
+    return [s[::-1] for s in product(*factors[::-1])]
+
+
 def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple], dict]:
     """Decide every sign pattern of each doubled-class choice in ``choices``
     on ``data`` as :func:`enumerate_candidates` describes, in the given order.
@@ -605,44 +661,61 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     vector.  So one table, doubled once per single class from the all-plus
     pattern, gives every pattern of a choice its residual (with two or three
     doubled classes, its Cramer numerators, which are linear in the
-    residual).  One closure step per pattern reads them off the table and
-    decides closure, and admissibility with one or two pairs; with three it
-    solves the pattern's own quadratic along its ring.  Only the open
-    patterns go on to the fan, area and key steps.
+    residual).  One comprehension over the table keeps the patterns that
+    pass closure (no pairs or one pair) or admissibility (two pairs); with
+    three pairs it keeps every pattern, and each solves its own quadratic
+    along its ring.  Only the kept patterns get a sign tuple and go on to
+    the fan, area and key steps; most patterns die in the comprehension.
 
-    Returns the branch records, the emitted canonical keys in first-seen
-    order, and the branches that emitted: each doubled-class choice's sign
-    tuples, both in trace order.  There is one record per decided branch
-    solution, in integers: ``(doubled, signs, splits, parameter, ends)``.
-    ``splits`` is ``(den, ((length+, length-) numerators, ...))``, ``(1,
-    ())`` when the branch has no closure; ``parameter`` is ``(numerator,
-    denominator)`` or None; ``ends`` lists the ``(anchor, outcome, key)``
-    of each trace entry the branch adds, in trace order, naming an emitted
-    candidate by its key and any other by None.  A ``no_closure`` or
-    ``inadmissible_split`` branch has one end with anchor 0, any other two,
-    with anchors 1 and -1 and one outcome.  ``data`` must pass the checks
-    of :func:`enumerate_candidates`; a choice is decided the same way
-    whichever other choices are listed with it.  Every emitted key names a
-    Delzant polygon with exactly ``data``, by the proof in step 4 of
+    Returns one block per choice, the emitted canonical keys in first-seen
+    order, and the branches that emitted: each choice's sign tuples, in
+    trace order.  A block is ``(doubled, singles, start, steps, dead,
+    opened)``, all in integers:
+
+    - ``doubled``, the doubled classes' normals, and ``singles``, the single
+      classes' indices: pattern ``k`` is ``_sign_patterns(r, singles)[k]``;
+    - ``start`` and ``steps``, the seed of the pattern table (:func:`_table`);
+    - ``dead``, how a pattern the comprehension dropped reads: its one trace
+      entry has anchor 0 and, when ``dead`` is None, outcome ``no_closure``
+      and no splits; otherwise ``dead = (b1, b2, den)`` and it is an
+      ``inadmissible_split`` with splits ``(b1 + u, b1 - u), (b2 + v, b2 -
+      v)`` over ``den``, where ``(u, v)`` is its table entry;
+    - ``opened``, each kept pattern's index mapped to its sign tuple and its
+      records, in pattern order; one record per decided solution,
+      ``(splits, parameter, ends)``.  ``splits`` is
+      ``(den, ((length+, length-) numerators, ...))``, ``(1, ())`` when the
+      branch has no closure; ``parameter`` is ``(numerator, denominator)``
+      or None; ``ends`` lists the ``(anchor, outcome, key)`` of each trace
+      entry the record adds, in trace order, naming an emitted candidate by
+      its key and any other by None.  A ``no_closure`` or
+      ``inadmissible_split`` record has one end with anchor 0, any other
+      two, with anchors 1 and -1 and one outcome.
+
+    The trace lists the blocks in order, and in each its patterns by index,
+    a kept pattern by its records.  ``data`` must pass the checks of
+    :func:`enumerate_candidates`; a choice is decided the same way whichever
+    other choices are listed with it.  Every emitted key names a Delzant
+    polygon with exactly ``data``, by the proof in step 4 of
     :func:`enumerate_candidates`; it is not rebuilt to check.
     """
     r = len(data.classes)
     p = data.vertex_count - r
-    normals = [c.normal for c in data.classes]
-    dirs = [n.perp_ccw() for n in normals]
+    normals = [tuple(c.normal) for c in data.classes]
+    # Each class's direction: its normal turned a quarter counterclockwise.
+    dirs = [Vec2(-y, x) for x, y in normals]
     scale, int_sums = integer_frame([c.length_sum for c in data.classes])
     twice_area = 2 * data.area
     fan = _fan(dirs)
     edges = [w * s for w, s in zip(dirs, int_sums)]
 
-    records: list[tuple] = []
+    blocks: list[tuple] = []
     emitted: dict[tuple, None] = {}
     emitting: dict[tuple, dict[tuple, None]] = {}
 
     for choice in choices:
         chosen = set(choice)
         singles = [i for i in range(r) if i not in chosen]
-        doubled_normals = tuple(tuple(normals[i]) for i in choice)
+        doubled_normals = tuple(normals[i] for i in choice)
         # The residual (rx, ry) / scale is what the doubled-class split
         # differences must sum to; a solution lists them as integer
         # numerators over a common denominator, a multiple of scale.  With
@@ -655,41 +728,44 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
             start, m = _cramer(w1, w2, *start)
             steps = [_cramer(w1, w2, x, y)[0] for x, y in steps]
             q = scale * m
-        # Pattern k with its residual or numerators (us[k], vs[k]).
-        patterns, us, vs = [(1,) * r], [start[0]], [start[1]]
-        for i, (du, dv) in zip(singles, steps):
-            patterns += [s[:i] + (-1,) + s[i + 1:] for s in patterns]
-            us += [u + du for u in us]
-            vs += [v + dv for v in vs]
-        if p == 1:
-            w = dirs[choice[0]]
+        # Pattern k has the residual or numerators (us[k], vs[k]).
+        us, vs = _table(start, steps)
+        dead = None
+        if p == 0:
+            kept = [k for k, u in enumerate(us) if u == 0 and vs[k] == 0]
+        elif p == 1:
+            wx, wy = dirs[choice[0]]
             b1 = int_sums[choice[0]]
+            kept = [k for k, u in enumerate(us) if u * wy == vs[k] * wx]
         elif p == 2:
             b1, b2 = int_sums[choice[0]] * m, int_sums[choice[1]] * m
-        elif p == 3:
+            kept = [k for k, u in enumerate(us) if -b1 < u < b1 and -b2 < vs[k] < b2]
+            dead = (b1, b2, 2 * q)
+        else:
             kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
-        for signs, u, v in zip(patterns, us, vs):
-            # Closure: a branch that dies here writes its record, one that
-            # goes on lists its solutions (numerators, q, parameter).
+            kept = range(len(us))
+        # Pattern k flips class i where it has the bit bits[i].
+        bits = [0] * r
+        for j, i in enumerate(singles):
+            bits[i] = 1 << j
+        opened: dict[int, tuple] = {}
+        for k in kept:
+            u, v = us[k], vs[k]
+            signs = tuple([-1 if k & b else 1 for b in bits])
+            # A kept branch lists its solutions (numerators, q, parameter),
+            # or writes its record when it still dies at closure.
+            records = []
+            opened[k] = (signs, records)
             if p == 0:
-                if u != 0 or v != 0:
-                    records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
-                    continue
                 solutions = [((), scale, None)]
             elif p == 1:
-                if u * w.y != v * w.x:
-                    records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
-                    continue
                 # w is primitive, so the multiple of w is an integer.
-                n = u // w.x if w.x != 0 else v // w.y
+                n = u // wx if wx != 0 else v // wy
                 if not -b1 < n < b1:
-                    records.append((doubled_normals, signs, (2 * scale, ((b1 + n, b1 - n),)), None, _INADMISSIBLE))
+                    records.append(((2 * scale, ((b1 + n, b1 - n),)), None, _INADMISSIBLE))
                     continue
                 solutions = [((n,), scale, None)]
             elif p == 2:
-                if not (-b1 < u < b1 and -b2 < v < b2):
-                    records.append((doubled_normals, signs, (2 * q, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, _INADMISSIBLE))
-                    continue
                 solutions = [((u, v), q, None)]
             ring = [(i, s) for i, s in fan if s == signs[i] or i in chosen]
             if p == 3:
@@ -714,7 +790,7 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
                         # The parameter t = u / q, as (numerator, denominator).
                         solutions.append((numerators, q * ud, (un, q * ud)))
                 if not solutions:
-                    records.append((doubled_normals, signs, (1, ()), None, _NO_CLOSURE))
+                    records.append(((1, ()), None, _NO_CLOSURE))
                     continue
             # The fan is convex: admissible splits make every length
             # positive, so the ring's directions sum to zero with positive
@@ -751,8 +827,27 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
                     ends = ((1, "dropped_mismatch", None), (-1, "dropped_mismatch", None))
                 else:
                     ends = ((1, "dropped_invalid", None), (-1, "dropped_invalid", None))
-                records.append((doubled_normals, signs, splits, parameter, ends))
-    return records, list(emitted), emitting
+                records.append((splits, parameter, ends))
+        blocks.append((doubled_normals, singles, start, steps, dead, opened))
+    return blocks, list(emitted), emitting
+
+
+def _branches(blocks: Sequence[tuple]):
+    """Every branch of :func:`_reconstruct`'s ``blocks`` in trace order, as
+    ``(doubled, signs, splits, parameter, ends)``, ``splits`` in integers."""
+    for doubled, singles, start, steps, dead, opened in blocks:
+        if dead is not None:
+            b1, b2, den = dead
+            us, vs = _table(start, steps)
+        for k, signs in enumerate(_sign_patterns(len(doubled) + len(singles), singles)):
+            if k in opened:
+                for splits, parameter, ends in opened[k][1]:
+                    yield doubled, signs, splits, parameter, ends
+            elif dead is not None:
+                u, v = us[k], vs[k]
+                yield doubled, signs, (den, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, _INADMISSIBLE
+            else:
+                yield doubled, signs, (1, ()), None, _NO_CLOSURE
 
 
 @dataclass(frozen=True)

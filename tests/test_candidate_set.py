@@ -8,6 +8,7 @@ sweep is Delzant with exactly its data.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import sys
@@ -124,6 +125,22 @@ def test_read_and_unread_sets_name_the_same_candidate_past_the_digit_limit():
             serialize.candidates_to_json(candidates)
         messages.append(str(caught.value))
     assert messages == [f"cannot write candidate 0: an integer in it has more than {sys.get_int_max_str_digits()} digits"] * 2
+
+
+def test_read_and_unread_sets_name_the_same_trace_record_past_the_digit_limit():
+    # Scaled so that every vertex stays under the digit limit while the
+    # splits of a dropped two-pair pattern, the third trace entry, pass it.
+    n = 10 ** sys.get_int_max_str_digits() // 40 + 1
+    data = spectral_data(Polygon([(v.x * n, v.y * n) for v in random_delzant(8, 7, 4).vertices]))
+    read = enumerate_candidates(data)
+    read.trace
+    assert read.trace[2].outcome == "inadmissible_split" and data.parallel_pairs == 2
+    messages = []
+    for candidates in (enumerate_candidates(data), read):
+        with pytest.raises(UnsupportedError) as caught:
+            serialize.candidates_to_json(candidates)
+        messages.append(str(caught.value))
+    assert messages == [f"cannot write trace record 2: an integer in it has more than {sys.get_int_max_str_digits()} digits"] * 2
 
 
 def test_candidate_order_is_the_vertex_order_across_denominators():
@@ -257,15 +274,116 @@ EQUAL = [(d, seed, seed % 2 == 1) for d in range(3, 10) for seed in range(2)]
 
 def test_two_unread_sets_compare_without_a_build(built, monkeypatch):
     builds = []
-    build = CandidateSet._build
-    monkeypatch.setattr(CandidateSet, "_build", lambda self: builds.append(self) or build(self))
+    for name in ("_build", "_expand"):
+        build = getattr(CandidateSet, name)
+        monkeypatch.setattr(CandidateSet, name, lambda self, build=build: builds.append(self) or build(self))
+    between = spectral_data(hirzebruch(1, 1, 1))
     for d, seed, twist in EQUAL:
         data = spectral_data(random_delzant(d, seed, 4, twist=twist))
-        one, two = enumerate_candidates(data), enumerate_candidates(data)
+        # Another datum in between, so that two is enumerated afresh.
+        one = enumerate_candidates(data)
+        enumerate_candidates(between)
+        two = enumerate_candidates(data)
         built.update(frame=0, init=0)
         assert one == two and two == one and not one != two
         assert (builds, built) == ([], {"frame": 0, "init": 0}), (d, seed, twist)
         assert one._integer is not None and two._integer is not None
+        assert one._integer[0] is not two._integer[0]
+
+
+def test_reading_the_candidates_expands_no_trace(monkeypatch):
+    """Iterating an unread set builds its polygons from the keys alone; the
+    trace is expanded from the branch blocks only when it is read."""
+    records = []
+    record = reconstruct.AssignmentRecord
+    for d, seed, twist in EQUAL:
+        data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        built = enumerate_candidates(data)
+        eager = CandidateSet(candidates=built.candidates, trace=built.trace)
+        enumerate_candidates(spectral_data(hirzebruch(1, 1, 1)))
+        lazy = enumerate_candidates(data)
+        monkeypatch.setattr(reconstruct, "AssignmentRecord", lambda *fields: records.append(fields) or record(*fields))
+        assert list(lazy) == list(eager.candidates) and len(lazy) == len(eager)
+        assert records == [], (d, seed, twist)
+        assert lazy.trace == eager.trace and len(records) == len(eager.trace)
+        monkeypatch.setattr(reconstruct, "AssignmentRecord", record)
+        records.clear()
+        assert lazy == eager and repr(lazy) == repr(eager)
+
+
+# --- the one-entry enumeration memo -------------------------------------------
+
+def _unread(candidates):
+    return candidates._integer is not None and candidates._candidates is None and candidates._trace is None
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Runs of reconstruct._reconstruct, counted from an empty memo."""
+    runs = []
+    run = reconstruct._reconstruct
+    monkeypatch.setattr(reconstruct, "_reconstruct", lambda *args: runs.append(args) or run(*args))
+    monkeypatch.setattr(reconstruct, "_last", None)
+    return runs
+
+
+def test_a_repeated_call_returns_a_fresh_unread_set(enumerations):
+    for d, seed, twist in EQUAL:
+        data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        runs = len(enumerations)
+        one, two = enumerate_candidates(data), enumerate_candidates(data)
+        assert len(enumerations) == runs + 1, (d, seed, twist)
+        assert one is not two and _unread(one) and _unread(two)
+        assert one == two and _unread(one) and _unread(two)
+        one.trace
+        list(one)
+        assert not _unread(one) and _unread(two), (d, seed, twist)
+        assert two == one and hash(two) == hash(one) and repr(two) == repr(one)
+
+
+def test_a_sampler_enumerates_each_polygon_once(enumerations):
+    """is_generic and then enumerate_candidates on the same polygon, as the
+    acceptance sampler and ``roundtrip`` call them, enumerate it once."""
+    for d, seed, twist in EQUAL:
+        polygon = random_delzant(d, seed, 4, twist=twist)
+        if spectral_data(polygon).parallel_pairs > 3:
+            continue
+        runs = len(enumerations)
+        report = is_generic(polygon)
+        candidates = enumerate_candidates(spectral_data(polygon))
+        assert len(enumerations) == runs + 1, (d, seed, twist)
+        assert polygon in candidates and len(candidates) == report.candidate_count
+
+
+def test_other_counts_or_another_datum_in_between_enumerate_again(enumerations):
+    data = spectral_data(random_delzant(7, 1, 4, twist=True))
+    other = spectral_data(hirzebruch(1, 1, 1))
+    calls = [(data, False), (data, True), (data, False), (other, False), (data, False), (data, False)]
+    results = [enumerate_candidates(datum, trust_counts=trust) for datum, trust in calls]
+    # Only the last call repeats the one before it.
+    assert [(args[0], len(args[1])) for args in enumerations] == [
+        (datum, 1 if trust else len(list(itertools.combinations(range(len(datum.classes)), datum.parallel_pairs))))
+        for datum, trust in calls[:-1]
+    ]
+    assert results[0] == results[2] == results[4] == results[5] != results[1]
+
+
+@pytest.mark.parametrize("area", [True, 1.0])
+def test_a_memoized_twin_does_not_pass_an_inexact_area(area, enumerations):
+    square = dataclasses.replace(spectral_data(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])), area=1)
+    assert len(enumerate_candidates(square)) == 1
+    with pytest.raises(ValueError, match="area must be an int or a Fraction"):
+        enumerate_candidates(dataclasses.replace(square, area=area))
+    assert len(enumerations) == 1
+
+
+def test_infeasible_data_raises_on_every_call(enumerations):
+    square = spectral_data(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    wrong = dataclasses.replace(square, area=2)
+    for _ in range(2):
+        with pytest.raises(ReconstructionInfeasibleError, match="no Delzant polygon is consistent with the data"):
+            enumerate_candidates(wrong)
+    assert len(enumerations) == 2
 
 
 def test_sets_from_different_data_compare_unequal():
@@ -345,6 +463,36 @@ def test_every_emitted_candidate_is_delzant_with_its_data():
                 emitted += len(candidates)
     # Only the four sampled polygons with more than three pairs drop out.
     assert (enumerations, emitted) == (3624, 4212)
+
+
+# --- the candidates JSON bytes are pinned -----------------------------------
+
+GOLDEN = [(d, seed, twist) for d in range(3, 10) for seed in range(16) for twist in (False, True)]
+
+
+def test_candidates_json_matches_the_recorded_digest():
+    """The compact and indented candidates JSON of a sweep (area +0 and
+    +1/7, counts trusted and not; a rejection by its error text) hashes to
+    the digest recorded before enumeration kept its dead branches as
+    tables, so every byte written is still the same."""
+    digest = hashlib.sha256()
+    written = 0
+    for d, seed, twist in GOLDEN:
+        source = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        for area in (source.area, source.area + Fraction(1, 7)):
+            data = dataclasses.replace(source, area=area)
+            for trust_counts in (False, True):
+                try:
+                    candidates = enumerate_candidates(data, trust_counts=trust_counts)
+                except (ReconstructionInfeasibleError, UnsupportedError) as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                    continue
+                document = serialize.candidates_to_json(candidates)
+                digest.update(json.dumps(document).encode())
+                digest.update(json.dumps(document, indent=2).encode())
+                written += 1
+    assert written == 444
+    assert digest.hexdigest() == "fc91ed253b8a02d636a0c1c841e355ad7c5d035aa1ecdb3240475be37071878b"
 
 
 # --- the frame check of Polygon ---------------------------------------------

@@ -270,8 +270,12 @@ DIGITS = f"{sys.get_int_max_str_digits()} digits"
      f"vertex 1: an integer literal has more than {DIGITS}"),
     ("strata", ["--theta", "1" * 5000 + ",0"], _shifted_triangle(0), 5,
      f"argument --theta: an integer literal has more than {DIGITS}"),
+    ("strata", ["--theta", "1" * 5000 + "x,0"], _shifted_triangle(0), 5,
+     f"direction coordinates must be integers: '{'1' * 64}'... (5003 characters)"),
+    ("strata", ["--theta", "1" * 5000], _shifted_triangle(0), 5,
+     f"expected a direction like '1,0', got '{'1' * 64}'... (5000 characters)"),
 ], ids=["chop_vertex_0", "chop_vertex_1", "chop_vertex_2", "bundle_volume", "equiv_translation", "long_literal",
-        "long_rational", "long_theta"])
+        "long_rational", "long_theta", "long_malformed_theta", "long_theta_without_comma"])
 def test_message_past_the_digit_limit_names_its_subject(command, options, document, code, message, tmp_path, capsys):
     """An error whose values are too long to write still exits with its own
     code and a message naming what failed, never the interpreter's text."""
