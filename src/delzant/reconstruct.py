@@ -164,11 +164,11 @@ class CandidateSet:
     :func:`enumerate_candidates` hands over the emitted canonical keys and
     its integer branch blocks.  The polygons are built from the keys alone
     on the first read of the candidates, and the trace is expanded from the
-    blocks on its first read (also by ``==``, ``hash`` and ``repr``); the
-    integer form is dropped once both exist.  ``len`` and ``in`` read
-    whichever form there is, and ``serialize.candidates_to_json`` writes
-    an unread set from the integer form without building it.  The branches
-    that emitted are kept apart and outlive the build.
+    blocks on its first read (also by ``==``, ``hash`` and ``repr``).  The
+    integer form is kept for the set's whole life: ``len`` and ``in`` read
+    it, equal integer forms compare equal unbuilt, and
+    ``serialize.candidates_to_json`` writes from it, read or not.  A set
+    built by hand has none.  The branches that emitted are kept apart.
     """
 
     __slots__ = ("_candidates", "_trace", "_integer", "_emitting")
@@ -192,8 +192,6 @@ class CandidateSet:
         """The candidate polygons, from the emitted keys."""
         keys = self._integer[1]
         self._candidates = tuple(Polygon._from_frame(key[0], key[1::2], key[2::2]) for key in _candidate_index(keys))
-        if self._trace is not None:
-            self._integer = None
 
     def _expand(self) -> None:
         """The trace, from the branch blocks."""
@@ -207,8 +205,6 @@ class CandidateSet:
             for anchor, outcome, key in ends:
                 trace.append(AssignmentRecord(doubled, signs, splits, parameter, anchor, outcome, index_of.get(key)))
         self._trace = tuple(trace)
-        if self._candidates is not None:
-            self._integer = None
 
     @property
     def candidates(self) -> tuple[Polygon, ...]:
@@ -237,8 +233,8 @@ class CandidateSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # Equal integer forms make equal sets, so two sets that still have
-        # them need no build.
+        # Equal integer forms make equal sets, so two sets that have them
+        # need no build.
         if self._integer is not None and other._integer is not None and self._integer == other._integer:
             return True
         return (self.candidates, self.trace) == (other.candidates, other.trace)
@@ -669,19 +665,19 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
 
     Returns one block per choice, the emitted canonical keys in first-seen
     order, and the branches that emitted: each choice's sign tuples, in
-    trace order.  A block is ``(doubled, singles, start, steps, dead,
-    opened)``, all in integers:
+    trace order.  A block is ``(doubled, singles, dead, opened)``, all in
+    integers:
 
     - ``doubled``, the doubled classes' normals, and ``singles``, the single
       classes' indices: pattern ``k`` is ``_sign_patterns(r, singles)[k]``;
-    - ``start`` and ``steps``, the seed of the pattern table (:func:`_table`);
     - ``dead``, how a pattern the comprehension dropped reads: its one trace
       entry has anchor 0 and, when ``dead`` is None, outcome ``no_closure``
-      and no splits; otherwise ``dead = (b1, b2, den)`` and it is an
+      and no splits; otherwise the choice has two pairs, ``dead = (b1, b2,
+      den, us, vs)`` carries its table, and the entry is an
       ``inadmissible_split`` with splits ``(b1 + u, b1 - u), (b2 + v, b2 -
-      v)`` over ``den``, where ``(u, v)`` is its table entry;
-    - ``opened``, each kept pattern's index mapped to its sign tuple and its
-      records, in pattern order; one record per decided solution,
+      v)`` over ``den``, where ``(u, v) = (us[k], vs[k])``;
+    - ``opened``, each kept pattern's index mapped to its records, in
+      pattern order; one record per decided solution,
       ``(splits, parameter, ends)``.  ``splits`` is
       ``(den, ((length+, length-) numerators, ...))``, ``(1, ())`` when the
       branch has no closure; ``parameter`` is ``(numerator, denominator)``
@@ -740,7 +736,7 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
         elif p == 2:
             b1, b2 = int_sums[choice[0]] * m, int_sums[choice[1]] * m
             kept = [k for k, u in enumerate(us) if -b1 < u < b1 and -b2 < vs[k] < b2]
-            dead = (b1, b2, 2 * q)
+            dead = (b1, b2, 2 * q, us, vs)
         else:
             kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
             kept = range(len(us))
@@ -748,14 +744,14 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
         bits = [0] * r
         for j, i in enumerate(singles):
             bits[i] = 1 << j
-        opened: dict[int, tuple] = {}
+        opened: dict[int, list] = {}
         for k in kept:
             u, v = us[k], vs[k]
             signs = tuple([-1 if k & b else 1 for b in bits])
             # A kept branch lists its solutions (numerators, q, parameter),
             # or writes its record when it still dies at closure.
             records = []
-            opened[k] = (signs, records)
+            opened[k] = records
             if p == 0:
                 solutions = [((), scale, None)]
             elif p == 1:
@@ -828,20 +824,22 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
                 else:
                     ends = ((1, "dropped_invalid", None), (-1, "dropped_invalid", None))
                 records.append((splits, parameter, ends))
-        blocks.append((doubled_normals, singles, start, steps, dead, opened))
+        blocks.append((doubled_normals, singles, dead, opened))
     return blocks, list(emitted), emitting
 
 
 def _branches(blocks: Sequence[tuple]):
     """Every branch of :func:`_reconstruct`'s ``blocks`` in trace order, as
-    ``(doubled, signs, splits, parameter, ends)``, ``splits`` in integers."""
-    for doubled, singles, start, steps, dead, opened in blocks:
+    ``(doubled, signs, splits, parameter, ends)``, ``splits`` in integers:
+    the one walk of the block format, which :meth:`CandidateSet._expand` and
+    ``serialize.candidates_to_json`` both consume.  A block's branches
+    share its ``doubled`` tuple."""
+    for doubled, singles, dead, opened in blocks:
         if dead is not None:
-            b1, b2, den = dead
-            us, vs = _table(start, steps)
+            b1, b2, den, us, vs = dead
         for k, signs in enumerate(_sign_patterns(len(doubled) + len(singles), singles)):
             if k in opened:
-                for splits, parameter, ends in opened[k][1]:
+                for splits, parameter, ends in opened[k]:
                     yield doubled, signs, splits, parameter, ends
             elif dead is not None:
                 u, v = us[k], vs[k]

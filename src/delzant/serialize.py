@@ -15,7 +15,7 @@ from typing import Union
 from .errors import OrientationWarning, ParseError, StructuralPolygonError, UnsupportedError
 from .geometry import Polygon
 from .polytope3 import Polytope3
-from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet, _candidate_index, _sign_patterns, _table
+from .reconstruct import TRACE_OUTCOMES, AssignmentRecord, CandidateSet, _branches, _candidate_index
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, NormalClass, SpectralData
 from .vectors import Vec2, canonical_unsigned, format_rational, is_exact, is_primitive_integer, parse_rational
 from .zoo import ZooCensus
@@ -295,9 +295,9 @@ def _ratio(n: int, d: int) -> str:
 def candidates_to_json(candidates: CandidateSet) -> dict:
     """The candidates JSON document.
 
-    A set whose integer form is still there is written straight from its
-    keys and branch blocks (see ``reconstruct._reconstruct``), building no
-    polygon, no trace record and no tuple per branch; the entries of one
+    An enumerated set, read or not, is written straight from its keys and
+    the branches of its blocks (``reconstruct._branches``), building no
+    polygon, no trace record and no ``Fraction``; the entries of one
     branch then share their ``signs`` and ``splits`` lists, and those of
     one doubled-class choice their ``doubled`` list.
     """
@@ -314,56 +314,28 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
         "dim": 2, "vertices": [[_ratio(x, key[0]), _ratio(y, key[0])] for x, y in zip(key[1::2], key[2::2])],
     })
     trace = []
+    # Most branches are dropped patterns without splits; this loop runs once
+    # per branch, so it binds its two calls and skips the empty comprehension.
+    append, candidate = trace.append, index_of.get
+    last = None
     try:
-        for doubled, singles, start, steps, dead, opened in blocks:
-            doubled_list = [list(n) for n in doubled]
-            count = 1 << len(singles)
-            # Sign tuples for the patterns the comprehension dropped, if any.
-            patterns = _sign_patterns(len(doubled) + len(singles), singles) if len(opened) < count else ()
-            if dead is not None:
-                b1, b2, den = dead
-                us, vs = _table(start, steps)
-            done = 0
-            # The kept patterns in pattern order, then an end mark.
-            for k, (signs_k, records) in [*opened.items(), (count, ((), ()))]:
-                # Every pattern from done to k died in the comprehension.
-                if done < k and dead is None:
-                    trace += [{
-                        "doubled": doubled_list,
-                        "signs": list(signs),
-                        "splits": [],
-                        "parameter": None,
-                        "anchor": 0,
-                        "outcome": "no_closure",
-                        "candidate": None,
-                    } for signs in patterns[done:k]]
-                elif done < k:
-                    for signs, u, v in zip(patterns[done:k], us[done:k], vs[done:k]):
-                        trace.append({
-                            "doubled": doubled_list,
-                            "signs": list(signs),
-                            "splits": [[_ratio(b1 + u, den), _ratio(b1 - u, den)], [_ratio(b2 + v, den), _ratio(b2 - v, den)]],
-                            "parameter": None,
-                            "anchor": 0,
-                            "outcome": "inadmissible_split",
-                            "candidate": None,
-                        })
-                done = k + 1
-                for (den_k, raw), parameter, ends in records:
-                    signs_list = list(signs_k)
-                    splits = [[_ratio(a, den_k), _ratio(b, den_k)] for a, b in raw]
-                    if parameter is not None:
-                        parameter = _ratio(*parameter)
-                    for anchor, outcome, key in ends:
-                        trace.append({
-                            "doubled": doubled_list,
-                            "signs": signs_list,
-                            "splits": splits,
-                            "parameter": parameter,
-                            "anchor": anchor,
-                            "outcome": outcome,
-                            "candidate": index_of.get(key),
-                        })
+        for doubled, signs, (den, raw), parameter, ends in _branches(blocks):
+            if doubled is not last:
+                last, doubled_list = doubled, [list(n) for n in doubled]
+            signs = list(signs)
+            splits = [[_ratio(a, den), _ratio(b, den)] for a, b in raw] if raw else []
+            if parameter is not None:
+                parameter = _ratio(*parameter)
+            for anchor, outcome, key in ends:
+                append({
+                    "doubled": doubled_list,
+                    "signs": signs,
+                    "splits": splits,
+                    "parameter": parameter,
+                    "anchor": anchor,
+                    "outcome": outcome,
+                    "candidate": candidate(key),
+                })
     except ValueError as exc:
         # Only _ratio raises it, past the digit limit, before its entry is added.
         raise _too_long(f"trace record {len(trace)}") from exc

@@ -1,10 +1,10 @@
 """CandidateSet built on first read, and what every emitted candidate is.
 
-enumerate_candidates keeps its trace and candidates as integers until one
-of them is read; these tests pin that a set read in any order equals the
-set built eagerly from the same polygons and records, that the genericity
-paths never build a candidate polygon, and that every candidate of a wide
-sweep is Delzant with exactly its data.
+enumerate_candidates hands over its trace and candidates as integers and
+builds each on its first read; these tests pin that a set read in any
+order equals the set built eagerly from the same polygons and records,
+that the genericity paths never build a candidate polygon, and that every
+candidate of a wide sweep is Delzant with exactly its data.
 """
 
 import dataclasses
@@ -110,6 +110,43 @@ def test_written_set_still_reads_as_its_eager_twin():
         serialize.candidates_to_json(lazy)
         assert lazy == eager and hash(lazy) == hash(eager), (d, seed, twist)
         assert (lazy.candidates, lazy.trace, repr(lazy)) == (eager.candidates, eager.trace, repr(eager))
+
+
+def test_read_set_writes_from_its_integers(monkeypatch):
+    """A read set keeps its integer form and is written by the same walk
+    as an unread one: no trace record is formatted."""
+    formatted = []
+    record_to_json = serialize._record_to_json
+    for d, seed, twist in WRITTEN[::3]:
+        read, eager = _unread_and_eager(d, seed, twist)
+        read.candidates, read.trace
+        monkeypatch.setattr(serialize, "_record_to_json", lambda record: formatted.append(record) or record_to_json(record))
+        texts = [json.dumps(serialize.candidates_to_json(read), indent=indent) for indent in (None, 2)]
+        monkeypatch.setattr(serialize, "_record_to_json", record_to_json)
+        assert formatted == [], (d, seed, twist)
+        assert texts == [json.dumps(serialize.candidates_to_json(eager), indent=indent) for indent in (None, 2)]
+        assert read == eager
+
+
+def test_two_pair_tables_are_built_once_per_choice(monkeypatch):
+    """Enumerating two-pair data builds each doubled-class choice's table
+    once; writing the set and expanding its trace reuse it."""
+    tables = []
+    table = reconstruct._table
+    monkeypatch.setattr(reconstruct, "_table", lambda *args: tables.append(args) or table(*args))
+    dropped = 0
+    for d, seed, twist in WRITTEN:
+        data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+        if data.parallel_pairs != 2:
+            continue
+        monkeypatch.setattr(reconstruct, "_last", None)
+        tables.clear()
+        candidates = enumerate_candidates(data)
+        serialize.candidates_to_json(candidates)
+        dropped += sum(record.outcome == "inadmissible_split" for record in candidates.trace)
+        serialize.candidates_to_json(candidates)
+        assert len(tables) == len(list(itertools.combinations(range(len(data.classes)), 2))), (d, seed, twist)
+    assert dropped > 0
 
 
 def test_read_and_unread_sets_name_the_same_candidate_past_the_digit_limit():
