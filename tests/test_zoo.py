@@ -469,7 +469,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("d, bound", [
         (6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (7, 5), (8, 3), (8, 4), (8, 5),
-        (9, 4), (4, 2), (5, 3),
+        (9, 4), (4, 2), (5, 3), (10, 4),
     ])
     def test_budget_hits_match_leaf_walk(self, d, bound):
         """Every budget raises at the same leaf, with the same message and
@@ -484,32 +484,73 @@ class TestCensus:
             expected = _outcome(_reference_census, d, leaves, budget)
             assert _outcome(parallel_pair_census, d, bound, budget) == expected, budget
 
+    def test_seven_chops_budget_partial_pinned(self):
+        """Seven chops, the longest chains pinned here; the partial was
+        taken from the census that carried normals as vectors."""
+        assert _outcome(parallel_pair_census, 11, 5, 100000) == (
+            "BudgetExceededError: census exceeded 100000 instances partial="
+            "ZooCensus(edge_count=11, histogram={4: 46790, 5: 32984, 3: 18145, 2: 2082}, total=100001)"
+        )
 
-def _reference_leaves(d: int, bound: int) -> tuple:
-    """Pair counts of the census leaves in enumeration order, walked one
-    leaf at a time (the census before it counted by states)."""
-    leaves = []
+    def test_last_two_chops_match_leaf_walk(self):
+        """The closed-form count of the last two chops gives every
+        second-to-last state the histogram of a leaf-by-leaf walk, key
+        order included."""
+        checked = 0
+        for d, bound in ((6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (8, 4)):
+            code_scale = (bound + 1) << (d - 2)
+            seen = set()
+
+            def check(normals: tuple, lengths: tuple, pairs: int):
+                nonlocal checked
+                if (normals, lengths) in seen:
+                    return
+                seen.add((normals, lengths))
+                expected: dict[int, int] = {}
+                for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
+                    for _, _, last_paired in _reference_children(child_normals, child_lengths, bound):
+                        added = paired + last_paired
+                        expected[added] = expected.get(added, 0) + 1
+                codes = tuple(x * code_scale + y for x, y in normals)
+                counted = zoo._last_two_chops(codes, lengths, bound + 1)
+                assert list(counted.items()) == list(expected.items()), (d, bound, normals, lengths)
+                checked += 1
+
+            _reference_walk(d, bound, 2, check)
+        assert checked == 1334
+
+
+def _reference_children(normals: tuple, lengths: tuple, bound: int):
+    """Each child of a census state, with whether its new normal pairs up,
+    in enumeration order; normals are vectors, not codes."""
+    k = len(normals)
+    for i in range(k):
+        len_in = lengths[(i - 1) % k]
+        len_out = lengths[i]
+        n_new = (
+            normals[(i - 1) % k][0] + normals[i][0],
+            normals[(i - 1) % k][1] + normals[i][1],
+        )
+        paired = (-n_new[0], -n_new[1]) in normals
+        for t in range(1, min(len_in, len_out, bound + 1)):
+            new_normals = normals[:i] + (n_new,) + normals[i:]
+            new_lengths = list(lengths)
+            new_lengths[(i - 1) % k] = len_in - t
+            new_lengths[i] = len_out - t
+            new_lengths.insert(i, t)
+            yield new_normals, tuple(new_lengths), paired
+
+
+def _reference_walk(d: int, bound: int, stop: int, visit_state) -> None:
+    """Call ``visit_state(normals, lengths, pairs)`` on every state with
+    ``stop`` chops to go, in enumeration order."""
 
     def visit(normals: tuple, lengths: tuple, remaining: int, pairs: int):
-        if remaining == 0:
-            leaves.append(pairs)
+        if remaining == stop:
+            visit_state(normals, lengths, pairs)
             return
-        k = len(normals)
-        for i in range(k):
-            len_in = lengths[(i - 1) % k]
-            len_out = lengths[i]
-            n_new = (
-                normals[(i - 1) % k][0] + normals[i][0],
-                normals[(i - 1) % k][1] + normals[i][1],
-            )
-            new_pairs = pairs + ((-n_new[0], -n_new[1]) in normals)
-            for t in range(1, min(len_in, len_out, bound + 1)):
-                new_normals = normals[:i] + (n_new,) + normals[i:]
-                new_lengths = list(lengths)
-                new_lengths[(i - 1) % k] = len_in - t
-                new_lengths[i] = len_out - t
-                new_lengths.insert(i, t)
-                visit(new_normals, tuple(new_lengths), remaining - 1, new_pairs)
+        for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
+            visit(child_normals, child_lengths, remaining - 1, pairs + paired)
 
     for m in range(0, bound + 1):
         for w in range(1, bound + 1):
@@ -517,6 +558,13 @@ def _reference_leaves(d: int, bound: int) -> tuple:
                 base_normals = ((0, -1), (1, 0), (m, 1), (-1, 0))
                 base_lengths = (w, h, w, h + m * w)
                 visit(base_normals, base_lengths, d - 4, 2 if m == 0 else 1)
+
+
+def _reference_leaves(d: int, bound: int) -> tuple:
+    """Pair counts of the census leaves in enumeration order, walked one
+    leaf at a time (the census before it counted by states)."""
+    leaves = []
+    _reference_walk(d, bound, 0, lambda normals, lengths, pairs: leaves.append(pairs))
     return tuple(leaves)
 
 
