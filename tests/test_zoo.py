@@ -366,6 +366,21 @@ def _outcome(run, *args):
         return f"BudgetExceededError: {exc} partial={exc.partial!r}"
 
 
+@pytest.fixture
+def handed(monkeypatch) -> list:
+    """The states, as (normals, lengths), that the census hands to
+    ``_last_two_chops`` from here on."""
+    states = []
+    original = zoo._last_two_chops
+
+    def spy(normals: tuple, lengths: tuple, cap: int):
+        states.append((normals, lengths))
+        return original(normals, lengths, cap)
+
+    monkeypatch.setattr(zoo, "_last_two_chops", spy)
+    return states
+
+
 class TestCensus:
     def test_quadrilaterals(self):
         census = parallel_pair_census(4, 3)
@@ -497,7 +512,7 @@ class TestCensus:
         second-to-last state the histogram of a leaf-by-leaf walk, key
         order included."""
         checked = 0
-        for d, bound in ((6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (8, 4)):
+        for d, bound in ((6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (7, 5), (8, 4)):
             code_scale = (bound + 1) << (d - 2)
             seen = set()
 
@@ -517,7 +532,83 @@ class TestCensus:
                 checked += 1
 
             _reference_walk(d, bound, 2, check)
-        assert checked == 1334
+        assert checked == 2104
+
+    @pytest.mark.parametrize("d, bound", [(7, 4), (8, 4)])
+    def test_mirror_twin_chops_have_equal_subtrees(self, d, bound):
+        """The census counts a base's first chops at corners 0 and 1 only
+        (corner 0 only on a rectangle) and takes copies for the rest.  On
+        vector normals, with no census code: below every base, the leaf
+        pair counts under the first chop (3, t) are those under (0, t), and
+        (2, t) matches (1, t); on a rectangle (1, t) also matches (0, t).
+        Off the rectangles corner 1 is not corner 0's twin, so two copies,
+        not four, are right there."""
+        unlike = 0
+        for m in range(0, bound + 1):
+            for w in range(1, bound + 1):
+                for h in range(1, bound + 1):
+                    base_normals = ((0, -1), (1, 0), (m, 1), (-1, 0))
+                    subtrees = {}
+                    for normals, lengths, paired in _reference_children(base_normals, (w, h, w, h + m * w), bound):
+                        i = next(x for x in range(4) if normals[x] != base_normals[x])
+                        leaves = []
+                        _reference_walk_below(normals, lengths, d - 5, paired, bound, 0,
+                                              lambda normals, lengths, pairs: leaves.append(pairs))
+                        subtrees[i, lengths[i]] = sorted(leaves)
+                    twin = (0, 0, 0, 0) if m == 0 else (0, 1, 1, 0)
+                    for (i, t), leaves in subtrees.items():
+                        assert leaves == subtrees[twin[i], t], (m, w, h, i, t)
+                    if m:
+                        unlike += any(leaves != subtrees.get((1, t)) for (i, t), leaves in subtrees.items() if i == 0)
+        assert unlike
+
+    def test_last_two_chops_calls_pinned(self, handed):
+        """The work saved, as counts: the census calls ``_last_two_chops``
+        6253 times on (9, 5) and 2464 times on (8, 5), against 6768 and
+        3220 when every corner of a base was chopped first."""
+        counted = {}
+        for d, bound in ((9, 5), (8, 5)):
+            handed.clear()
+            parallel_pair_census(d, bound)
+            counted[d, bound] = len(handed)
+        assert counted == {(9, 5): 6253, (8, 5): 2464}
+
+    def test_every_normal_fits_the_code_scale(self, handed):
+        """The census codes ``(x, y)`` as ``x * K + y`` with ``K = (bound +
+        1) << (d - 2)``, one-to-one while every normal formed or tested has
+        coordinates of size at most ``bound * 2**(d - 4)``, which ``K`` is
+        more than twice.  Checked over every state of the reference walk
+        at least two chops above the leaves: each corner's new normal ``c =
+        a + b`` and, two chops above them, the grandchild sums ``a + c`` and
+        ``c + b`` (``_last_two_chops`` tests their negatives); a state one
+        chop above forms only normals its parent did.  The states the census
+        hands to ``_last_two_chops`` are reference states coded with this
+        ``K``, so a census with another scale fails here."""
+        for d, bound in ((7, 5), (8, 4), (9, 4)):
+            limit = bound << (d - 4)
+            code_scale = (bound + 1) << (d - 2)
+            assert code_scale > 2 * limit
+            formed = set()
+            coded = set()
+
+            def visit(normals: tuple, lengths: tuple, remaining: int):
+                for (ax, ay), (bx, by) in zip(normals[-1:] + normals[:-1], normals):
+                    cx, cy = ax + bx, ay + by
+                    formed.add((cx, cy))
+                    if remaining == 2:
+                        formed.add((ax + cx, ay + cy))
+                        formed.add((cx + bx, cy + by))
+                if remaining == 2:
+                    coded.add((tuple(x * code_scale + y for x, y in normals), lengths))
+                elif remaining > 2:
+                    for child_normals, child_lengths, _ in _reference_children(normals, lengths, bound):
+                        visit(child_normals, child_lengths, remaining - 1)
+
+            _reference_walk(d, bound, d - 4, lambda normals, lengths, pairs: visit(normals, lengths, d - 4))
+            assert max(abs(x) for n in formed for x in n) <= limit, (d, bound)
+            handed.clear()
+            parallel_pair_census(d, bound)
+            assert handed and set(handed) <= coded, (d, bound)
 
 
 def _reference_children(normals: tuple, lengths: tuple, bound: int):
@@ -544,20 +635,23 @@ def _reference_children(normals: tuple, lengths: tuple, bound: int):
 def _reference_walk(d: int, bound: int, stop: int, visit_state) -> None:
     """Call ``visit_state(normals, lengths, pairs)`` on every state with
     ``stop`` chops to go, in enumeration order."""
-
-    def visit(normals: tuple, lengths: tuple, remaining: int, pairs: int):
-        if remaining == stop:
-            visit_state(normals, lengths, pairs)
-            return
-        for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
-            visit(child_normals, child_lengths, remaining - 1, pairs + paired)
-
     for m in range(0, bound + 1):
         for w in range(1, bound + 1):
             for h in range(1, bound + 1):
                 base_normals = ((0, -1), (1, 0), (m, 1), (-1, 0))
                 base_lengths = (w, h, w, h + m * w)
-                visit(base_normals, base_lengths, d - 4, 2 if m == 0 else 1)
+                _reference_walk_below(base_normals, base_lengths, d - 4, 2 if m == 0 else 1, bound, stop, visit_state)
+
+
+def _reference_walk_below(normals: tuple, lengths: tuple, remaining: int, pairs: int, bound: int, stop: int,
+                          visit_state) -> None:
+    """:func:`_reference_walk` below one state with ``remaining`` chops to
+    go and ``pairs`` parallel pairs."""
+    if remaining == stop:
+        visit_state(normals, lengths, pairs)
+        return
+    for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
+        _reference_walk_below(child_normals, child_lengths, remaining - 1, pairs + paired, bound, stop, visit_state)
 
 
 def _reference_leaves(d: int, bound: int) -> tuple:
