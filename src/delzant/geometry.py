@@ -280,32 +280,35 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
     return None
 
 
+def _table(start: tuple[int, int], steps) -> tuple[list[int], list[int]]:
+    """The two coordinates of ``start`` plus each subset sum of the integer
+    vectors ``steps``, by mask: ``steps[j]`` is added where bit ``j`` of the
+    mask is set.  The table doubles once per step, so each entry costs one
+    addition per coordinate."""
+    us, vs = [start[0]], [start[1]]
+    for du, dv in steps:
+        us += [u + du for u in us]
+        vs += [v + dv for v in vs]
+    return us, vs
+
+
 def detect_subpolygons(polygon: Polygon) -> SubpolygonReport:
     """Exhaustively find edge subsets of size >= 3 (complement >= 3) whose
-    vectors sum to zero.  Enumeration is over all 2^d subsets, so polygons
-    with more than 16 edges are rejected up front.
+    vectors sum to zero, in ascending order of their bit masks.  Enumeration
+    is over all 2^d subsets, so polygons with more than 16 edges are
+    rejected up front.
     """
     d = polygon.edge_count
     if d > 16:
         raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^16")
     # The edge vectors in Polygon's integer frame: mask sums are pure int work.
     _, xs, ys = polygon._frame
-    found = []
-    for mask in range(1, 1 << d):
-        k = mask.bit_count()
-        if k < 3 or d - k < 3:
-            continue
-        sx = sy = 0
-        m = mask
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            sx += xs[i]
-            sy += ys[i]
-            m ^= low
-        if sx == 0 and sy == 0:
-            found.append(tuple(i for i in range(d) if mask >> i & 1))
-    return SubpolygonReport(subsets=tuple(found))
+    sums_x, sums_y = _table((0, 0), zip(xs, ys))
+    return SubpolygonReport(subsets=tuple(
+        tuple(i for i in range(d) if mask >> i & 1)
+        for mask, sx in enumerate(sums_x)
+        if sx == 0 and sums_y[mask] == 0 and 3 <= mask.bit_count() <= d - 3
+    ))
 
 
 def polygon_from_halfplanes(normals: Sequence[Vec2], offsets: Sequence) -> Polygon:

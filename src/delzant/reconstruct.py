@@ -33,10 +33,10 @@ from .errors import (
     UnsupportedAmbiguityError,
     _with_values,
 )
-from .geometry import Polygon, _translation_key, detect_subpolygons, polygon_from_halfplanes
+from .geometry import Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
-from .vectors import Vec2, Vec3, angle_order, as_scalar, canonical_unsigned, integer_frame, is_exact, is_primitive_integer
+from .vectors import Vec2, Vec3, angle_order, as_scalar, canonical_unsigned, integer_frame, is_primitive_integer
 
 
 @dataclass(frozen=True)
@@ -530,35 +530,27 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     share one outcome.
 
     The last successful enumeration is kept.  A call whose data and
-    ``trust_counts`` equal it, once every check below has passed, returns a
+    ``trust_counts`` equal it, once the checks below have passed, returns a
     new set around the same integer result without enumerating again, so a
     caller that tests ``is_generic(p)`` and then enumerates
     ``spectral_data(p)`` pays once.  Nothing can tell such a call from a
-    fresh one: the checks run first, so an input they reject is rejected
-    however it compares; past them every scalar is an ``int`` or a
+    fresh one: every scalar of a :class:`SpectralData` is an ``int`` or a
     ``Fraction``, which compare equal exactly when their values do, and the
     enumeration reads values only; the integer result is never changed, and
     every call gets a set of its own, so what one caller reads builds
     nothing another one sees.  Only a success is kept: infeasible data
     raises on every call.
 
-    The vertex count, the edge counts (or None) and the normal coordinates
-    must be ``int`` and the area and class sums ``int`` or ``Fraction``
-    (``bool`` excluded); anything else raises ValueError naming the field.
+    Where each check lives: :class:`SpectralData` checks its fields and
+    classes once, when it is built.  This call checks only what the type
+    cannot: three vertices or more, no more classes than vertices, a
+    positive area, at most three pairs, the counts against the vertex count
+    and ``trust_counts``.  Anything other than a :class:`SpectralData`
+    raises TypeError.
     """
     global _last
-    if not is_exact(data.vertex_count, int):
-        raise ValueError(f"vertex count must be an int, got {type(data.vertex_count).__name__}")
-    if not is_exact(data.area):
-        raise ValueError(f"area must be an int or a Fraction, got {type(data.area).__name__}")
-    for k, c in enumerate(data.classes):
-        if not is_exact(c.length_sum):
-            raise ValueError(f"length sum of class {k} must be an int or a Fraction, got {type(c.length_sum).__name__}")
-        if c.edge_count is not None and not is_exact(c.edge_count, int):
-            raise ValueError(f"edge count of class {k} must be an int or None, got {type(c.edge_count).__name__}")
-        for x in c.normal:
-            if not is_exact(x, int):
-                raise ValueError(f"normal of class {k} must be an int vector, got a {type(x).__name__} coordinate")
+    if not isinstance(data, SpectralData):
+        raise TypeError(f"expected SpectralData, got {type(data).__name__}")
     r = len(data.classes)
     d = data.vertex_count
     p = d - r
@@ -572,16 +564,7 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         raise ReconstructionInfeasibleError("per-class edge counts do not sum to the vertex count")
     if trust_counts and any(c.edge_count not in (1, 2) for c in data.classes):
         raise ReconstructionInfeasibleError("per-class edge counts must be 1 or 2")
-    # Only distinct canonical primitive normals and positive sums can ever
-    # match the data of a polygon; the integer steps below rely on both.
-    if len({c.normal for c in data.classes}) != r or any(
-        c.length_sum <= 0 or not is_primitive_integer(c.normal) or canonical_unsigned(c.normal) != c.normal
-        for c in data.classes
-    ):
-        raise ReconstructionInfeasibleError(
-            "normal classes need distinct canonical primitive normals and positive length sums"
-        )
-    datum = (bool(trust_counts), d, data.area, tuple(data.classes))
+    datum = (bool(trust_counts), d, data.area, data.classes)
     last = _last
     if last is not None and last[0] == datum:
         return CandidateSet._from_keys(*last[1:])
@@ -597,10 +580,14 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
 
 
 def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
-    """Every (class, sign) of the class directions ``dirs`` in one angular
-    order; the ring of every branch is a subsequence of it."""
-    signed = [(i, s) for i in range(len(dirs)) for s in (1, -1)]
-    return [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])]
+    """Every (class, sign) of the pairwise non-parallel class directions
+    ``dirs`` in angular order from (1, 0); the ring of every branch is a
+    subsequence of it.  Each class has one signed direction in the half-turn
+    [0, pi), and the other half-turn holds their negatives in the same
+    order."""
+    half = [(i, 1 if w.y > 0 or w.y == 0 < w.x else -1) for i, w in enumerate(dirs)]
+    first = [half[k] for k in angle_order([dirs[i] * s for i, s in half])]
+    return first + [(i, -s) for i, s in first]
 
 
 def _residual(edges: Sequence[Vec2], singles, signs) -> tuple[int, int]:
@@ -622,17 +609,6 @@ def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]
 # The ends of a branch that dies at closure, as its record lists them.
 _NO_CLOSURE = ((0, "no_closure", None),)
 _INADMISSIBLE = ((0, "inadmissible_split", None),)
-
-
-def _table(start: tuple[int, int], steps) -> tuple[list[int], list[int]]:
-    """The two coordinates of every sign pattern's residual (or Cramer
-    numerators), by pattern index: ``start`` is pattern 0's, and ``steps[j]``
-    is added where bit ``j`` of the index is set."""
-    us, vs = [start[0]], [start[1]]
-    for du, dv in steps:
-        us += [u + du for u in us]
-        vs += [v + dv for v in vs]
-    return us, vs
 
 
 def _sign_patterns(r: int, singles: Sequence[int]) -> list[tuple[int, ...]]:
@@ -724,7 +700,8 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
             start, m = _cramer(w1, w2, *start)
             steps = [_cramer(w1, w2, x, y)[0] for x, y in steps]
             q = scale * m
-        # Pattern k has the residual or numerators (us[k], vs[k]).
+        # Pattern k has the residual or numerators (us[k], vs[k]): start plus
+        # steps[j] for each bit j of k.
         us, vs = _table(start, steps)
         dead = None
         if p == 0:

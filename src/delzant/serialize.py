@@ -235,7 +235,8 @@ def spectral_from_json(doc: dict) -> SpectralData:
         raise ParseError("normal classes must be pairwise distinct")
     if area <= 0:
         raise ParseError("area must be positive")
-    return SpectralData(vertex_count=d, classes=tuple(sorted(classes, key=lambda c: tuple(c.normal))), area=area)
+    # The checks above cover every field SpectralData checks, so it is built unchecked.
+    return SpectralData._unchecked(d, tuple(sorted(classes, key=lambda c: tuple(c.normal))), area)
 
 
 def parse_spectral(data: Union[bytes, str]) -> SpectralData:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import PoleError, UnsupportedError
+from .errors import PoleError, ReconstructionInfeasibleError, UnsupportedError
 from .geometry import Polygon
 from .polytope3 import Polytope3
 from .vectors import Vec2, canonical_unsigned, is_exact, is_primitive_integer
@@ -34,11 +34,48 @@ class NormalClass(NamedTuple):
 
 @dataclass(frozen=True)
 class SpectralData:
-    """The hearable data: vertex count, normal classes, exact area."""
+    """The hearable data: vertex count, normal classes, exact area.
+
+    Checked once, when built (by ``dataclasses.replace`` too): a field that
+    is not exact raises ValueError naming it, and classes no polygon has (a
+    repeated, non-primitive or non-canonical normal, a sum that is not
+    positive) raise ReconstructionInfeasibleError.  ``classes`` is kept as a
+    tuple.
+    """
 
     vertex_count: int
     classes: tuple[NormalClass, ...]
     area: Fraction
+
+    def __post_init__(self):
+        if not is_exact(self.vertex_count, int):
+            raise ValueError(f"vertex count must be an int, got {type(self.vertex_count).__name__}")
+        if not is_exact(self.area):
+            raise ValueError(f"area must be an int or a Fraction, got {type(self.area).__name__}")
+        classes = tuple(self.classes)
+        object.__setattr__(self, "classes", classes)
+        for k, c in enumerate(classes):
+            if not is_exact(c.length_sum):
+                raise ValueError(f"length sum of class {k} must be an int or a Fraction, got {type(c.length_sum).__name__}")
+            if c.edge_count is not None and not is_exact(c.edge_count, int):
+                raise ValueError(f"edge count of class {k} must be an int or None, got {type(c.edge_count).__name__}")
+            for x in c.normal:
+                if not is_exact(x, int):
+                    raise ValueError(f"normal of class {k} must be an int vector, got a {type(x).__name__} coordinate")
+        if len({c.normal for c in classes}) != len(classes) or any(
+            c.length_sum <= 0 or not is_primitive_integer(c.normal) or canonical_unsigned(c.normal) != c.normal
+            for c in classes
+        ):
+            raise ReconstructionInfeasibleError(
+                "normal classes need distinct canonical primitive normals and positive length sums"
+            )
+
+    @classmethod
+    def _unchecked(cls, vertex_count: int, classes: tuple[NormalClass, ...], area: Fraction) -> "SpectralData":
+        """The datum, built without the checks: for fields that already pass them."""
+        data = cls.__new__(cls)
+        data.__dict__.update(vertex_count=vertex_count, classes=classes, area=area)
+        return data
 
     @property
     def counts_known(self) -> bool:
@@ -73,13 +110,20 @@ def _class_sums(dxs, dys) -> dict[Vec2, list[int]]:
 
 
 def spectral_data(polygon: Polygon) -> SpectralData:
-    """Group the polygon's edges into unsigned-normal classes."""
+    """Group the polygon's edges into unsigned-normal classes.
+
+    Built unchecked, as every field holds: the vertex count is an ``int``;
+    each normal is an integer edge vector turned a quarter and divided by
+    its gcd (primitive), made canonical, and a dict's key (distinct); each
+    sum is a ``Fraction`` of positive gcds and each count an ``int``; the
+    area is a counterclockwise polygon's ``Fraction``, so positive.
+    """
     common, dxs, dys = polygon._frame
     classes = tuple(
         NormalClass(normal=normal, length_sum=Fraction(total, common), edge_count=count)
         for normal, (total, count) in sorted(_class_sums(dxs, dys).items())
     )
-    return SpectralData(vertex_count=polygon.edge_count, classes=classes, area=polygon.area)
+    return SpectralData._unchecked(polygon.edge_count, classes, polygon.area)
 
 
 def parallel_pair_count(polygon: Polygon) -> int:

@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 
 from delzant import bundle_facet_data, enumerate_candidates, random_delzant, spectral_data
 from delzant.cli import main
-from delzant.errors import ReconstructionInfeasibleError, UnsupportedAmbiguityError
-from delzant.serialize import candidates_to_json, halfspace_to_json, polygon_to_json, spectral_to_json
+from delzant.errors import ParseError, ReconstructionInfeasibleError, UnsupportedAmbiguityError
+from delzant.serialize import candidates_to_json, halfspace_to_json, parse_spectral, polygon_to_json, spectral_to_json
+from delzant.spectral import SpectralData
 
 MAX = 8
 
@@ -217,6 +218,62 @@ def test_documented_exit_code_and_no_exception(command, fuzzed, data):
     assert code in (0, 2, 3, 4, 5)
     # The interpreter's own digit-limit text means a message failed to be written.
     assert "sys.set_int_max_str_digits" not in err.getvalue()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=spectral_docs)
+def test_parsed_spectral_data_passes_every_constructor_check(doc):
+    """parse_spectral builds its datum without SpectralData's checks, as
+    its own cover every field: whatever it returns, the checked
+    constructor accepts as it is."""
+    try:
+        data = parse_spectral(json.dumps(doc))
+    except ParseError:
+        return
+    assert SpectralData(data.vertex_count, data.classes, data.area) == data
+
+
+def _spectral_doc(classes=({"normal": [0, 1], "lengthSum": "1/1"},), **fields):
+    return json.dumps({"d": 3, "classes": classes, "area": "1/2", **fields})
+
+
+# One spectral document per check of parse_spectral, and the message of the
+# ParseError it raises.
+SPECTRAL_FAULTS = [
+    ('{"d": 3, "area": "1/2"}', "spectral data needs 'd', 'classes' and 'area': 'classes'"),
+    (_spectral_doc(d=3.0), "'d' must be an integer, got 3.0"),
+    (_spectral_doc(d=True), "'d' must be an integer, got true"),
+    (_spectral_doc(area="1/2/3"), "malformed rational '1/2/3'"),
+    (_spectral_doc(area="0/1"), "area must be positive"),
+    (_spectral_doc(classes={}), "'classes' must be a list, got {}"),
+    (_spectral_doc(classes=[1]), "class 0 must be an object, got 1"),
+    (_spectral_doc(classes=[{"normal": [0, 1]}]), "class 0 is malformed: 'lengthSum'"),
+    (_spectral_doc(classes=[{"normal": [0.5, 1], "lengthSum": "1"}]),
+     "class 0: normal must be a list of 2 integers, got [0.5, 1]"),
+    (_spectral_doc(classes=[{"normal": [0, -1], "lengthSum": "1"}]),
+     "class 0: normal [0, -1] must be primitive with its first nonzero coordinate positive"),
+    (_spectral_doc(classes=[{"normal": [2, 0], "lengthSum": "1"}]),
+     "class 0: normal [2, 0] must be primitive with its first nonzero coordinate positive"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "-1/2"}]), "class 0: length sum must be positive"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": 1.0}]),
+     "class 0: count must be an integer, got 1.0"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": 3}]), "class 0: count must be 1 or 2"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1"}, {"normal": [1, 0], "lengthSum": "2"}]),
+     "normal classes must be pairwise distinct"),
+]
+
+
+@pytest.mark.parametrize("document, message", SPECTRAL_FAULTS)
+def test_each_spectral_fault_keeps_its_message(document, message, tmp_path, capsys):
+    """Each fault is a ParseError with its own message, from the library and
+    from ``reconstruct``, which exits 5 with it."""
+    with pytest.raises(ParseError) as info:
+        parse_spectral(document)
+    assert str(info.value) == message
+    infile = tmp_path / "in.json"
+    infile.write_text(document)
+    assert main(["reconstruct", "--in", str(infile)]) == 5
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command, options, field", [

@@ -26,6 +26,7 @@ from delzant import (
     ChopSpec,
     Polygon,
     Polytope3,
+    SpectralData,
     Vec2,
     bundle_facet_data,
     bundle_reconstruct,
@@ -143,9 +144,14 @@ DATA = spectral_data(hirzebruch(1, 1, 1))
 FAMILY = three_pair_family(chop(chop(hirzebruch(0, 5, 4), ChopSpec(0, 1)), ChopSpec(3, 2)))
 
 
+def _classes_with(**change):
+    """``DATA``'s classes with the first one changed."""
+    return (DATA.classes[0]._replace(**change),) + DATA.classes[1:]
+
+
 def _with_class(**change):
     """``DATA`` with its first class changed."""
-    return dataclasses.replace(DATA, classes=(DATA.classes[0]._replace(**change),) + DATA.classes[1:])
+    return dataclasses.replace(DATA, classes=_classes_with(**change))
 
 
 def _with_entry(polytope, **change):
@@ -199,3 +205,52 @@ ENTRY_POINTS = [
 def test_entry_points_reject_inexact_scalars(call, error, value):
     with pytest.raises(error):
         call(value)
+
+
+# The rows above that pass a bad SpectralData field to enumerate_candidates,
+# with the datum built by dataclasses.replace, then by SpectralData(...),
+# and the message either raises, ``{}`` standing for the value's type name.
+DATUM_FIELDS = {
+    "enumerate_candidates.vertex_count": (
+        lambda x: dataclasses.replace(DATA, vertex_count=x),
+        lambda x: SpectralData(x, DATA.classes, DATA.area),
+        "vertex count must be an int, got {}",
+    ),
+    "enumerate_candidates.area": (
+        lambda x: dataclasses.replace(DATA, area=x),
+        lambda x: SpectralData(DATA.vertex_count, DATA.classes, x),
+        "area must be an int or a Fraction, got {}",
+    ),
+    "enumerate_candidates.length_sum": (
+        lambda x: _with_class(length_sum=x),
+        lambda x: SpectralData(DATA.vertex_count, _classes_with(length_sum=x), DATA.area),
+        "length sum of class 0 must be an int or a Fraction, got {}",
+    ),
+    "enumerate_candidates.edge_count": (
+        lambda x: _with_class(edge_count=x),
+        lambda x: SpectralData(DATA.vertex_count, _classes_with(edge_count=x), DATA.area),
+        "edge count of class 0 must be an int or None, got {}",
+    ),
+    "enumerate_candidates.normal": (
+        lambda x: _with_class(normal=Vec2(x, 0)),
+        lambda x: SpectralData(DATA.vertex_count, _classes_with(normal=Vec2(x, 0)), DATA.area),
+        "normal of class 0 must be an int vector, got a {} coordinate",
+    ),
+}
+
+
+def test_every_datum_row_is_listed():
+    assert sorted(DATUM_FIELDS) == sorted(row[0] for row in ENTRY_POINTS if row[0].startswith("enumerate_candidates."))
+
+
+@pytest.mark.parametrize("value", [True, 0.5], ids=["bool", "float"])
+@pytest.mark.parametrize("field", sorted(DATUM_FIELDS))
+def test_a_bad_field_raises_where_the_datum_is_built(field, value):
+    """The datum of each enumerate_candidates row is rejected when it is
+    built, by either constructor, with the message enumerate_candidates
+    gave when it checked the fields itself."""
+    message = DATUM_FIELDS[field][2].format(type(value).__name__)
+    for build in DATUM_FIELDS[field][:2]:
+        with pytest.raises(ValueError) as info:
+            build(value)
+        assert str(info.value) == message

@@ -367,8 +367,41 @@ class TestDetectSubpolygons:
         assert detect_subpolygons(random_delzant(5, 7, 4)).subsets == ()
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError, match=r"2\^17 subsets; budget is 2\^16"):
+        with pytest.raises(BudgetExceededError, match=r"^subpolygon enumeration needs 2\^17 subsets; budget is 2\^16$"):
             detect_subpolygons(random_delzant(17, 0, 5))
+
+    def test_subset_sums_match_per_mask_sums(self, subpolygon_hexagon):
+        """The doubling table of subset sums finds the subsets a per-mask
+        sum finds, in ascending mask order, on d = 3..16."""
+        octagon = Polygon(((1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)))
+        polygons = [subpolygon_hexagon, octagon]
+        polygons += [random_delzant(d, 0, twist=twist) for d in range(3, 17) for twist in (False, True)]
+        for polygon in polygons:
+            assert detect_subpolygons(polygon).subsets == _subsets_by_mask(polygon), polygon
+        assert len(detect_subpolygons(octagon).subsets) > 2
+
+
+def _subsets_by_mask(polygon):
+    """Each mask's edge subset of size >= 3 (complement >= 3) whose
+    vectors sum to zero, summed mask by mask, in ascending mask order."""
+    d = polygon.edge_count
+    _, xs, ys = polygon._frame
+    found = []
+    for mask in range(1, 1 << d):
+        k = mask.bit_count()
+        if k < 3 or d - k < 3:
+            continue
+        sx = sy = 0
+        m = mask
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            sx += xs[i]
+            sy += ys[i]
+            m ^= low
+        if sx == 0 and sy == 0:
+            found.append(tuple(i for i in range(d) if mask >> i & 1))
+    return tuple(found)
 
 
 class TestPolygonFromHalfplanes:

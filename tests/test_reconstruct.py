@@ -2,6 +2,7 @@
 genericity, and half-space reconstruction."""
 
 import importlib
+import json
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -36,6 +37,7 @@ from delzant import (
     three_pair_family,
     validate_delzant,
 )
+from delzant.serialize import parse_spectral, spectral_to_json
 from delzant.spectral import NormalClass, SpectralData
 from delzant.vectors import angle_order
 
@@ -185,10 +187,12 @@ class TestEnumerateCandidates:
         (((0, 1), (1, 0), (1, 1)), (3, 1, 0)),
     ])
     def test_rejects_classes_no_polygon_can_have(self, normals, counts):
+        # The datum is built inside pytest.raises: a non-primitive or
+        # non-canonical normal is rejected by SpectralData itself, counts
+        # of 3 and 0 by the enumeration.
         classes = tuple(NormalClass(Vec2(*n), Fraction(2), k) for n, k in zip(normals, counts))
-        data = SpectralData(vertex_count=4, classes=classes, area=Fraction(1))
         with pytest.raises(ReconstructionInfeasibleError):
-            enumerate_candidates(data, trust_counts=True)
+            enumerate_candidates(SpectralData(vertex_count=4, classes=classes, area=Fraction(1)), trust_counts=True)
 
     def test_counts_must_sum_to_vertex_count(self, hirzebruch_111):
         data = spectral_data(hirzebruch_111)
@@ -231,13 +235,14 @@ class TestEnumerateCandidates:
         ("normal", Vec2(False, True)),
     ])
     def test_rejects_inexact_input_naming_the_field(self, field, value):
+        # The bad datum is built inside pytest.raises: SpectralData rejects
+        # it when it is built, before any enumeration.
         data = spectral_data(random_delzant(5, 3, 4))
-        if field in ("length_sum", "edge_count", "normal"):
-            data = replace(data, classes=(data.classes[0]._replace(**{field: value}),) + data.classes[1:])
-        else:
-            data = replace(data, **{field: value})
         with pytest.raises(ValueError, match=f"^{field.replace('_', ' ')}.* must be an int"):
-            enumerate_candidates(data)
+            if field in ("length_sum", "edge_count", "normal"):
+                replace(data, classes=(data.classes[0]._replace(**{field: value}),) + data.classes[1:])
+            else:
+                replace(data, **{field: value})
 
     @pytest.mark.parametrize("trust_counts", [False, True])
     def test_int_area_and_sums_are_exact_input(self, unit_square, subpolygon_hexagon, trust_counts):
@@ -259,6 +264,64 @@ class TestEnumerateCandidates:
         if data.parallel_pairs > 3:
             return
         assert p in enumerate_candidates(data)
+
+
+class TestCheckedOnce:
+    """A SpectralData is checked where it is built, once; the enumeration
+    checks only what the type cannot."""
+
+    @pytest.mark.parametrize("data", [None, (4, (), Fraction(1)), {"vertex_count": 4}], ids=["none", "tuple", "dict"])
+    def test_rejects_what_is_not_spectral_data(self, data):
+        with pytest.raises(TypeError, match=f"^expected SpectralData, got {type(data).__name__}$"):
+            enumerate_candidates(data)
+
+    def test_enumerating_built_or_parsed_data_runs_no_field_check(self, monkeypatch):
+        """A work counter, free of timing noise: enumerating the data of a
+        polygon, or the data parsed back from its JSON, calls none of the
+        exactness and primitivity tests that SpectralData's own checks make
+        (looked up in the modules that build and enumerate the datum)."""
+        spectral = importlib.import_module("delzant.spectral")
+        module = importlib.import_module("delzant.reconstruct")
+        inputs = []
+        for d in range(3, 10):
+            for seed in range(4):
+                for twist in (False, True):
+                    polygon = random_delzant(d, seed, twist=twist)
+                    data = spectral_data(polygon)
+                    if data.parallel_pairs <= 3:
+                        inputs.append((polygon, json.dumps(spectral_to_json(data))))
+        calls = []
+        for target, name in ((spectral, "is_exact"), (spectral, "is_primitive_integer"),
+                             (module, "is_primitive_integer")):
+            real = getattr(target, name)
+            monkeypatch.setattr(target, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+        for polygon, text in inputs:
+            parsed = parse_spectral(text)
+            for data in (spectral_data(polygon), parsed):
+                monkeypatch.setattr(module, "_last", None)
+                enumerate_candidates(data)
+        assert len(inputs) > 40
+        assert calls == []
+        # The spies do see the checks of a datum built the public way.
+        SpectralData(parsed.vertex_count, parsed.classes, parsed.area)
+        assert "is_exact" in calls and "is_primitive_integer" in calls
+
+
+def test_fan_is_the_angular_order_of_every_signed_direction():
+    """The fan from one half-turn and its negatives is the angular order of
+    all 2r signed class directions from (1, 0), on every datum of d =
+    3..10, seeds 0-15, plain and twisted."""
+    fan = importlib.import_module("delzant.reconstruct")._fan
+    checked = 0
+    for d in range(3, 11):
+        for seed in range(16):
+            for twist in (False, True):
+                data = spectral_data(random_delzant(d, seed, twist=twist))
+                dirs = [Vec2(-y, x) for x, y in (c.normal for c in data.classes)]
+                signed = [(i, s) for i in range(len(dirs)) for s in (1, -1)]
+                assert fan(dirs) == [signed[k] for k in angle_order([dirs[i] * s for i, s in signed])], (d, seed, twist)
+                checked += 1
+    assert checked == 256
 
 
 def _reference_outcome(data, record, trust_counts):

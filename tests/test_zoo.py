@@ -534,6 +534,26 @@ class TestCensus:
             _reference_walk(d, bound, 2, check)
         assert checked == 2104
 
+    @pytest.mark.parametrize("normals, lengths, bound", [
+        (((0, -1), (1, 0), (0, 1), (-1, 0)), (9, 9, 9, 9), 3),
+        (((0, -1), (1, 0), (0, 1), (-1, 0)), (12, 7, 12, 7), 2),
+        (((0, -1), (1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)), (8, 7, 6, 8, 7, 6), 3),
+    ])
+    def test_last_two_chops_cap_long_neighbours(self, normals, lengths, bound):
+        """A state off the census grid, with every two adjacent edges longer
+        than ``bound + 1``: after a first chop the corners beside it keep an
+        outer edge longer than the cap, so their depths must be capped on
+        both sides.  Checked against the two-chop leaf walk, key order
+        included."""
+        expected: dict[int, int] = {}
+        for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
+            for _, _, last_paired in _reference_children(child_normals, child_lengths, bound):
+                expected[paired + last_paired] = expected.get(paired + last_paired, 0) + 1
+        codes = tuple(x * (1 << 16) + y for x, y in normals)
+        counted = zoo._last_two_chops(codes, lengths, bound + 1)
+        assert list(counted.items()) == list(expected.items())
+        assert sum(counted.values()) > 0
+
     @pytest.mark.parametrize("d, bound", [(7, 4), (8, 4)])
     def test_mirror_twin_chops_have_equal_subtrees(self, d, bound):
         """The census counts a base's first chops at corners 0 and 1 only
