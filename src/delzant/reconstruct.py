@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence, Union
 
@@ -198,12 +198,28 @@ class CandidateSet:
         blocks, keys = self._integer
         index_of = _candidate_index(keys)
         trace = []
-        for doubled, signs, (den, raw), parameter, ends in _branches(blocks):
-            splits = tuple((Fraction(a, den), Fraction(b, den)) for a, b in raw)
-            if parameter is not None:
-                parameter = Fraction(*parameter)
-            for anchor, outcome, key in ends:
-                trace.append(AssignmentRecord(doubled, signs, splits, parameter, anchor, outcome, index_of.get(key)))
+        for doubled, signs, start, stop, dead, records in _branches(blocks):
+            if records is None and dead is None:
+                trace += [AssignmentRecord(doubled, tuple(s), (), None, 0, "no_closure", None) for s in signs[start:stop]]
+            elif records is None:
+                b1, b2, den, us, vs = dead
+                trace += [
+                    AssignmentRecord(
+                        doubled,
+                        tuple(s),
+                        ((Fraction(b1 + u, den), Fraction(b1 - u, den)), (Fraction(b2 + v, den), Fraction(b2 - v, den))),
+                        None, 0, "inadmissible_split", None,
+                    )
+                    for s, u, v in zip(signs[start:stop], us[start:stop], vs[start:stop])
+                ]
+            else:
+                signs = tuple(signs[start])
+                for (den, raw), parameter, ends in records:
+                    splits = tuple((Fraction(a, den), Fraction(b, den)) for a, b in raw)
+                    if parameter is not None:
+                        parameter = Fraction(*parameter)
+                    for anchor, outcome, key in ends:
+                        trace.append(AssignmentRecord(doubled, signs, splits, parameter, anchor, outcome, index_of.get(key)))
         self._trace = tuple(trace)
 
     @property
@@ -611,15 +627,17 @@ _NO_CLOSURE = ((0, "no_closure", None),)
 _INADMISSIBLE = ((0, "inadmissible_split", None),)
 
 
-def _sign_patterns(r: int, singles: Sequence[int]) -> list[tuple[int, ...]]:
+def _sign_table(r: int, singles: Sequence[int]) -> list[list[int]]:
     """Every sign pattern of a choice with single classes ``singles``, by
-    pattern index: bit ``j`` of the index flips ``singles[j]`` to -1."""
-    # product() flips its last factor fastest, so it runs over the classes
-    # backwards and each pattern is turned round.
-    factors = [(1,)] * r
+    pattern index: pattern ``k`` flips ``singles[j]`` to -1 for each bit
+    ``j`` set in ``k``.  The table doubles once per single class."""
+    table = [[1] * r]
     for i in singles:
-        factors[i] = (1, -1)
-    return [s[::-1] for s in product(*factors[::-1])]
+        flipped = [signs.copy() for signs in table]
+        for signs in flipped:
+            signs[i] = -1
+        table += flipped
+    return table
 
 
 def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple], dict]:
@@ -645,7 +663,8 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     integers:
 
     - ``doubled``, the doubled classes' normals, and ``singles``, the single
-      classes' indices: pattern ``k`` is ``_sign_patterns(r, singles)[k]``;
+      classes' indices: pattern ``k`` has the signs ``_sign_table(r,
+      singles)[k]``, which flip ``singles[j]`` for each bit ``j`` set in ``k``;
     - ``dead``, how a pattern the comprehension dropped reads: its one trace
       entry has anchor 0 and, when ``dead`` is None, outcome ``no_closure``
       and no splits; otherwise the choice has two pairs, ``dead = (b1, b2,
@@ -806,23 +825,25 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
 
 
 def _branches(blocks: Sequence[tuple]):
-    """Every branch of :func:`_reconstruct`'s ``blocks`` in trace order, as
-    ``(doubled, signs, splits, parameter, ends)``, ``splits`` in integers:
-    the one walk of the block format, which :meth:`CandidateSet._expand` and
-    ``serialize.candidates_to_json`` both consume.  A block's branches
+    """Every branch of :func:`_reconstruct`'s ``blocks`` in trace order, a
+    run at a time, as ``(doubled, signs, start, stop, dead, records)``: the
+    one walk of the block format, which :meth:`CandidateSet._expand` and
+    ``serialize.candidates_to_json`` both consume.  ``signs`` is the block's
+    :func:`_sign_table`, built once per block, and ``dead`` its dead outcome.
+    ``records`` is None for a run of dropped patterns ``start`` to ``stop -
+    1``, each of which reads as ``dead`` says; for a kept pattern ``start``
+    (``stop = start + 1``) it is that pattern's records.  A block's items
     share its ``doubled`` tuple."""
     for doubled, singles, dead, opened in blocks:
-        if dead is not None:
-            b1, b2, den, us, vs = dead
-        for k, signs in enumerate(_sign_patterns(len(doubled) + len(singles), singles)):
-            if k in opened:
-                for splits, parameter, ends in opened[k]:
-                    yield doubled, signs, splits, parameter, ends
-            elif dead is not None:
-                u, v = us[k], vs[k]
-                yield doubled, signs, (den, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, _INADMISSIBLE
-            else:
-                yield doubled, signs, (1, ()), None, _NO_CLOSURE
+        signs = _sign_table(len(doubled) + len(singles), singles)
+        start = 0
+        for k, records in opened.items():
+            if start < k:
+                yield doubled, signs, start, k, dead, None
+            yield doubled, signs, k, k + 1, dead, records
+            start = k + 1
+        if start < len(signs):
+            yield doubled, signs, start, len(signs), dead, None
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from fractions import Fraction
 from math import gcd
 from typing import Union
 
@@ -84,6 +85,16 @@ def _read_int(value, what: str) -> int:
     return value
 
 
+def _read_rational(value) -> Fraction:
+    """A JSON rational: a "p/q" string read by ``parse_rational``, or an
+    integer.  Anything else is rejected in its JSON spelling."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if is_exact(value, int):
+        return Fraction(value)
+    raise ParseError(f"malformed rational {json.dumps(value)}")
+
+
 def _read_list(value, what: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{what} must be a list, got {json.dumps(value)}")
@@ -110,11 +121,13 @@ def _read_one_of(value, allowed: tuple[int, ...], what: str) -> int:
     return value
 
 
-def _canonical_normal(normal: tuple[int, ...], what: str) -> tuple[int, ...]:
-    """``normal`` when it is primitive with its first nonzero coordinate positive."""
-    if not is_primitive_integer(normal) or canonical_unsigned(Vec2(*normal)) != normal:
+def _canonical_normal(normal: tuple[int, int], what: str) -> Vec2:
+    """``normal`` as a Vec2 when it is primitive with its first nonzero
+    coordinate positive."""
+    vector = Vec2(*normal)
+    if not is_primitive_integer(vector) or canonical_unsigned(vector) != vector:
         raise ParseError(f"{what} {list(normal)} must be primitive with its first nonzero coordinate positive")
-    return normal
+    return vector
 
 
 def _read_points(raw, dim: int, too_few: str) -> list[tuple]:
@@ -127,7 +140,7 @@ def _read_points(raw, dim: int, too_few: str) -> list[tuple]:
         if not isinstance(point, (list, tuple)) or len(point) != dim:
             raise ParseError(f"vertex {index} is not a coordinate {'pair' if dim == 2 else 'triple'}")
         try:
-            points.append(tuple(parse_rational(str(c)) for c in point))
+            points.append(tuple(_read_rational(c) for c in point))
         except ParseError as exc:
             raise ParseError(f"vertex {index}: {exc}") from exc
     return points
@@ -213,30 +226,32 @@ def spectral_from_json(doc: dict) -> SpectralData:
     try:
         d = _read_int(doc["d"], "'d'")
         raw_classes = doc["classes"]
-        area = parse_rational(str(doc["area"]))
+        area = _read_rational(doc["area"])
     except KeyError as exc:
         raise ParseError(f"spectral data needs 'd', 'classes' and 'area': {exc}") from exc
     classes = []
     for index, entry in enumerate(_read_list(raw_classes, "'classes'")):
         _read_object(entry, f"class {index}")
+        normal_field = f"class {index}: normal"
         try:
-            normal = Vec2(*_read_ints(entry["normal"], 2, f"class {index}: normal"))
-            length_sum = parse_rational(str(entry["lengthSum"]))
+            normal = _read_ints(entry["normal"], 2, normal_field)
+            length_sum = _read_rational(entry["lengthSum"])
         except KeyError as exc:
             raise ParseError(f"class {index} is malformed: {exc}") from exc
         count = entry.get("count")
         if count is not None and _read_int(count, f"class {index}: count") not in (1, 2):
             raise ParseError(f"class {index}: count must be 1 or 2")
-        _canonical_normal(normal, f"class {index}: normal")
-        if length_sum <= 0:
+        normal = _canonical_normal(normal, normal_field)
+        if length_sum.numerator <= 0:
             raise ParseError(f"class {index}: length sum must be positive")
-        classes.append(NormalClass(normal=normal, length_sum=length_sum, edge_count=count))
-    if len({tuple(c.normal) for c in classes}) != len(classes):
+        classes.append(NormalClass(normal, length_sum, count))
+    if len({c.normal for c in classes}) != len(classes):
         raise ParseError("normal classes must be pairwise distinct")
-    if area <= 0:
+    if area.numerator <= 0:
         raise ParseError("area must be positive")
-    # The checks above cover every field SpectralData checks, so it is built unchecked.
-    return SpectralData._unchecked(d, tuple(sorted(classes, key=lambda c: tuple(c.normal))), area)
+    # The checks above cover every field SpectralData checks, so it is built
+    # unchecked.  The normals are distinct, so the classes sort by them.
+    return SpectralData._unchecked(d, tuple(sorted(classes)), area)
 
 
 def parse_spectral(data: Union[bytes, str]) -> SpectralData:
@@ -263,8 +278,8 @@ def halfspace_from_json(doc: dict) -> HalfSpaceSystem:
         _read_object(entry, f"entry {index}")
         try:
             normal = _read_ints(entry["normal"], dim, f"entry {index}: normal")
-            offset = parse_rational(str(entry["offset"]))
-            volume = parse_rational(str(entry["volume"]))
+            offset = _read_rational(entry["offset"])
+            volume = _read_rational(entry["volume"])
         except KeyError as exc:
             raise ParseError(f"entry {index} is malformed: {exc}") from exc
         entries.append(HalfSpaceEntry(normal=normal, offset=offset, volume=volume))
@@ -293,14 +308,36 @@ def _ratio(n: int, d: int) -> str:
     return f"{n // g}/{d // g}"
 
 
+def _pair(a: int, b: int, den: int) -> list[str]:
+    """``[_ratio(a, den), _ratio(b, den)]``, inlined: the writer formats
+    every vertex and split pair with it."""
+    g, h = gcd(a, den), gcd(b, den)
+    return [f"{a // g}/{den // g}", f"{b // h}/{den // h}"]
+
+
+def _dropped(template: dict, signs: list, start: int, stop: int, dead) -> list[dict]:
+    """The trace entries of a block's dropped patterns ``start`` to ``stop -
+    1``, copies of the block's ``template`` entry (``reconstruct._branches``
+    says how ``dead`` reads)."""
+    if dead is None:
+        return [dict(template, signs=s) for s in signs[start:stop]]
+    b1, b2, den, us, vs = dead
+    return [
+        dict(template, signs=s, splits=[_pair(b1 + u, b1 - u, den), _pair(b2 + v, b2 - v, den)])
+        for s, u, v in zip(signs[start:stop], us[start:stop], vs[start:stop])
+    ]
+
+
 def candidates_to_json(candidates: CandidateSet) -> dict:
     """The candidates JSON document.
 
     An enumerated set, read or not, is written straight from its keys and
-    the branches of its blocks (``reconstruct._branches``), building no
-    polygon, no trace record and no ``Fraction``; the entries of one
-    branch then share their ``signs`` and ``splits`` lists, and those of
-    one doubled-class choice their ``doubled`` list.
+    the runs of its blocks (``reconstruct._branches``), building no
+    polygon, no trace record and no ``Fraction``.  A run of dropped
+    patterns is written by one comprehension over copies of its block's
+    template entry, so a block's dropped entries share its ``doubled``
+    list and its ``no_closure`` entries share one ``[]``; the entries of a
+    kept branch share their ``signs`` and ``splits`` lists.
     """
     if candidates._integer is None:
         return {
@@ -312,34 +349,55 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     blocks, keys = candidates._integer
     index_of = _candidate_index(keys)
     polygons = _each("candidate", index_of, lambda key: {
-        "dim": 2, "vertices": [[_ratio(x, key[0]), _ratio(y, key[0])] for x, y in zip(key[1::2], key[2::2])],
+        "dim": 2, "vertices": [_pair(x, y, key[0]) for x, y in zip(key[1::2], key[2::2])],
     })
     trace = []
-    # Most branches are dropped patterns without splits; this loop runs once
-    # per branch, so it binds its two calls and skips the empty comprehension.
     append, candidate = trace.append, index_of.get
     last = None
     try:
-        for doubled, signs, (den, raw), parameter, ends in _branches(blocks):
+        for doubled, signs, start, stop, dead, records in _branches(blocks):
             if doubled is not last:
                 last, doubled_list = doubled, [list(n) for n in doubled]
-            signs = list(signs)
-            splits = [[_ratio(a, den), _ratio(b, den)] for a, b in raw] if raw else []
-            if parameter is not None:
-                parameter = _ratio(*parameter)
-            for anchor, outcome, key in ends:
-                append({
+                template = {
                     "doubled": doubled_list,
-                    "signs": signs,
-                    "splits": splits,
-                    "parameter": parameter,
-                    "anchor": anchor,
-                    "outcome": outcome,
-                    "candidate": candidate(key),
-                })
+                    "signs": None,
+                    "splits": [],
+                    "parameter": None,
+                    "anchor": 0,
+                    "outcome": "no_closure" if dead is None else "inadmissible_split",
+                    "candidate": None,
+                }
+            if records is None:
+                trace += _dropped(template, signs, start, stop, dead)
+                continue
+            signs = signs[start]
+            for (den, raw), parameter, ends in records:
+                splits = [_pair(a, b, den) for a, b in raw]
+                if parameter is not None:
+                    parameter = _ratio(*parameter)
+                for anchor, outcome, key in ends:
+                    append({
+                        "doubled": doubled_list,
+                        "signs": signs,
+                        "splits": splits,
+                        "parameter": parameter,
+                        "anchor": anchor,
+                        "outcome": outcome,
+                        "candidate": candidate(key),
+                    })
     except ValueError as exc:
-        # Only _ratio raises it, past the digit limit, before its entry is added.
-        raise _too_long(f"trace record {len(trace)}") from exc
+        # Only _pair and _ratio raise it, past the digit limit, before their
+        # entry is added.  A run adds its entries at once, so the failing one
+        # is the first of the run that cannot be written alone.
+        index = len(trace)
+        if records is None:
+            for k in range(start, stop):
+                try:
+                    _dropped(template, signs, k, k + 1, dead)
+                except ValueError:
+                    break
+                index += 1
+        raise _too_long(f"trace record {index}") from exc
     return {"candidates": polygons, "assignmentTrace": trace}
 
 
@@ -362,11 +420,12 @@ def _record_from_json(entry, index: int, candidate_count: int) -> AssignmentReco
         raise ParseError(f"{what}: candidate {candidate} is not among the {candidate_count} candidates")
     return AssignmentRecord(
         doubled=tuple(
-            _canonical_normal(_read_ints(n, 2, f"{what}: doubled normal"), f"{what}: doubled normal") for n in doubled
+            tuple(_canonical_normal(_read_ints(n, 2, f"{what}: doubled normal"), f"{what}: doubled normal"))
+            for n in doubled
         ),
         signs=tuple(_read_one_of(x, (1, -1), f"{what}: sign") for x in signs),
-        splits=tuple((parse_rational(str(a)), parse_rational(str(b))) for a, b in splits),
-        parameter=None if parameter is None else parse_rational(str(parameter)),
+        splits=tuple((_read_rational(a), _read_rational(b)) for a, b in splits),
+        parameter=None if parameter is None else _read_rational(parameter),
         anchor=_read_one_of(entry.get("anchor", 0), (-1, 0, 1), f"{what}: anchor"),
         outcome=outcome,
         candidate_index=candidate,

@@ -33,7 +33,7 @@ from delzant import (
 )
 from delzant import reconstruct, serialize, zoo
 from delzant.geometry import _convex_frame
-from delzant.vectors import Vec2
+from delzant.vectors import Vec2, format_rational
 
 READS = {
     "trace": lambda c: c.trace,
@@ -178,6 +178,28 @@ def test_read_and_unread_sets_name_the_same_trace_record_past_the_digit_limit():
             serialize.candidates_to_json(candidates)
         messages.append(str(caught.value))
     assert messages == [f"cannot write trace record 2: an integer in it has more than {sys.get_int_max_str_digits()} digits"] * 2
+
+
+def test_a_run_names_its_record_past_the_digit_limit_from_its_offset():
+    """A run of dropped patterns that cannot be written names the same
+    trace record as its eager twin, wherever the run starts: each suffix of
+    the blocks above, after a block that writes (16 entries)."""
+    n = 10 ** sys.get_int_max_str_digits() // 40 + 1
+    source = random_delzant(8, 7, 4)
+    scaled = enumerate_candidates(spectral_data(Polygon([(v.x * n, v.y * n) for v in source.vertices])))
+    blocks, keys = scaled._integer
+    writable = enumerate_candidates(spectral_data(source))._integer[0][0]
+    named = set()
+    for i in range(len(blocks)):
+        unread = CandidateSet._from_keys([writable] + blocks[i:], keys, {})
+        messages = []
+        for candidates in (unread, CandidateSet(candidates=unread.candidates, trace=unread.trace)):
+            with pytest.raises(UnsupportedError) as caught:
+                serialize.candidates_to_json(candidates)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1], i
+        named.add(messages[0])
+    assert len(named) > 1 and "cannot write trace record 18" in {m.split(":")[0] for m in named}
 
 
 def test_candidate_order_is_the_vertex_order_across_denominators():
@@ -500,6 +522,143 @@ def test_every_emitted_candidate_is_delzant_with_its_data():
                 emitted += len(candidates)
     # Only the four sampled polygons with more than three pairs drop out.
     assert (enumerations, emitted) == (3624, 4212)
+
+
+# --- the per-branch walk, kept as the oracle of the runs --------------------
+
+def _sign_patterns(r, singles):
+    """Every sign pattern of a choice by pattern index, from product():
+    bit ``j`` of the index flips ``singles[j]`` to -1."""
+    factors = [(1,)] * r
+    for i in singles:
+        factors[i] = (1, -1)
+    return [s[::-1] for s in itertools.product(*factors[::-1])]
+
+
+def _per_branch(blocks):
+    """Every branch of the blocks in trace order, one at a time, as
+    ``(doubled, signs, splits, parameter, ends)``."""
+    for doubled, singles, dead, opened in blocks:
+        for k, signs in enumerate(_sign_patterns(len(doubled) + len(singles), singles)):
+            if k in opened:
+                for splits, parameter, ends in opened[k]:
+                    yield doubled, signs, splits, parameter, ends
+            elif dead is not None:
+                b1, b2, den, us, vs = dead
+                u, v = us[k], vs[k]
+                yield doubled, signs, (den, ((b1 + u, b1 - u), (b2 + v, b2 - v))), None, ((0, "inadmissible_split", None),)
+            else:
+                yield doubled, signs, (1, ()), None, ((0, "no_closure", None),)
+
+
+def _per_branch_trace(candidates):
+    blocks, keys = candidates._integer
+    index_of = reconstruct._candidate_index(keys)
+    return tuple(
+        reconstruct.AssignmentRecord(
+            doubled,
+            signs,
+            tuple((Fraction(a, den), Fraction(b, den)) for a, b in raw),
+            None if parameter is None else Fraction(*parameter),
+            anchor,
+            outcome,
+            index_of.get(key),
+        )
+        for doubled, signs, (den, raw), parameter, ends in _per_branch(blocks)
+        for anchor, outcome, key in ends
+    )
+
+
+def _per_branch_document(candidates, trace):
+    """The candidates JSON document of a set and its per-branch ``trace``."""
+    keys = candidates._integer[1]
+    text = lambda n, d: format_rational(Fraction(n, d))
+    return {
+        "candidates": [
+            {"dim": 2, "vertices": [[text(x, key[0]), text(y, key[0])] for x, y in zip(key[1::2], key[2::2])]}
+            for key in reconstruct._candidate_index(keys)
+        ],
+        "assignmentTrace": [
+            {
+                "doubled": [list(n) for n in record.doubled],
+                "signs": list(record.signs),
+                "splits": [[format_rational(a), format_rational(b)] for a, b in record.splits],
+                "parameter": None if record.parameter is None else format_rational(record.parameter),
+                "anchor": record.anchor,
+                "outcome": record.outcome,
+                "candidate": record.candidate_index,
+            }
+            for record in trace
+        ],
+    }
+
+
+def _decided(data):
+    """The unread set of every doubled-class choice of ``data``, built from
+    ``_reconstruct`` so that data with no candidate (a nudged area) has one
+    too; None past three pairs."""
+    r, p = len(data.classes), data.parallel_pairs
+    if p > 3:
+        return None
+    return CandidateSet._from_keys(*reconstruct._reconstruct(data, list(itertools.combinations(range(r), p))))
+
+
+# Every edge count, plain and twisted, with the exact area and nudged off it.
+WALKED = [
+    (d, seed, twist, nudge)
+    for d in range(3, 10) for seed in range(16) for twist in (False, True) for nudge in (0, Fraction(1, 7))
+]
+
+
+def _oracle_set(d, seed, twist, nudge):
+    data = spectral_data(random_delzant(d, seed, 4, twist=twist))
+    return _decided(dataclasses.replace(data, area=data.area + nudge))
+
+
+def test_runs_write_the_bytes_and_trace_of_the_per_branch_walk():
+    """Unread and read, a set writes the per-branch walk's bytes (indented
+    on every sixteenth case: the pure-Python encoder is slow, and the
+    compact bytes already fix the document), and its trace is the walk's."""
+    outcomes = set()
+    for number, case in enumerate(WALKED):
+        unread = _oracle_set(*case)
+        if unread is None:
+            continue
+        read = CandidateSet._from_keys(*unread._integer, unread._emitting)
+        read.trace
+        trace = _per_branch_trace(unread)
+        document = _per_branch_document(unread, trace)
+        for indent in (None, 2) if number % 16 == 0 else (None,):
+            expected = json.dumps(document, indent=indent)
+            assert json.dumps(serialize.candidates_to_json(unread), indent=indent) == expected, case
+            assert json.dumps(serialize.candidates_to_json(read), indent=indent) == expected, case
+        assert read.trace == unread.trace == trace, case
+        outcomes.update(record.outcome for record in trace)
+    assert outcomes == reconstruct.TRACE_OUTCOMES
+
+
+def test_a_write_walks_runs_and_builds_each_sign_table_once(monkeypatch):
+    """Writing a set or expanding its trace builds each block's sign table
+    once, and the walk yields one item per kept pattern and per run of
+    dropped patterns between them, far fewer than the trace has entries."""
+    tables = []
+    sign_table = reconstruct._sign_table
+    monkeypatch.setattr(reconstruct, "_sign_table", lambda *args: tables.append(args) or sign_table(*args))
+    walked = entries = 0
+    for case in WALKED[::4]:
+        candidates = _oracle_set(*case)
+        if candidates is None:
+            continue
+        blocks = candidates._integer[0]
+        for read in (serialize.candidates_to_json, lambda c: c.trace):
+            tables.clear()
+            read(candidates)
+            assert len(tables) == len(blocks), case
+        items = sum(1 for _ in reconstruct._branches(blocks))
+        assert items <= 2 * sum(len(opened) for *_, opened in blocks) + len(blocks), case
+        walked += items
+        entries += len(candidates.trace)
+    assert (walked, entries) == (2197, 19368)
 
 
 # --- the candidates JSON bytes are pinned -----------------------------------

@@ -260,7 +260,27 @@ SPECTRAL_FAULTS = [
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": 3}]), "class 0: count must be 1 or 2"),
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1"}, {"normal": [1, 0], "lengthSum": "2"}]),
      "normal classes must be pairwise distinct"),
+    (_spectral_doc(classes=[{"normal": [True, 0], "lengthSum": "1"}]),
+     "class 0: normal must be a list of 2 integers, got [true, 0]"),
+    (_spectral_doc(classes=[{"normal": [1, 0, 0], "lengthSum": "1"}]),
+     "class 0: normal must be a list of 2 integers, got [1, 0, 0]"),
+    (_spectral_doc(classes=[{"lengthSum": "1"}]), "class 0 is malformed: 'normal'"),
+    (_spectral_doc(classes=[[[1, 0], "1"]]), 'class 0 must be an object, got [[1, 0], "1"]'),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": True}]),
+     "class 0: count must be an integer, got true"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": "1"}]),
+     'class 0: count must be an integer, got "1"'),
+    # A rational that is not a string is echoed in its JSON spelling.
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": True}]), "malformed rational true"),
+    (_spectral_doc(area=None), "malformed rational null"),
 ]
+
+
+def test_an_integer_rational_is_still_accepted():
+    """A JSON integer where a rational belongs reads as that integer."""
+    as_integer = parse_spectral(_spectral_doc(classes=[{"normal": [0, 1], "lengthSum": 1}], area=1))
+    assert as_integer == parse_spectral(_spectral_doc(classes=[{"normal": [0, 1], "lengthSum": "1/1"}], area="1/1"))
+    assert as_integer.classes[0].length_sum == 1 and as_integer.area == 1
 
 
 @pytest.mark.parametrize("document, message", SPECTRAL_FAULTS)
