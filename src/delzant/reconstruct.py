@@ -36,7 +36,7 @@ from .errors import (
 from .geometry import Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
-from .vectors import Vec2, Vec3, angle_order, as_scalar, canonical_unsigned, integer_frame, is_primitive_integer
+from .vectors import Vec2, Vec3, angle_order, as_flag, as_scalar, canonical_unsigned, integer_frame, is_primitive_integer
 
 
 @dataclass(frozen=True)
@@ -562,11 +562,13 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     cannot: three vertices or more, no more classes than vertices, a
     positive area, at most three pairs, the counts against the vertex count
     and ``trust_counts``.  Anything other than a :class:`SpectralData`
-    raises TypeError.
+    raises TypeError, and a ``trust_counts`` other than ``True`` or
+    ``False`` ValueError.
     """
     global _last
     if not isinstance(data, SpectralData):
         raise TypeError(f"expected SpectralData, got {type(data).__name__}")
+    as_flag(trust_counts, "trust_counts")
     r = len(data.classes)
     d = data.vertex_count
     p = d - r
@@ -580,7 +582,7 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         raise ReconstructionInfeasibleError("per-class edge counts do not sum to the vertex count")
     if trust_counts and any(c.edge_count not in (1, 2) for c in data.classes):
         raise ReconstructionInfeasibleError("per-class edge counts must be 1 or 2")
-    datum = (bool(trust_counts), d, data.area, data.classes)
+    datum = (trust_counts, d, data.area, data.classes)
     last = _last
     if last is not None and last[0] == datum:
         return CandidateSet._from_keys(*last[1:])
@@ -622,8 +624,7 @@ def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]
     return (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx)), abs(det)
 
 
-# The ends of a branch that dies at closure, as its record lists them.
-_NO_CLOSURE = ((0, "no_closure", None),)
+# The ends of a one-pair branch whose split is inadmissible, as its record lists them.
 _INADMISSIBLE = ((0, "inadmissible_split", None),)
 
 
@@ -654,8 +655,9 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     residual).  One comprehension over the table keeps the patterns that
     pass closure (no pairs or one pair) or admissibility (two pairs); with
     three pairs it keeps every pattern, and each solves its own quadratic
-    along its ring.  Only the kept patterns get a sign tuple and go on to
-    the fan, area and key steps; most patterns die in the comprehension.
+    along its ring, dying at closure when no root is admissible.  Only the
+    kept patterns get a sign tuple and go on to the fan, area and key steps;
+    most patterns die in the comprehension.
 
     Returns one block per choice, the emitted canonical keys in first-seen
     order, and the branches that emitted: each choice's sign tuples, in
@@ -665,22 +667,23 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     - ``doubled``, the doubled classes' normals, and ``singles``, the single
       classes' indices: pattern ``k`` has the signs ``_sign_table(r,
       singles)[k]``, which flip ``singles[j]`` for each bit ``j`` set in ``k``;
-    - ``dead``, how a pattern the comprehension dropped reads: its one trace
-      entry has anchor 0 and, when ``dead`` is None, outcome ``no_closure``
+    - ``dead``, how a dropped pattern reads, one the comprehension dropped
+      or a three-pair one with no admissible root: its one trace entry has
+      anchor 0 and, when ``dead`` is None, outcome ``no_closure``
       and no splits; otherwise the choice has two pairs, ``dead = (b1, b2,
       den, us, vs)`` carries its table, and the entry is an
       ``inadmissible_split`` with splits ``(b1 + u, b1 - u), (b2 + v, b2 -
       v)`` over ``den``, where ``(u, v) = (us[k], vs[k])``;
-    - ``opened``, each kept pattern's index mapped to its records, in
-      pattern order; one record per decided solution,
+    - ``opened``, the index of each kept pattern that is not dropped mapped
+      to its records, in pattern order; one record per decided solution,
       ``(splits, parameter, ends)``.  ``splits`` is
-      ``(den, ((length+, length-) numerators, ...))``, ``(1, ())`` when the
-      branch has no closure; ``parameter`` is ``(numerator, denominator)``
-      or None; ``ends`` lists the ``(anchor, outcome, key)`` of each trace
-      entry the record adds, in trace order, naming an emitted candidate by
-      its key and any other by None.  A ``no_closure`` or
-      ``inadmissible_split`` record has one end with anchor 0, any other
-      two, with anchors 1 and -1 and one outcome.
+      ``(den, ((length+, length-) numerators, ...))``; ``parameter`` is
+      ``(numerator, denominator)`` or None; ``ends`` lists the ``(anchor,
+      outcome, key)`` of each trace entry the record adds, in trace order,
+      naming an emitted candidate by its key and any other by None.  The
+      ``inadmissible_split`` record of a one-pair pattern has one end with
+      anchor 0, any other record two, with anchors 1 and -1 and one
+      outcome.
 
     The trace lists the blocks in order, and in each its patterns by index,
     a kept pattern by its records.  ``data`` must pass the checks of
@@ -745,16 +748,14 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
             u, v = us[k], vs[k]
             signs = tuple([-1 if k & b else 1 for b in bits])
             # A kept branch lists its solutions (numerators, q, parameter),
-            # or writes its record when it still dies at closure.
-            records = []
-            opened[k] = records
+            # or writes its record when its one split is inadmissible.
             if p == 0:
                 solutions = [((), scale, None)]
             elif p == 1:
                 # w is primitive, so the multiple of w is an integer.
                 n = u // wx if wx != 0 else v // wy
                 if not -b1 < n < b1:
-                    records.append(((2 * scale, ((b1 + n, b1 - n),)), None, _INADMISSIBLE))
+                    opened[k] = [((2 * scale, ((b1 + n, b1 - n),)), None, _INADMISSIBLE)]
                     continue
                 solutions = [((n,), scale, None)]
             elif p == 2:
@@ -782,7 +783,7 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
                         # The parameter t = u / q, as (numerator, denominator).
                         solutions.append((numerators, q * ud, (un, q * ud)))
                 if not solutions:
-                    records.append(((1, ()), None, _NO_CLOSURE))
+                    # Dropped: it reads as the block's dead patterns do.
                     continue
             # The fan is convex: admissible splits make every length
             # positive, so the ring's directions sum to zero with positive
@@ -791,6 +792,7 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
             # and every turn is positive.  Only the determinant is left to
             # test.
             smooth = all(s * t * dirs[i].cross(dirs[j]) == 1 for (i, s), (j, t) in zip(ring, ring[1:] + ring[:1]))
+            records = opened[k] = []
             for numerators, q_sol, parameter in solutions:
                 m_sol = q_sol // scale
                 delta = dict(zip(choice, numerators))

@@ -85,14 +85,18 @@ def _read_int(value, what: str) -> int:
     return value
 
 
-def _read_rational(value) -> Fraction:
-    """A JSON rational: a "p/q" string read by ``parse_rational``, or an
-    integer.  Anything else is rejected in its JSON spelling."""
-    if isinstance(value, str):
-        return parse_rational(value)
-    if is_exact(value, int):
-        return Fraction(value)
-    raise ParseError(f"malformed rational {json.dumps(value)}")
+def _read_rational(value, what: str) -> Fraction:
+    """The JSON rational in field ``what``: a "p/q" string read by
+    ``parse_rational``, or an integer.  Anything else is rejected in its
+    JSON spelling; every error names the field."""
+    try:
+        if isinstance(value, str):
+            return parse_rational(value)
+        if is_exact(value, int):
+            return Fraction(value)
+        raise ParseError(f"malformed rational {json.dumps(value)}")
+    except ParseError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def _read_list(value, what: str) -> list:
@@ -139,10 +143,7 @@ def _read_points(raw, dim: int, too_few: str) -> list[tuple]:
     for index, point in enumerate(raw):
         if not isinstance(point, (list, tuple)) or len(point) != dim:
             raise ParseError(f"vertex {index} is not a coordinate {'pair' if dim == 2 else 'triple'}")
-        try:
-            points.append(tuple(_read_rational(c) for c in point))
-        except ParseError as exc:
-            raise ParseError(f"vertex {index}: {exc}") from exc
+        points.append(tuple(_read_rational(c, f"vertex {index}") for c in point))
     return points
 
 
@@ -226,7 +227,7 @@ def spectral_from_json(doc: dict) -> SpectralData:
     try:
         d = _read_int(doc["d"], "'d'")
         raw_classes = doc["classes"]
-        area = _read_rational(doc["area"])
+        area = _read_rational(doc["area"], "'area'")
     except KeyError as exc:
         raise ParseError(f"spectral data needs 'd', 'classes' and 'area': {exc}") from exc
     classes = []
@@ -235,7 +236,7 @@ def spectral_from_json(doc: dict) -> SpectralData:
         normal_field = f"class {index}: normal"
         try:
             normal = _read_ints(entry["normal"], 2, normal_field)
-            length_sum = _read_rational(entry["lengthSum"])
+            length_sum = _read_rational(entry["lengthSum"], f"class {index}: lengthSum")
         except KeyError as exc:
             raise ParseError(f"class {index} is malformed: {exc}") from exc
         count = entry.get("count")
@@ -278,8 +279,8 @@ def halfspace_from_json(doc: dict) -> HalfSpaceSystem:
         _read_object(entry, f"entry {index}")
         try:
             normal = _read_ints(entry["normal"], dim, f"entry {index}: normal")
-            offset = _read_rational(entry["offset"])
-            volume = _read_rational(entry["volume"])
+            offset = _read_rational(entry["offset"], f"entry {index}: offset")
+            volume = _read_rational(entry["volume"], f"entry {index}: volume")
         except KeyError as exc:
             raise ParseError(f"entry {index} is malformed: {exc}") from exc
         entries.append(HalfSpaceEntry(normal=normal, offset=offset, volume=volume))
@@ -424,8 +425,8 @@ def _record_from_json(entry, index: int, candidate_count: int) -> AssignmentReco
             for n in doubled
         ),
         signs=tuple(_read_one_of(x, (1, -1), f"{what}: sign") for x in signs),
-        splits=tuple((_read_rational(a), _read_rational(b)) for a, b in splits),
-        parameter=None if parameter is None else _read_rational(parameter),
+        splits=tuple(tuple(_read_rational(x, f"{what}: splits") for x in pair) for pair in splits),
+        parameter=None if parameter is None else _read_rational(parameter, f"{what}: parameter"),
         anchor=_read_one_of(entry.get("anchor", 0), (-1, 0, 1), f"{what}: anchor"),
         outcome=outcome,
         candidate_index=candidate,

@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 from .errors import PoleError, ReconstructionInfeasibleError, UnsupportedError
 from .geometry import Polygon
 from .polytope3 import Polytope3
-from .vectors import Vec2, canonical_unsigned, is_exact, is_primitive_integer
+from .vectors import Vec2, as_flag, canonical_unsigned, is_exact, is_primitive_integer
 
 
 class NormalClass(NamedTuple):
@@ -296,7 +296,7 @@ def bundle_facet_data(polytope: Union[Polygon, Polytope3], require_integral: boo
     integrality hypothesis on the manifold side; by default rational
     polytopes are accepted as-is.
     """
-    if require_integral:
+    if as_flag(require_integral, "require_integral"):
         for v in polytope.vertices:
             if any(c.denominator != 1 for c in v):
                 raise ValueError(f"vertex {tuple(v)} is not integral")

@@ -30,6 +30,14 @@ def as_scalar(value) -> Fraction | int:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def as_flag(value, name: str) -> bool:
+    """The value itself when it is ``True`` or ``False``; anything else, ``0``,
+    ``1`` and ``None`` included, raises ValueError naming the flag."""
+    if value is True or value is False:
+        return value
+    raise ValueError(f"{name} must be True or False, got {type(value).__name__}")
+
+
 def exact_points(vertices: Iterable[Sequence], point: type) -> list:
     """Each vertex as a ``point`` (Vec2 or Vec3) of exact scalars (see
     :func:`as_scalar`); one with another coordinate count raises TypeError."""

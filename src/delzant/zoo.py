@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .errors import BudgetExceededError, ChopError, _with_values
 from .geometry import Polygon, polygon_from_halfplanes
 from .reconstruct import _genericity, _structural_twins, is_generic
-from .vectors import Vec2, as_scalar, integer_frame, is_exact
+from .vectors import Vec2, as_flag, as_scalar, integer_frame, is_exact
 
 
 class ChopSpec(NamedTuple):
@@ -128,6 +128,7 @@ def random_delzant(d: int, seed: int, param_bound: int = 5, twist: bool = False)
     if not is_exact(seed, int):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     bound = _int_at_least(param_bound, 1, "parameter bound must be a positive integer")
+    as_flag(twist, "twist")
     rng = random.Random(seed)
     if d == 3:
         k = Fraction(rng.randint(1, bound))
@@ -227,9 +228,9 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
     raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=candidate)
 
 
-def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> dict[int, int]:
-    """Leaf counts by pairs added by the last two chops below a census
-    state, in first-leaf order.
+def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> list[int]:
+    """Leaf counts below a census state, indexed by the pairs its last two
+    chops add (0, 1 or 2).
 
     ``normals`` are integer codes (see :func:`parallel_pair_census`),
     ``lengths`` the lattice lengths of the edges, and a corner whose edges
@@ -248,8 +249,9 @@ def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> dict[int, int]:
     k = len(normals)
     # A depth min(a, b, cap) - 1 is at least 1 exactly when a, b > 1 (cap >= 2).
     live = [j for j in range(k) if lengths[j - 1] > 1 < lengths[j]]
+    counts = [0, 0, 0]
     if not live:
-        return {}
+        return counts
     capped = [n if n < cap else cap for n in lengths]
     present = set(normals)
     depth = [0] * k
@@ -258,17 +260,16 @@ def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> dict[int, int]:
     all_leaves = paired_leaves = 0
     for j in live:
         a, b = capped[j - 1], capped[j]
-        leaves = depth[j] = (a if a < b else b) - 1
-        all_leaves += leaves
+        depth[j] = (a if a < b else b) - 1
+        all_leaves += depth[j]
         c = normals[j - 1] + normals[j]
         new.append(c)
         if -c in present:
             flag[j] = True
-            paired_leaves += leaves
+            paired_leaves += depth[j]
     # Each corner's new normal differs from the others' (they lie strictly
     # between the corner's two edge normals), so at most one pairs with -c.
     corner_of = dict(zip(new, live))
-    sub: dict[int, int] = {}
     for i, c in zip(live, new):
         deepest = depth[i]
         h, j = (i - 1) % k, (i + 1) % k
@@ -285,31 +286,19 @@ def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> dict[int, int]:
             rest1 += depth[match]
         l_in, l_out = lengths[h], lengths[i]
         top_h, top_j = capped[h - 1], capped[j]
+        # Leaves below the chops (i, t), and those whose last chop pairs up.
+        leaves = paired = 0
         for t in range(1, deepest + 1):
             l_a, l_b = l_in - t, l_out - t
             dh = (l_a if l_a < top_h else top_h) - 1
             da = (l_a if l_a < t else t) - 1
             db = (l_b if l_b < t else t) - 1
             dj = (l_b if l_b < top_j else top_j) - 1
-            n1 = rest1 + fh * dh + fa * da + fb * db + fj * dj
-            n0 = rest + dh + da + db + dj - n1
-            if n0 and n1 and p not in sub and p + 1 not in sub:
-                # Both keys are new: the child's first corner with a leaf
-                # decides which goes in first.
-                child = [(depth[x], flag[x] or x == match) for x in range(k)]
-                child[h], child[j] = (dh, fh), (dj, fj)
-                child[i:i + 1] = [(da, fa), (db, fb)]
-                first = next(f for leaves, f in child if leaves)
-                if first:
-                    sub[p + 1], sub[p] = n1, n0
-                else:
-                    sub[p], sub[p + 1] = n0, n1
-            else:
-                if n0:
-                    sub[p] = sub.get(p, 0) + n0
-                if n1:
-                    sub[p + 1] = sub.get(p + 1, 0) + n1
-    return sub
+            leaves += rest + dh + da + db + dj
+            paired += rest1 + fh * dh + fa * da + fb * db + fj * dj
+        counts[p] += leaves - paired
+        counts[p + 1] += paired
+    return counts
 
 
 def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_000) -> ZooCensus:
@@ -330,9 +319,9 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
     and ``K`` is more than twice that: the code is one-to-one.  A state two
     chops above the leaves is counted from its live corners, in O(1) per
     (corner, depth) of its first chop (:func:`_last_two_chops`); a state
-    one chop above them, per corner.  Every state's histogram lists its
-    keys in the order a leaf-by-leaf walk first reaches them, so a budget's
-    ``partial`` has that order too; the returned histogram is sorted.
+    one chop above them, per corner.  Each state's leaf counts are a list
+    indexed by the pairs added below it.  The histogram, of a finished
+    census or of a budget's ``partial``, lists its keys ascending.
 
     A base is counted once per mirror orbit of its corners.  The lattice
     reflection ``(x, y) -> (x, h + m*w - m*x - y)`` of the trapezoid swaps
@@ -341,14 +330,7 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
     rectangle ``(x, y) -> (w - x, y)`` also maps corner 1 to corner 0.  A
     mirrored first chop's subtree has the pair counts of its twin's, so the
     base's histogram is that of the first chops at corners 0 and 1 (at
-    corner 0 on a rectangle) times 2 (times 4).  A twin's subtree has the
-    keys of the corner it mirrors and is merged after it, so it adds no
-    key: the key order is that of all four corners.  On (9, 5) this cuts the calls of
-    ``_last_two_chops`` from 6768 to 6253.  With live corners only there,
-    the benchmark's grid (d = 6..9, bound 3..5) runs in 0.59 times the time
-    of a census that chops every corner of a base and tables every corner
-    of a state (best of 15 in process, 144 against 245 ms; Intel Xeon,
-    Python 3.11.7).
+    corner 0 on a rectangle) times 2 (times 4).
 
     A subtree that would cross ``max_instances`` is walked leaf by leaf, all
     four corners of a base included, so the ``partial`` is exact.  The
@@ -361,13 +343,17 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
     bound = _int_at_least(param_bound, 1, "parameter bound must be a positive integer")
     cap = bound + 1
     K = cap << (d - 2)
-    histogram: dict[int, int] = {}
+    # Indexed by pairs: a base has at most 2, and each chop adds at most 1.
+    histogram = [0] * (d - 1)
     total = 0
-    memo: dict[tuple, dict[int, int]] = {}
+    memo: dict[tuple, list[int]] = {}
 
-    def merge(into: dict, sub: dict, shift: int):
-        for added, n in sub.items():
-            into[shift + added] = into.get(shift + added, 0) + n
+    def merge(into: list, sub: list, shift: int):
+        for pairs, n in enumerate(sub, shift):
+            into[pairs] += n
+
+    def result() -> ZooCensus:
+        return ZooCensus(d, {pairs: n for pairs, n in enumerate(histogram) if n}, total)
 
     def children(normals: tuple, lengths: tuple, corners: int):
         """The chops at corners ``0 .. corners - 1``, in enumeration order."""
@@ -387,33 +373,32 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
                     new_lengths.insert(i, t)
                     yield new_normals, tuple(new_lengths), paired
 
-    def below(normals: tuple, lengths: tuple, remaining: int) -> dict[int, int]:
-        """Leaf counts by pairs added below a state, in first-leaf order."""
+    def below(normals: tuple, lengths: tuple, remaining: int) -> list[int]:
+        """Leaf counts below a state, indexed by pairs added (0..``remaining``)."""
         if remaining < 2:
             if not remaining:
-                return {0: 1}
-            sub: dict[int, int] = {}
+                return [1]
+            sub = [0, 0]
             for i in range(len(normals)):
                 deepest = min(lengths[i - 1], lengths[i], cap) - 1
                 if deepest:
-                    paired = -(normals[i - 1] + normals[i]) in normals
-                    sub[paired] = sub.get(paired, 0) + deepest
+                    sub[-(normals[i - 1] + normals[i]) in normals] += deepest
             return sub
         sub = memo.get((normals, lengths))
         if sub is None:
             if remaining == 2:
                 sub = memo[normals, lengths] = _last_two_chops(normals, lengths, cap)
             else:
-                sub = memo[normals, lengths] = {}
+                sub = memo[normals, lengths] = [0] * (remaining + 1)
                 for child_normals, child_lengths, paired in children(normals, lengths, len(normals)):
                     merge(sub, below(child_normals, child_lengths, remaining - 1), paired)
         return sub
 
-    def add(normals: tuple, lengths: tuple, remaining: int, pairs: int, sub: dict[int, int]):
-        """Count ``sub``, the histogram below a state, or walk the state's
+    def add(normals: tuple, lengths: tuple, remaining: int, pairs: int, sub: list[int]):
+        """Count ``sub``, the leaf counts below a state, or walk the state's
         children if it would cross the budget."""
         nonlocal total
-        size = sum(sub.values())
+        size = sum(sub)
         if remaining and total + size > max_instances:
             for child_normals, child_lengths, paired in children(normals, lengths, len(normals)):
                 below_child = below(child_normals, child_lengths, remaining - 1)
@@ -422,10 +407,7 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
         merge(histogram, sub, pairs)
         total += size
         if total > max_instances:
-            raise BudgetExceededError(
-                f"census exceeded {max_instances} instances",
-                partial=ZooCensus(d, dict(histogram), total),
-            )
+            raise BudgetExceededError(f"census exceeded {max_instances} instances", partial=result())
 
     for m in range(0, bound + 1):
         # Corners 0 and 3 of a base are mirror images, as are corners 1 and
@@ -437,11 +419,11 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
                 # The normals (0, -1), (1, 0), (m, 1), (-1, 0).
                 base_normals = (-1, K, m * K + 1, -K)
                 base_lengths = (w, h, w, h + m * w)
-                sub = {0: 1}
+                sub = [1]
                 if d > 4:
-                    sub = {}
+                    sub = [0] * (d - 3)
                     for child_normals, child_lengths, paired in children(base_normals, base_lengths, 4 // twins):
                         merge(sub, below(child_normals, child_lengths, d - 5), paired)
-                    sub = {added: twins * n for added, n in sub.items()}
+                    sub = [twins * n for n in sub]
                 add(base_normals, base_lengths, d - 4, 2 if m == 0 else 1, sub)
-    return ZooCensus(edge_count=d, histogram=dict(sorted(histogram.items())), total=total)
+    return result()

@@ -243,7 +243,7 @@ SPECTRAL_FAULTS = [
     ('{"d": 3, "area": "1/2"}', "spectral data needs 'd', 'classes' and 'area': 'classes'"),
     (_spectral_doc(d=3.0), "'d' must be an integer, got 3.0"),
     (_spectral_doc(d=True), "'d' must be an integer, got true"),
-    (_spectral_doc(area="1/2/3"), "malformed rational '1/2/3'"),
+    (_spectral_doc(area="1/2/3"), "'area': malformed rational '1/2/3'"),
     (_spectral_doc(area="0/1"), "area must be positive"),
     (_spectral_doc(classes={}), "'classes' must be a list, got {}"),
     (_spectral_doc(classes=[1]), "class 0 must be an object, got 1"),
@@ -271,8 +271,23 @@ SPECTRAL_FAULTS = [
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": "1"}]),
      'class 0: count must be an integer, got "1"'),
     # A rational that is not a string is echoed in its JSON spelling.
-    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": True}]), "malformed rational true"),
-    (_spectral_doc(area=None), "malformed rational null"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": True}]), "class 0: lengthSum: malformed rational true"),
+    (_spectral_doc(area=None), "'area': malformed rational null"),
+]
+
+# A malformed rational in the other readers: the command line that reads
+# the document, where "{doc}" names the document's file and "{triangle}" a
+# valid triangle's, the document, and the message naming the field that the
+# command exits 5 with.
+RATIONAL_FIELD_FAULTS = [
+    (["bundle-reconstruct", "--in", "{doc}"],
+     json.dumps({"dim": 2, "entries": [{"normal": [1, 0], "offset": "0", "volume": "1/x"}]}),
+     "entry 0: volume: malformed rational '1/x'"),
+    (["render", "--in", "{triangle}", "--overlay", "{doc}"],
+     json.dumps({"candidates": [], "assignmentTrace": [
+         {"doubled": [], "signs": [1], "splits": [], "parameter": True, "outcome": "no_closure"},
+     ]}),
+     "trace record 0: parameter: malformed rational true"),
 ]
 
 
@@ -293,6 +308,17 @@ def test_each_spectral_fault_keeps_its_message(document, message, tmp_path, caps
     infile = tmp_path / "in.json"
     infile.write_text(document)
     assert main(["reconstruct", "--in", str(infile)]) == 5
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, document, message", RATIONAL_FIELD_FAULTS)
+def test_a_malformed_rational_names_its_field(argv, document, message, tmp_path, capsys):
+    """The reader's error names the field of the rational, and the command
+    reading the document exits 5 with it."""
+    (tmp_path / "doc.json").write_text(document)
+    (tmp_path / "triangle.json").write_text(_shifted_triangle(0))
+    argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]
+    assert main(argv) == 5
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

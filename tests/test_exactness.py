@@ -254,3 +254,20 @@ def test_a_bad_field_raises_where_the_datum_is_built(field, value):
         with pytest.raises(ValueError) as info:
             build(value)
         assert str(info.value) == message
+
+
+# (entry point and flag, call with the value x): each flag takes True or
+# False only, and anything else raises ValueError naming it.
+FLAGS = [
+    ("random_delzant", "twist", lambda x: random_delzant(5, 0, twist=x)),
+    ("bundle_facet_data", "require_integral", lambda x: bundle_facet_data(SQUARE, require_integral=x)),
+    ("enumerate_candidates", "trust_counts", lambda x: enumerate_candidates(DATA, trust_counts=x)),
+]
+
+
+@pytest.mark.parametrize("value", [0.5, 1, "yes", None], ids=["float", "int", "str", "none"])
+@pytest.mark.parametrize("flag, call", [row[1:] for row in FLAGS], ids=[".".join(row[:2]) for row in FLAGS])
+def test_flags_reject_non_bools(flag, call, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == f"{flag} must be True or False, got {type(value).__name__}"

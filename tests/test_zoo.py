@@ -366,6 +366,15 @@ def _outcome(run, *args):
         return f"BudgetExceededError: {exc} partial={exc.partial!r}"
 
 
+def _census_outcome(run, *args) -> tuple:
+    """``(message, census)``: the budget error's message and partial, or
+    None and the finished census."""
+    try:
+        return None, run(*args)
+    except BudgetExceededError as exc:
+        return str(exc), exc.partial
+
+
 @pytest.fixture
 def handed(monkeypatch) -> list:
     """The states, as (normals, lengths), that the census hands to
@@ -488,29 +497,33 @@ class TestCensus:
     ])
     def test_budget_hits_match_leaf_walk(self, d, bound):
         """Every budget raises at the same leaf, with the same message and
-        the same partial (histogram key order included), as a walk that
-        counts leaf by leaf."""
+        the same partial, as a walk that counts leaf by leaf; the census's
+        histogram, finished or partial, lists its keys ascending."""
         leaves = _reference_leaves(d, bound)
         total = len(leaves)
         budgets = {0, 1, 7, 10, 50, total // 3, total - 1, total, total + 1}
         # Crossing points inside a base's subtree, away from round numbers.
         budgets |= {total // 2 + 1, total * 5 // 7 + 3, total * 2 // 3 - 2, 123, 1001}
         for budget in sorted(b for b in budgets if b >= 0):
-            expected = _outcome(_reference_census, d, leaves, budget)
-            assert _outcome(parallel_pair_census, d, bound, budget) == expected, budget
+            message, census = _census_outcome(parallel_pair_census, d, bound, budget)
+            expected, reference = _census_outcome(_reference_census, d, leaves, budget)
+            assert (message, census.edge_count, census.total, census.histogram) == (
+                expected, reference.edge_count, reference.total, reference.histogram), budget
+            assert list(census.histogram) == sorted(census.histogram), budget
 
     def test_seven_chops_budget_partial_pinned(self):
-        """Seven chops, the longest chains pinned here; the partial was
-        taken from the census that carried normals as vectors."""
+        """Seven chops, the longest chains pinned here; the partial's counts
+        were taken from the census that carried normals as vectors, and its
+        keys are ascending."""
         assert _outcome(parallel_pair_census, 11, 5, 100000) == (
             "BudgetExceededError: census exceeded 100000 instances partial="
-            "ZooCensus(edge_count=11, histogram={4: 46790, 5: 32984, 3: 18145, 2: 2082}, total=100001)"
+            "ZooCensus(edge_count=11, histogram={2: 2082, 3: 18145, 4: 46790, 5: 32984}, total=100001)"
         )
 
     def test_last_two_chops_match_leaf_walk(self):
         """The closed-form count of the last two chops gives every
-        second-to-last state the histogram of a leaf-by-leaf walk, key
-        order included."""
+        second-to-last state the leaf counts, by pairs added, of a
+        leaf-by-leaf walk."""
         checked = 0
         for d, bound in ((6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (7, 5), (8, 4)):
             code_scale = (bound + 1) << (d - 2)
@@ -521,14 +534,13 @@ class TestCensus:
                 if (normals, lengths) in seen:
                     return
                 seen.add((normals, lengths))
-                expected: dict[int, int] = {}
+                expected = [0, 0, 0]
                 for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
                     for _, _, last_paired in _reference_children(child_normals, child_lengths, bound):
-                        added = paired + last_paired
-                        expected[added] = expected.get(added, 0) + 1
+                        expected[paired + last_paired] += 1
                 codes = tuple(x * code_scale + y for x, y in normals)
                 counted = zoo._last_two_chops(codes, lengths, bound + 1)
-                assert list(counted.items()) == list(expected.items()), (d, bound, normals, lengths)
+                assert counted == expected, (d, bound, normals, lengths)
                 checked += 1
 
             _reference_walk(d, bound, 2, check)
@@ -543,16 +555,16 @@ class TestCensus:
         """A state off the census grid, with every two adjacent edges longer
         than ``bound + 1``: after a first chop the corners beside it keep an
         outer edge longer than the cap, so their depths must be capped on
-        both sides.  Checked against the two-chop leaf walk, key order
-        included."""
-        expected: dict[int, int] = {}
+        both sides.  Checked against the two-chop leaf walk's counts by
+        pairs added."""
+        expected = [0, 0, 0]
         for child_normals, child_lengths, paired in _reference_children(normals, lengths, bound):
             for _, _, last_paired in _reference_children(child_normals, child_lengths, bound):
-                expected[paired + last_paired] = expected.get(paired + last_paired, 0) + 1
+                expected[paired + last_paired] += 1
         codes = tuple(x * (1 << 16) + y for x, y in normals)
         counted = zoo._last_two_chops(codes, lengths, bound + 1)
-        assert list(counted.items()) == list(expected.items())
-        assert sum(counted.values()) > 0
+        assert counted == expected
+        assert sum(counted) > 0
 
     @pytest.mark.parametrize("d, bound", [(7, 4), (8, 4)])
     def test_mirror_twin_chops_have_equal_subtrees(self, d, bound):
