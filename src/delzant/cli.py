@@ -421,11 +421,9 @@ def _emit(result: CommandResult, args) -> None:
     JSON document ends in a newline and a raw one is written as it is."""
     if result.raw is not None:
         text, data = result.raw.decode("utf-8"), result.raw
-    elif result.payload is not None:
+    else:
         text = json.dumps(result.payload) if args.json else json.dumps(result.payload, indent=2)
         data = (text + "\n").encode("utf-8")
-    else:
-        return
     outfile = getattr(args, "outfile", None)
     if not outfile:
         sys.stdout.write(text + "\n")

@@ -20,6 +20,9 @@ from .vectors import Vec2, as_scalar, exact_points, integer_frame, primitive_par
 # Integer 2x2 matrices travel as ((a, b), (c, d)), acting as rows on columns.
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
+# The most edges (or vertices of spectral data) a search over 2^d subsets takes.
+EDGE_BUDGET = 16
+
 
 def primitive_outward_normal(edge_vector: Vec2) -> Vec2:
     """Primitive integer normal of a CCW-traversed edge, pointing outward.
@@ -117,13 +120,6 @@ def _translation_key(points: Sequence[tuple[int, int]], den: int, sign: int = 1)
     return (den // g,) + tuple(v // g for v in flat)
 
 
-def _turns(dxs: Sequence[int], dys: Sequence[int]) -> list[int]:
-    """Per vertex ``i``, the determinant of the primitive directions of the
-    nonzero integer edge vectors ``i - 1`` and ``i``."""
-    gs = [math.gcd(dx, dy) for dx, dy in zip(dxs, dys)]
-    return [(dxs[i - 1] * dys[i] - dys[i - 1] * dxs[i]) // (gs[i - 1] * gs[i]) for i in range(len(gs))]
-
-
 class Polygon:
     """A strictly convex polygon with exact rational vertices, stored CCW.
 
@@ -161,7 +157,7 @@ class Polygon:
             pts.reverse()
         self.vertices: tuple[Vec2, ...] = tuple(pts)
         # The common denominator and the edge vectors, for detect_subpolygons,
-        # validate_delzant and spectral_data.
+        # canonical_key and spectral_data.
         self._frame = (common, dxs, dys)
         edges = []
         for i in range(d):
@@ -237,8 +233,9 @@ def validate_delzant(polygon: Polygon) -> ValidationReport:
     Structural problems (non-convexity etc.) surface earlier, when the
     Polygon itself is constructed.
     """
-    _, dxs, dys = polygon._frame
-    failures = [VertexCheck(vertex_index=i, determinant=det) for i, det in enumerate(_turns(dxs, dys)) if det != 1]
+    dirs = [e.direction for e in polygon.edges]
+    turns = [u.cross(v) for u, v in zip(dirs[-1:] + dirs[:-1], dirs)]
+    failures = [VertexCheck(vertex_index=i, determinant=det) for i, det in enumerate(turns) if det != 1]
     return ValidationReport(valid=not failures, failures=tuple(failures))
 
 
@@ -295,12 +292,12 @@ def _table(start: tuple[int, int], steps) -> tuple[list[int], list[int]]:
 def detect_subpolygons(polygon: Polygon) -> SubpolygonReport:
     """Exhaustively find edge subsets of size >= 3 (complement >= 3) whose
     vectors sum to zero, in ascending order of their bit masks.  Enumeration
-    is over all 2^d subsets, so polygons with more than 16 edges are
-    rejected up front.
+    is over all 2^d subsets, so polygons with more than ``EDGE_BUDGET``
+    edges are rejected up front.
     """
     d = polygon.edge_count
-    if d > 16:
-        raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^16")
+    if d > EDGE_BUDGET:
+        raise BudgetExceededError(f"subpolygon enumeration needs 2^{d} subsets; budget is 2^{EDGE_BUDGET}")
     # The edge vectors in Polygon's integer frame: mask sums are pure int work.
     _, xs, ys = polygon._frame
     sums_x, sums_y = _table((0, 0), zip(xs, ys))

@@ -26,6 +26,7 @@ from math import gcd, isqrt, lcm
 from typing import NamedTuple, Sequence, Union
 
 from .errors import (
+    BudgetExceededError,
     DegenerateFamilyError,
     InconsistentSystemError,
     ReconstructionInfeasibleError,
@@ -33,10 +34,12 @@ from .errors import (
     UnsupportedAmbiguityError,
     _with_values,
 )
-from .geometry import Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes
+from .geometry import EDGE_BUDGET, Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes
 from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
-from .vectors import Vec2, Vec3, angle_order, as_flag, as_scalar, canonical_unsigned, integer_frame, is_primitive_integer
+from .vectors import (
+    Vec2, Vec3, angle_order, as_flag, as_scalar, canonical_unsigned, integer_frame, is_exact, is_primitive_integer,
+)
 
 
 @dataclass(frozen=True)
@@ -560,10 +563,10 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
     Where each check lives: :class:`SpectralData` checks its fields and
     classes once, when it is built.  This call checks only what the type
     cannot: three vertices or more, no more classes than vertices, a
-    positive area, at most three pairs, the counts against the vertex count
-    and ``trust_counts``.  Anything other than a :class:`SpectralData`
-    raises TypeError, and a ``trust_counts`` other than ``True`` or
-    ``False`` ValueError.
+    positive area, at most three pairs, at most ``EDGE_BUDGET`` vertices,
+    the counts against the vertex count and ``trust_counts``.  Anything
+    other than a :class:`SpectralData` raises TypeError, and a
+    ``trust_counts`` other than ``True`` or ``False`` ValueError.
     """
     global _last
     if not isinstance(data, SpectralData):
@@ -576,6 +579,8 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
         raise ReconstructionInfeasibleError(f"inconsistent data: {d} vertices, {r} normal classes")
     if p > 3:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs admit no finite reconstruction (supported: up to 3)")
+    if d > EDGE_BUDGET:
+        raise BudgetExceededError(f"enumeration over {d} vertices is past the budget of {EDGE_BUDGET} vertices")
     if trust_counts and not data.counts_known:
         raise ValueError("data carries no per-class edge counts to trust")
     if data.counts_known and sum(c.edge_count for c in data.classes) != d:
@@ -1067,17 +1072,20 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
     The offsets are absolute, so there is no translation ambiguity; the
     result must reproduce every entry (normal, offset and facet volume) or
     an inconsistency is raised.  An offset or volume that is not an
-    ``int`` or a ``Fraction`` raises TypeError.
+    ``int`` or a ``Fraction`` raises TypeError; a ``dim`` other than the
+    int 2 or 3, or a normal without ``dim`` coordinates, ValueError.
     """
     dim = system.dim
-    if dim not in (2, 3):
-        raise ValueError(f"unsupported dimension {dim}")
+    if not is_exact(dim, int) or dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim!r}: dim must be the int 2 or 3")
     entries = list(system.entries)
     if len(entries) <= dim:
         raise ReconstructionInfeasibleError(f"a bounded {dim}-polytope needs at least {dim + 1} half-spaces")
     if len(set(e.normal for e in entries)) != len(entries):
         raise InconsistentSystemError("normals must be pairwise distinct")
-    for e in entries:
+    for index, e in enumerate(entries):
+        if len(e.normal) != dim:
+            raise ValueError(f"entry {index}: normal {tuple(e.normal)} has {len(e.normal)} coordinates, not {dim}")
         if not is_primitive_integer(e.normal):
             raise InconsistentSystemError(f"normal {tuple(e.normal)} is not a primitive integer vector")
     given = {(e.normal, as_scalar(e.offset)): as_scalar(e.volume) for e in entries}

@@ -213,7 +213,7 @@ def parse_polytope(data: Union[bytes, str]) -> Union[Polygon, Polytope3]:
 def spectral_to_json(data: SpectralData) -> dict:
     def write(c: NormalClass) -> dict:
         entry = {
-            "normal": [_decimal(int(c.normal.x)), _decimal(int(c.normal.y))],
+            "normal": [_decimal(c.normal.x), _decimal(c.normal.y)],
             "lengthSum": format_rational(c.length_sum),
         }
         if c.edge_count is not None:
@@ -316,17 +316,15 @@ def _pair(a: int, b: int, den: int) -> list[str]:
     return [f"{a // g}/{den // g}", f"{b // h}/{den // h}"]
 
 
-def _dropped(template: dict, signs: list, start: int, stop: int, dead) -> list[dict]:
-    """The trace entries of a block's dropped patterns ``start`` to ``stop -
-    1``, copies of the block's ``template`` entry (``reconstruct._branches``
-    says how ``dead`` reads)."""
-    if dead is None:
-        return [dict(template, signs=s) for s in signs[start:stop]]
-    b1, b2, den, us, vs = dead
-    return [
-        dict(template, signs=s, splits=[_pair(b1 + u, b1 - u, den), _pair(b2 + v, b2 - v, den)])
-        for s, u, v in zip(signs[start:stop], us[start:stop], vs[start:stop])
-    ]
+def _records_to_json(polygons: tuple[Polygon, ...], trace: tuple[AssignmentRecord, ...]) -> dict:
+    """The candidates document of ``polygons`` and ``trace``, record by
+    record, naming a record that holds an integer past the digit limit."""
+    return {
+        "candidates": _each("candidate", polygons, lambda p: {
+            "dim": 2, "vertices": [_point(v) for v in p.vertices],
+        }),
+        "assignmentTrace": _each("trace record", trace, _record_to_json),
+    }
 
 
 def candidates_to_json(candidates: CandidateSet) -> dict:
@@ -338,24 +336,20 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
     patterns is written by one comprehension over copies of its block's
     template entry, so a block's dropped entries share its ``doubled``
     list and its ``no_closure`` entries share one ``[]``; the entries of a
-    kept branch share their ``signs`` and ``splits`` lists.
+    kept branch share their ``signs`` and ``splits`` lists.  Past the digit
+    limit, :func:`_records_to_json` names the record on a fresh copy.
     """
     if candidates._integer is None:
-        return {
-            "candidates": _each("candidate", candidates.candidates, lambda p: {
-                "dim": 2, "vertices": [_point(v) for v in p.vertices],
-            }),
-            "assignmentTrace": _each("trace record", candidates.trace, _record_to_json),
-        }
+        return _records_to_json(candidates.candidates, candidates.trace)
     blocks, keys = candidates._integer
     index_of = _candidate_index(keys)
-    polygons = _each("candidate", index_of, lambda key: {
-        "dim": 2, "vertices": [_pair(x, y, key[0]) for x, y in zip(key[1::2], key[2::2])],
-    })
     trace = []
     append, candidate = trace.append, index_of.get
     last = None
     try:
+        polygons = [
+            {"dim": 2, "vertices": [_pair(x, y, key[0]) for x, y in zip(key[1::2], key[2::2])]} for key in index_of
+        ]
         for doubled, signs, start, stop, dead, records in _branches(blocks):
             if doubled is not last:
                 last, doubled_list = doubled, [list(n) for n in doubled]
@@ -369,7 +363,14 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
                     "candidate": None,
                 }
             if records is None:
-                trace += _dropped(template, signs, start, stop, dead)
+                if dead is None:
+                    trace += [dict(template, signs=s) for s in signs[start:stop]]
+                else:
+                    b1, b2, den, us, vs = dead
+                    trace += [
+                        dict(template, signs=s, splits=[_pair(b1 + u, b1 - u, den), _pair(b2 + v, b2 - v, den)])
+                        for s, u, v in zip(signs[start:stop], us[start:stop], vs[start:stop])
+                    ]
                 continue
             signs = signs[start]
             for (den, raw), parameter, ends in records:
@@ -386,19 +387,12 @@ def candidates_to_json(candidates: CandidateSet) -> dict:
                         "outcome": outcome,
                         "candidate": candidate(key),
                     })
-    except ValueError as exc:
-        # Only _pair and _ratio raise it, past the digit limit, before their
-        # entry is added.  A run adds its entries at once, so the failing one
-        # is the first of the run that cannot be written alone.
-        index = len(trace)
-        if records is None:
-            for k in range(start, stop):
-                try:
-                    _dropped(template, signs, k, k + 1, dead)
-                except ValueError:
-                    break
-                index += 1
-        raise _too_long(f"trace record {index}") from exc
+    except ValueError:
+        # Only _pair and _ratio raise it, past the digit limit.  The copy
+        # leaves the set unread; if it writes, the fault is here: re-raise.
+        copy = CandidateSet._from_keys(blocks, keys, {})
+        _records_to_json(copy.candidates, copy.trace)
+        raise
     return {"candidates": polygons, "assignmentTrace": trace}
 
 

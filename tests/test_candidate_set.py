@@ -180,6 +180,41 @@ def test_read_and_unread_sets_name_the_same_trace_record_past_the_digit_limit():
     assert messages == [f"cannot write trace record 2: an integer in it has more than {sys.get_int_max_str_digits()} digits"] * 2
 
 
+def _scaled(polygon, n):
+    return Polygon([(v.x * n, v.y * n) for v in polygon.vertices])
+
+
+@pytest.mark.parametrize("polygon, record", [
+    # The trapezoid and the scaled octagon of the two tests above.
+    (Polygon([(0, 0), (Fraction(1, 3**4600) + Fraction(1, 2**7300), 0), (Fraction(1, 3**4600), Fraction(1, 2**7300)),
+              (0, Fraction(1, 2**7300))]), "candidate 0"),
+    (_scaled(random_delzant(8, 7, 4), 10 ** sys.get_int_max_str_digits() // 40 + 1), "trace record 2"),
+], ids=["candidate", "trace_record"])
+def test_a_failed_write_leaves_the_set_unread_and_fails_again_alike(polygon, record):
+    """The record writer names the failure from a fresh copy of the set, so
+    neither the candidates nor the trace of the set written are built."""
+    candidates = enumerate_candidates(spectral_data(polygon))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(UnsupportedError) as caught:
+            serialize.candidates_to_json(candidates)
+        messages.append(str(caught.value))
+        assert candidates._candidates is None and candidates._trace is None
+    assert messages == [f"cannot write {record}: an integer in it has more than {sys.get_int_max_str_digits()} digits"] * 2
+
+
+def test_a_fault_of_the_fast_writer_alone_is_raised_as_it_is(monkeypatch):
+    """When the record writer writes the copy, the fast writer's error was
+    no digit limit; it is raised, not hidden behind the copy's document."""
+    def fault(*args):
+        raise ValueError("fault")
+
+    monkeypatch.setattr(serialize, "_pair", fault)
+    candidates = enumerate_candidates(spectral_data(random_delzant(6, 3, 3)))
+    with pytest.raises(ValueError, match="^fault$"):
+        serialize.candidates_to_json(candidates)
+
+
 def test_a_run_names_its_record_past_the_digit_limit_from_its_offset():
     """A run of dropped patterns that cannot be written names the same
     trace record as its eager twin, wherever the run starts: each suffix of

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -308,6 +309,24 @@ def test_each_spectral_fault_keeps_its_message(document, message, tmp_path, caps
     infile = tmp_path / "in.json"
     infile.write_text(document)
     assert main(["reconstruct", "--in", str(infile)]) == 5
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("d, message", [
+    (17, "enumeration over 17 vertices is past the budget of 16 vertices"),
+    # Four or more pairs keep their own message, whatever the vertex count.
+    (20, "5 parallel pairs admit no finite reconstruction (supported: up to 3)"),
+])
+def test_reconstruct_past_the_edge_budget_exits_4_at_once(d, message, tmp_path, capsys):
+    """Fifteen classes with 17 vertices (two pairs) would need a 2^13 sign
+    table for each of 105 doubled-class choices; the budget refuses them
+    before any is built."""
+    classes = [{"normal": [1, k], "lengthSum": "1"} for k in range(15)]
+    infile = tmp_path / "in.json"
+    infile.write_text(_spectral_doc(classes, d=d))
+    start = time.perf_counter()
+    assert main(["reconstruct", "--in", str(infile)]) == 4
+    assert time.perf_counter() - start < 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 

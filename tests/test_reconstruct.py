@@ -815,6 +815,18 @@ class TestBundleReconstruct:
         with pytest.raises(ValueError, match="unsupported dimension 4"):
             bundle_reconstruct(HalfSpaceSystem(4, entries))
 
+    @pytest.mark.parametrize("dim, extra, message", [
+        # A float dimension equal to 2 is not coerced to it.
+        (2.0, None, r"unsupported dimension 2\.0: dim must be the int 2 or 3"),
+        (2, ((-1, -1, 0), 1, 1), r"^entry 3: normal \(-1, -1, 0\) has 3 coordinates, not 2$"),
+        (3, ((1, 1), 1, 1), r"^entry 6: normal \(1, 1\) has 2 coordinates, not 3$"),
+    ])
+    def test_rejects_a_dim_or_normal_length_before_any_rebuild(self, unit_cube, dim, extra, message):
+        source = Polygon([(0, 0), (1, 0), (0, 1)]) if dim == 2 else unit_cube
+        entries = bundle_facet_data(source).entries + ((HalfSpaceEntry(*extra),) if extra else ())
+        with pytest.raises(ValueError, match=message):
+            bundle_reconstruct(HalfSpaceSystem(dim, entries))
+
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 8))
     @settings(max_examples=40, deadline=None)
     def test_zoo_round_trip(self, seed, d):
