@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .errors import PoleError, ReconstructionInfeasibleError, UnsupportedError
+from .errors import PoleError, ReconstructionInfeasibleError, UnsupportedError, _with_values
 from .geometry import Polygon
 from .polytope3 import Polytope3
 from .vectors import Vec2, as_flag, canonical_unsigned, is_exact, is_primitive_integer
@@ -297,9 +297,12 @@ def bundle_facet_data(polytope: Union[Polygon, Polytope3], require_integral: boo
     polytopes are accepted as-is.
     """
     if as_flag(require_integral, "require_integral"):
-        for v in polytope.vertices:
+        for i, v in enumerate(polytope.vertices):
             if any(c.denominator != 1 for c in v):
-                raise ValueError(f"vertex {tuple(v)} is not integral")
+                raise ValueError(_with_values(
+                    lambda: f"vertex {i} ({', '.join(map(str, v))}) is not integral",
+                    f"vertex {i} is not integral",
+                ))
     if isinstance(polytope, Polygon):
         entries = [
             HalfSpaceEntry(

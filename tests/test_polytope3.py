@@ -20,7 +20,7 @@ from delzant import (
 from delzant.polytope3 import Facet, _supporting
 from delzant.serialize import polytope_to_json
 from delzant.spectral import HalfSpaceEntry, HalfSpaceSystem
-from delzant.vectors import Vec2, Vec3, angle_order, primitive_part
+from delzant.vectors import Vec2, Vec3, angle_order, integer_frame, primitive_part
 
 
 def test_cube_facets(unit_cube):
@@ -134,13 +134,11 @@ def _reference_derive_facets(self):
         n = (pts[j] - pts[i]).cross(pts[k] - pts[i])
         if n.is_zero():
             continue
-        sides = [n.dot(p - pts[i]) for p in pts]
-        if all(s <= 0 for s in sides):
-            outward = n
-        elif all(s >= 0 for s in sides):
-            outward = -n
-        else:
+        level = n.dot(pts[i])
+        above = any(n.dot(p) > level for p in pts)
+        if above and any(n.dot(p) < level for p in pts):
             continue
+        outward = -n if above else n
         u = primitive_part(outward)
         c = Fraction(u.dot(pts[i]))
         planes.setdefault((tuple(u), c), (u, c))
@@ -203,6 +201,11 @@ def _solids():
         for twist in (False, True):
             solids.append(_prism(random_delzant(d, d, 3, twist=twist), Fraction(d + 1, 3)))
     solids.append([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    # Not simple: four facets meet at each octahedron vertex and at the apex.
+    solids.append([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    solids.append([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    for d in (10, 12):
+        solids.append(_prism(random_delzant(d, d, 3), Fraction(d + 1, 3)))
     return solids
 
 
@@ -216,6 +219,10 @@ def _clouds():
         elif i % 4 == 1:
             pts = {(x, y, 2 - x - y) for x, y, _ in pts}
         clouds.append(sorted(pts))
+    # A cube plus a point on a facet, or on an edge: not a vertex set.
+    cube = _box(1, 1, 1)
+    clouds.append(cube + [(Fraction(1, 2), Fraction(1, 2), 1)])
+    clouds.append(cube + [(Fraction(1, 2), 0, 1)])
     return clouds
 
 
@@ -268,3 +275,11 @@ class TestIntegerFrame:
         assert got == expected
         kinds = {line.split(":")[0] for line in got if not line.startswith("(")}
         assert kinds == {"StructuralPolygonError", "ReconstructionInfeasibleError", "InconsistentSystemError"}
+
+
+@pytest.mark.parametrize("points", _solids() + [_prism(random_delzant(16, 1, 5), 1)])
+def test_vertex_scan_yields_one_plane_per_facet(points):
+    polytope = Polytope3(points)
+    common, flat = integer_frame([c for p in polytope.vertices for c in p])
+    rows = [(Vec3(*flat[k:k + 3]), common) for k in range(0, len(flat), 3)]
+    assert len(list(_supporting(rows))) == len(polytope.facets)

@@ -3,6 +3,7 @@ and per-facet bundle data."""
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from delzant import (
     HeatLeadingTerm,
     NormalClass,
     PoleError,
+    Polygon,
     SpectralData,
     Stratum,
     UnsupportedError,
@@ -304,5 +306,11 @@ class TestBundleFacetData:
 
     def test_integrality_flag(self, projective_triangle):
         bundle_facet_data(projective_triangle)  # rational vertices accepted by default
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^vertex 1 \(1/2, 0\) is not integral$"):
             bundle_facet_data(projective_triangle, require_integral=True)
+
+    def test_integrality_message_past_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        a = Fraction(10 ** limit + 1, 2)
+        with pytest.raises(ValueError, match=rf"^vertex 1 is not integral \(a value in it has more than {limit} digits\)$"):
+            bundle_facet_data(Polygon([(0, 0), (a, 0), (0, a)]), require_integral=True)
