@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import StructuralPolygonError
 from .vectors import Vec2, Vec3, angle_order, exact_points, integer_frame
@@ -22,6 +22,10 @@ class Facet(NamedTuple):
     lattice_area: Fraction            # Euclidean area divided by |normal|
 
 
+# A facet before its vertices are ordered: normal, offset, vertex indices ascending.
+_Plane = tuple[Vec3, Fraction, list[int]]
+
+
 class Polytope3:
     """A convex 3-polytope given by its vertices, with derived facets.
 
@@ -29,14 +33,19 @@ class Polytope3:
     or redundant points); the constructor enumerates supporting planes from
     vertex triples (:func:`_supporting`). A triple's vertices are read only
     until one lies on each side of its plane, and a triple on a facet plane
-    already found is skipped, so each facet plane is found once. The
-    triples still number up to V³, so a prism over a 48-gon (96 vertices)
-    takes about a second to build.
+    already found is skipped, so each facet plane is found once, and the
+    scan's incidence masks give each facet's vertices.
+
+    A half-space rebuild already knows its facets: the scan that found its
+    vertices marked which half-spaces each lies on. It passes them as
+    ``_planes``, one ``(normal, offset, vertex indices)`` per facet, and
+    the vertex scan is skipped; both routes order the facets the same way
+    and make the same checks.
     """
 
     __slots__ = ("vertices", "facets")
 
-    def __init__(self, vertices: Iterable[Sequence]):
+    def __init__(self, vertices: Iterable[Sequence], *, _planes: Sequence[_Plane] | None = None):
         pts = exact_points(vertices, Vec3)
         if len(set(pts)) != len(pts):
             i = next(i for i, p in enumerate(pts) if p in pts[:i])
@@ -44,7 +53,10 @@ class Polytope3:
         if len(pts) < 4:
             raise StructuralPolygonError("a 3D polytope needs at least 4 distinct vertices")
         self.vertices: tuple[Vec3, ...] = tuple(pts)
-        self.facets: tuple[Facet, ...] = self._derive_facets()
+        if _planes is None:
+            self.facets: tuple[Facet, ...] = self._derive_facets()
+        else:
+            self.facets = _cycled_facets(*_frame(self.vertices), _planes)
         on_count = [0] * len(self.vertices)
         for facet in self.facets:
             for i in facet.vertex_indices:
@@ -55,18 +67,14 @@ class Polytope3:
     def _derive_facets(self) -> tuple[Facet, ...]:
         # One integer frame: every coordinate times the common denominator L,
         # so point P is on the plane (n, t) when n . P + t L = 0.
-        common, flat = integer_frame([c for p in self.vertices for c in p])
-        pts = [Vec3(*flat[k:k + 3]) for k in range(0, len(flat), 3)]
-        planes: dict[Vec3, int] = {}
-        for n, t in _supporting([(p, common) for p in pts]):
+        common, pts = _frame(self.vertices)
+        kept, on = _supporting([(p, common) for p in pts])
+        planes = []
+        for f, (n, t) in enumerate(kept):
             g = math.gcd(*n)
-            planes.setdefault(Vec3(*(c // g for c in n)), -t * common // g)
-        facets = []
-        for u, c in sorted(planes.items()):
-            members = [i for i, p in enumerate(pts) if u.dot(p) == c]
-            ordered, area = _order_facet_cycle([pts[i] for i in members], u, common)
-            facets.append(Facet(u, Fraction(c, common), tuple(members[i] for i in ordered), area))
-        return tuple(facets)
+            members = [i for i, mask in enumerate(on) if mask >> f & 1]
+            planes.append((Vec3(*(c // g for c in n)), Fraction(-t * common // g, common), members))
+        return _cycled_facets(common, pts, planes)
 
     def vertex_set(self) -> frozenset:
         return frozenset(self.vertices)
@@ -81,22 +89,32 @@ class Polytope3:
         return f"Polytope3[{len(self.vertices)} vertices, {len(self.facets)} facets]"
 
 
-def _supporting(rows: Sequence[tuple[Vec3, int]]) -> Iterator[tuple[Vec3, int]]:
-    """For each triple of integer rows ``(u, p)``, in ``combinations`` order,
-    the nonzero ``(n, t)`` with ``n . u + t p = 0`` on all three (signed 3x3
-    minors), kept when every row gives ``<= 0`` and negated when ``>= 0``.
+def _supporting(rows: Sequence[tuple[Vec3, int]]) -> tuple[list[tuple[Vec3, int]], list[int]]:
+    """Over each triple of integer rows ``(u, p)``, in ``combinations``
+    order, the nonzero ``(n, t)`` with ``n . u + t p = 0`` on all three
+    (signed 3x3 minors), kept when every row gives ``<= 0`` and negated
+    when ``>= 0``. Returns the kept vectors, in the order found, and one
+    bitmask per row: bit f is set when the row lies on the f-th kept
+    hyperplane.
 
     The sides are read only until one row is positive and another negative.
     A triple whose three rows all lie on a hyperplane kept before is
     skipped, which loses nothing: three rows of that 3-space are dependent
-    or span it, so the triple would yield nothing or a multiple of the kept
-    vector. So each hyperplane is yielded once, by the first triple that
-    yields it. A vector is negated only when some row is positive, so when
+    or span it, so the triple would give nothing or a multiple of the kept
+    vector. So each hyperplane is kept once, by the first triple that
+    gives it. A vector is negated only when some row is positive, so when
     every row lies on its hyperplane it is kept as the minors give it.
+
+    On vertex rows ``(P, L)`` a kept hyperplane is a facet plane, and the
+    rows whose mask has bit f are the vertices of facet f. On half-space
+    rows ``(normal, -offset L)`` a kept ``(y, w)`` with ``w > 0`` is the
+    vertex ``y / (w L)``, and the mask of row m lists the vertices on its
+    plane: when every kept ``w`` is positive, row m is a facet exactly when
+    that is at least 3 of them.
     """
     flat = [(*u, p) for u, p in rows]
-    on = [0] * len(flat)   # bit f set: the row lies on the f-th kept hyperplane
-    kept = 0
+    on = [0] * len(flat)
+    kept: list[tuple[Vec3, int]] = []
     for i, (u0, u1, u2, p) in enumerate(flat):
         for j in range(i + 1, len(flat)):
             v0, v1, v2, q = flat[j]
@@ -126,13 +144,30 @@ def _supporting(rows: Sequence[tuple[Vec3, int]]) -> Iterator[tuple[Vec3, int]]:
                             break
                         below = True
                 else:
-                    bit = 1 << kept
-                    kept += 1
+                    bit = 1 << len(kept)
                     for m, (x0, x1, x2, x3) in enumerate(flat):
                         if n0 * x0 + n1 * x1 + n2 * x2 + t * x3 == 0:
                             on[m] |= bit
                     both |= bit
-                    yield (Vec3(-n0, -n1, -n2), -t) if above else (Vec3(n0, n1, n2), t)
+                    kept.append((Vec3(-n0, -n1, -n2), -t) if above else (Vec3(n0, n1, n2), t))
+    return kept, on
+
+
+def _frame(vertices: Sequence[Vec3]) -> tuple[int, list[Vec3]]:
+    """The common denominator ``L`` of the vertices and each vertex times ``L``."""
+    common, flat = integer_frame([c for p in vertices for c in p])
+    return common, [Vec3(*flat[k:k + 3]) for k in range(0, len(flat), 3)]
+
+
+def _cycled_facets(common: int, pts: list[Vec3], planes: Sequence[_Plane]) -> tuple[Facet, ...]:
+    """The facets of ``planes``, sorted by normal, each with its vertices
+    in cyclic order (:func:`_order_facet_cycle` on the integer points
+    ``pts``)."""
+    facets = []
+    for u, offset, members in sorted(planes):
+        ordered, area = _order_facet_cycle([pts[i] for i in members], u, common)
+        facets.append(Facet(u, offset, tuple(members[i] for i in ordered), area))
+    return tuple(facets)
 
 
 def _order_facet_cycle(points: list[Vec3], normal: Vec3, common: int) -> tuple[list[int], Fraction]:

@@ -34,11 +34,14 @@ from .errors import (
     UnsupportedAmbiguityError,
     _with_values,
 )
-from .geometry import EDGE_BUDGET, Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes
+from .geometry import (
+    EDGE_BUDGET, Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes, validate_delzant,
+)
 from .polytope3 import Polytope3, _supporting
 from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
 from .vectors import (
-    Vec2, Vec3, angle_order, as_flag, as_scalar, canonical_unsigned, integer_frame, is_exact, is_primitive_integer,
+    Vec2, Vec3, angle_order, as_flag, as_scalar, canonical_unsigned, format_rational, integer_frame, is_exact,
+    is_primitive_integer,
 )
 
 
@@ -1071,9 +1074,11 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
 
     The offsets are absolute, so there is no translation ambiguity; the
     result must reproduce every entry (normal, offset and facet volume) or
-    an inconsistency is raised.  An offset or volume that is not an
-    ``int`` or a ``Fraction`` raises TypeError; a ``dim`` other than the
-    int 2 or 3, or a normal without ``dim`` coordinates, ValueError.
+    an inconsistency is raised, and it must be Delzant, the hypothesis of
+    the paper's theorem (:func:`_require_delzant`).  An offset or volume
+    that is not an ``int`` or a ``Fraction`` raises TypeError; a ``dim``
+    other than the int 2 or 3, or a normal without ``dim`` coordinates,
+    ValueError.
     """
     dim = system.dim
     if not is_exact(dim, int) or dim not in (2, 3):
@@ -1104,7 +1109,45 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
                 lambda: f"facet {key[0]} has lattice volume {derived[key]}, data says {volume}",
                 f"facet {key[0]} has a lattice volume other than the data's",
             ))
+    _require_delzant(rebuilt)
     return rebuilt
+
+
+def _require_delzant(rebuilt: Union[Polygon, Polytope3]) -> None:
+    """Refuse a rebuilt polytope that is not Delzant: at some vertex the
+    primitive normals of the facets through it are not a basis of the
+    integer lattice.  In 2D that is the first failure of
+    :func:`validate_delzant`; in 3D the first vertex, read off
+    ``rebuilt.facets``, that does not lie on exactly 3 facets whose normals
+    have determinant 1 or -1."""
+    if isinstance(rebuilt, Polygon):
+        failures = validate_delzant(rebuilt).failures
+        if not failures:
+            return
+        kind, i, det = "polygon", failures[0].vertex_index, failures[0].determinant
+    else:
+        through: list[list[Vec3]] = [[] for _ in rebuilt.vertices]
+        for facet in rebuilt.facets:
+            for k in facet.vertex_indices:
+                through[k].append(facet.normal)
+        for i, normals in enumerate(through):
+            det = normals[0].dot(normals[1].cross(normals[2])) if len(normals) == 3 else None
+            if det not in (1, -1):
+                break
+        else:
+            return
+        kind = "polytope"
+    at = f"rebuilt {kind} is not Delzant: vertex {i}"
+
+    def point() -> str:
+        return f"{at} ({', '.join(map(format_rational, rebuilt.vertices[i]))})"
+
+    if det is None:
+        what = f"lies on {len(through[i])} facets, not 3"
+        message = _with_values(lambda: f"{point()} {what}", f"{at} {what}")
+    else:
+        message = _with_values(lambda: f"{point()} has determinant {det}", f"{at} has a determinant other than 1 or -1")
+    raise ReconstructionInfeasibleError(message)
 
 
 def _reconstruct_polygon(entries: Sequence[HalfSpaceEntry]) -> Polygon:
@@ -1122,13 +1165,22 @@ def _reconstruct_polygon(entries: Sequence[HalfSpaceEntry]) -> Polygon:
 def _reconstruct_polytope(entries: Sequence[HalfSpaceEntry]) -> Polytope3:
     common, offsets = integer_frame([e.offset for e in entries])
     rows = [(Vec3(*e.normal), -c) for e, c in zip(entries, offsets)]
+    kept, on = _supporting(rows)
     # A kept (y, w) has n . y <= c D w on every row; for w > 0, y / (D w) is a vertex.
-    points = dict.fromkeys(
-        Vec3(*(Fraction(v, common * w) for v in y)) for y, w in _supporting(rows) if w > 0
-    )
+    points = [Vec3(*(Fraction(v, common * w) for v in y)) for y, w in kept if w > 0]
     if len(points) < 4:
         raise ReconstructionInfeasibleError("half-space system has an empty or degenerate intersection")
+    # With every kept w > 0 the intersection is bounded, and the rows through
+    # 3 or more of its vertices are its facets.  Otherwise it is unbounded or
+    # empty, and the vertex scan of Polytope3(points) finds the facet that
+    # bundle_reconstruct names as missing from the data.
+    planes = None
+    if len(points) == len(kept):
+        planes = [
+            (Vec3(*e.normal), Fraction(e.offset), [i for i in range(len(kept)) if mask >> i & 1])
+            for e, mask in zip(entries, on) if mask.bit_count() >= 3
+        ]
     try:
-        return Polytope3(points)
+        return Polytope3(points, _planes=planes)
     except StructuralPolygonError as exc:
         raise ReconstructionInfeasibleError(f"intersection is not a 3-polytope: {exc}") from exc

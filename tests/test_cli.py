@@ -129,6 +129,20 @@ def test_bundle_reconstruct_empty_system_exit_3(doc, monkeypatch, capsys):
     assert "half-planes do not bound a polygon" in err
 
 
+@pytest.mark.parametrize("solid, message", [
+    ({"dim": 2, "vertices": [["0/1", "0/1"], ["2/1", "0/1"], ["0/1", "1/1"]]},
+     "rebuilt polygon is not Delzant: vertex 1 (0/1, 1/1) has determinant 2"),
+    ({"dim": 3, "vertices": [["1/1", "0/1", "0/1"], ["-1/1", "0/1", "0/1"], ["0/1", "1/1", "0/1"],
+                             ["0/1", "-1/1", "0/1"], ["0/1", "0/1", "1/1"], ["0/1", "0/1", "-1/1"]]},
+     "rebuilt polytope is not Delzant: vertex 0 (-1/1, 0/1, 0/1) lies on 4 facets, not 3"),
+], ids=["triangle", "octahedron"])
+def test_bundle_reconstruct_refuses_a_non_delzant_rebuild_exit_3(solid, message, monkeypatch, capsys):
+    code, data, _ = run(["bundle-data", "--json"], json.dumps(solid), monkeypatch, capsys)
+    assert code == 0
+    code, out, err = run(["bundle-reconstruct"], data, monkeypatch, capsys)
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_bundle_data_and_back(monkeypatch, capsys):
     code, out, _ = run(["bundle-data", "--json"], SQUARE, monkeypatch, capsys)
     assert code == 0

@@ -14,6 +14,7 @@ from delzant import (
     StructuralPolygonError,
     bundle_facet_data,
     bundle_reconstruct,
+    polytope3,
     random_delzant,
     reconstruct,
 )
@@ -64,6 +65,13 @@ def test_chopped_cube():
 def test_vertex_set_equality(unit_cube):
     shuffled = Polytope3(list(reversed(unit_cube.vertices)))
     assert shuffled == unit_cube
+
+
+def test_hash_and_repr(unit_cube):
+    points = list(unit_cube.vertices)
+    random.Random(7).shuffle(points)
+    assert hash(Polytope3(points)) == hash(unit_cube)
+    assert repr(unit_cube) == "Polytope3[8 vertices, 6 facets]"
 
 
 def test_rejects_flat_input():
@@ -121,7 +129,7 @@ def test_rejects_extra_coordinates():
 def test_supporting_keeps_the_unflipped_vector_of_a_flat_triple():
     # Every row lies on the hyperplane of the first triple, so every side is 0.
     rows = [(Vec3(0, 0, 0), 1), (Vec3(1, 0, 0), 1), (Vec3(0, 1, 0), 1), (Vec3(1, 1, 0), 1)]
-    assert next(_supporting(rows)) == (Vec3(0, 0, 1), 0)
+    assert _supporting(rows) == ([(Vec3(0, 0, 1), 0)], [1, 1, 1, 1])
 
 
 # -- the Fraction construction both 3D paths used before the integer scan ----
@@ -193,6 +201,11 @@ def _box(a, b, c):
     return [(x, y, z) for x in (0, a) for y in (0, b) for z in (0, c)]
 
 
+# Not simple: four facets meet at each octahedron vertex and at the apex.
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)]
+
+
 def _solids():
     solids = [_box(1, 1, 1), _box(2, 1, Fraction(3, 2)), _box(3, 2, 1)]
     for depth in (Fraction(1, 2), Fraction(3, 2)):
@@ -201,9 +214,7 @@ def _solids():
         for twist in (False, True):
             solids.append(_prism(random_delzant(d, d, 3, twist=twist), Fraction(d + 1, 3)))
     solids.append([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    # Not simple: four facets meet at each octahedron vertex and at the apex.
-    solids.append([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
-    solids.append([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    solids += [OCTAHEDRON, SQUARE_PYRAMID]
     for d in (10, 12):
         solids.append(_prism(random_delzant(d, d, 3), Fraction(d + 1, 3)))
     return solids
@@ -282,4 +293,66 @@ def test_vertex_scan_yields_one_plane_per_facet(points):
     polytope = Polytope3(points)
     common, flat = integer_frame([c for p in polytope.vertices for c in p])
     rows = [(Vec3(*flat[k:k + 3]), common) for k in range(0, len(flat), 3)]
-    assert len(list(_supporting(rows))) == len(polytope.facets)
+    kept, on = _supporting(rows)
+    assert len(kept) == len(polytope.facets)
+    # Each kept plane's rows are the vertices of one facet.
+    planes = sorted([i for i, mask in enumerate(on) if mask >> f & 1] for f in range(len(kept)))
+    assert planes == sorted(sorted(facet.vertex_indices) for facet in polytope.facets)
+
+
+# -- the half-space rebuild takes its facets from the scan's incidences -------
+
+
+def _rebuild_solids():
+    """The census_bundle solid kinds, and prisms over random Delzant polygons."""
+    t = Fraction(3, 2)
+    solids = [_box(3, 1, 4), [p for p in _box(3, 4, 5) if p != (0, 0, 0)] + [(t, 0, 0), (0, t, 0), (0, 0, t)]]
+    solids += [_prism(random_delzant(5, seed, 5), 2) for seed in (1, 2)]
+    solids += [
+        _prism(random_delzant(d, d, 4, twist=twist), Fraction(d + 1, 2))
+        for d in range(3, 11) for twist in (False, True)
+    ]
+    return solids
+
+
+@pytest.fixture
+def supporting_runs(monkeypatch):
+    runs = []
+
+    def counted(rows):
+        runs.append(len(rows))
+        return _supporting(rows)
+
+    monkeypatch.setattr(polytope3, "_supporting", counted)
+    monkeypatch.setattr(reconstruct, "_supporting", counted)
+    return runs
+
+
+@pytest.mark.parametrize("points", _rebuild_solids())
+def test_round_trip_scans_once(points, supporting_runs):
+    data = bundle_facet_data(Polytope3(points))
+    del supporting_runs[:]
+    rebuilt = bundle_reconstruct(data)
+    # One scan, over the half-space rows: no vertex-side scan of the rebuilt vertices.
+    assert supporting_runs == [len(data.entries)]
+    assert set(rebuilt.vertices) == {Vec3(*map(Fraction, p)) for p in points}
+
+
+@pytest.mark.parametrize("points", _rebuild_solids() + [OCTAHEDRON, SQUARE_PYRAMID])
+def test_rebuild_matches_the_vertex_constructor(points, supporting_runs):
+    # The rebuild itself, not bundle_reconstruct, which refuses the non-simple solids.
+    data = bundle_facet_data(Polytope3(points))
+    del supporting_runs[:]
+    rebuilt = reconstruct._reconstruct_polytope(data.entries)
+    assert supporting_runs == [len(data.entries)]
+    assert set(rebuilt.vertices) == {Vec3(*map(Fraction, p)) for p in points}
+    assert repr(rebuilt.facets) == repr(Polytope3(list(rebuilt.vertices)).facets)
+
+
+def test_unbounded_rebuild_names_its_facet_from_a_vertex_scan(supporting_runs):
+    # x, y, z >= 0, x + y + z >= 1, x <= 3: four vertices and rays to infinity.
+    rows = [((-1, 0, 0), 0), ((0, -1, 0), 0), ((0, 0, -1), 0), ((-1, -1, -1), -1), ((1, 0, 0), 3)]
+    system = HalfSpaceSystem(3, tuple(HalfSpaceEntry(n, Fraction(c), Fraction(1)) for n, c in rows))
+    with pytest.raises(ReconstructionInfeasibleError, match=r"extreme points span a facet \(1, 3, 3\) absent"):
+        bundle_reconstruct(system)
+    assert supporting_runs == [5, 4]

@@ -3,6 +3,7 @@ genericity, and half-space reconstruction."""
 
 import importlib
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -18,6 +19,7 @@ from delzant import (
     HalfSpaceSystem,
     InconsistentSystemError,
     Polygon,
+    Polytope3,
     ReconstructionInfeasibleError,
     SignedEdgeList,
     UnsupportedAmbiguityError,
@@ -729,6 +731,10 @@ class TestIsGeneric:
             is_generic(octagon)
 
 
+# Past the interpreter's digit limit when written out.
+FAR = 10**5000
+
+
 class TestBundleReconstruct:
     def test_triangle_round_trip(self, unit_triangle):
         rebuilt = bundle_reconstruct(bundle_facet_data(unit_triangle))
@@ -800,6 +806,35 @@ class TestBundleReconstruct:
         with pytest.raises(ReconstructionInfeasibleError, match=message) as info:
             bundle_reconstruct(HalfSpaceSystem(3, entries))
         assert type(info.value) is error
+
+    @pytest.mark.parametrize("source, message", [
+        # The edges (-2, 1) and (0, -1) meet at (0, 1) with determinant 2.
+        (Polygon([(0, 0), (2, 0), (0, 1)]),
+         r"rebuilt polygon is not Delzant: vertex 1 \(0/1, 1/1\) has determinant 2"),
+        # Four facets meet at every vertex of the octahedron.
+        (Polytope3([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]),
+         r"rebuilt polytope is not Delzant: vertex 0 \(-1/1, 0/1, 0/1\) lies on 4 facets, not 3"),
+        # Simple, but the normals (-1, 0, 0), (0, -1, 0), (1, 2, 2) at (0, 0, 1) have determinant 2.
+        (Polytope3([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]),
+         r"rebuilt polytope is not Delzant: vertex 1 \(0/1, 0/1, 1/1\) has determinant 2"),
+    ])
+    def test_refuses_a_rebuild_that_is_not_delzant(self, source, message):
+        # The forward map takes any lattice polytope; the theorem needs a Delzant one.
+        system = bundle_facet_data(source)
+        with pytest.raises(ReconstructionInfeasibleError, match=f"^{message}$") as info:
+            bundle_reconstruct(system)
+        assert type(info.value) is ReconstructionInfeasibleError
+
+    @pytest.mark.parametrize("source, message", [
+        (Polygon([(FAR, 0), (FAR + 2, 0), (FAR, 1)]),
+         "rebuilt polygon is not Delzant: vertex 1 has a determinant other than 1 or -1"),
+        (Polytope3([(FAR + s * x, s * y, s * z) for x, y, z in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for s in (1, -1)]),
+         "rebuilt polytope is not Delzant: vertex 0 lies on 4 facets, not 3"),
+    ])
+    def test_refusal_past_the_digit_limit_still_names_the_vertex(self, source, message):
+        with pytest.raises(ReconstructionInfeasibleError) as info:
+            bundle_reconstruct(bundle_facet_data(source))
+        assert str(info.value) == f"{message} (a value in it has more than {sys.get_int_max_str_digits()} digits)"
 
     @pytest.mark.parametrize("extra, message", [
         (HalfSpaceEntry((1, 0), Fraction(2), Fraction(1)), "normals must be pairwise distinct"),
