@@ -318,23 +318,38 @@ def polygon_from_halfplanes(normals: Sequence[Vec2], offsets: Sequence) -> Polyg
     x . n_i <= c_i and has exactly the fan of the normals.  Otherwise, and
     when consecutive lines are parallel or the vertices do not bound a
     convex polygon, :class:`StructuralPolygonError` is raised.
+
+    The vertices are solved in one integer frame, reduced to its least
+    common denominator, and the polygon is built from it by
+    :meth:`Polygon._from_frame`.
     """
     d = len(normals)
     if d < 3 or d != len(offsets):
         raise StructuralPolygonError("need at least three half-planes with matching offsets")
-    cs = [as_scalar(c) for c in offsets]
-    vertices = []
-    for i in range(d):
-        u, v = normals[(i - 1) % d], normals[i]
-        cu, cv = cs[(i - 1) % d], cs[i]
-        det = u.cross(v)
+    common, ks = integer_frame([as_scalar(c) for c in offsets])
+    # Scaling every normal and offset by the normals' common denominator q
+    # keeps every line: line i is a x + b y = k q / common, a and b integers.
+    q, ab = integer_frame([as_scalar(c) for n in normals for c in (n.x, n.y)])
+    lines = list(zip(ab[0::2], ab[1::2], [k * q for k in ks]))
+    # Vertex i meets lines i-1 and i at (xs[i], ys[i]) / (common * dets[i]).
+    xs, ys, dets = [], [], []
+    for i, ((a0, b0, k0), (a1, b1, k1)) in enumerate(zip(lines[-1:] + lines[:-1], lines)):
+        det = a0 * b1 - b0 * a1
         if det == 0:
             raise StructuralPolygonError(f"consecutive half-planes {(i - 1) % d} and {i} are parallel")
-        x = Fraction(cu * v.y - cv * u.y, 1) / det
-        y = Fraction(cv * u.x - cu * v.x, 1) / det
-        vertices.append(Vec2(x, y))
-    polygon = Polygon(vertices)
+        xs.append(k0 * b1 - k1 * b0)
+        ys.append(k1 * a0 - k0 * a1)
+        dets.append(det)
+    # Over common * lcm(dets), then in lowest terms: Polygon's own frame.
+    lcm = math.lcm(*dets)
+    den = common * lcm
+    xs = [x * (lcm // det) for x, det in zip(xs, dets)]
+    ys = [y * (lcm // det) for y, det in zip(ys, dets)]
+    g = math.gcd(den, *xs, *ys)
+    polygon = Polygon._from_frame(den // g, [x // g for x in xs], [y // g for y in ys])
     # Polygon reverses a clockwise chain, which puts the last vertex first.
-    if polygon.vertices[0] != vertices[0] or any(e.normal.dot(n) <= 0 for e, n in zip(polygon.edges, normals)):
+    if polygon.vertices[0] != (Fraction(xs[0], den), Fraction(ys[0], den)) or any(
+        e.normal.dot(n) <= 0 for e, n in zip(polygon.edges, normals)
+    ):
         raise StructuralPolygonError("edges do not face along the normals of their half-planes")
     return polygon

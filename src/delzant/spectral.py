@@ -304,14 +304,18 @@ def bundle_facet_data(polytope: Union[Polygon, Polytope3], require_integral: boo
                     f"vertex {i} is not integral",
                 ))
     if isinstance(polytope, Polygon):
-        entries = [
-            HalfSpaceEntry(
-                normal=tuple(e.normal),
-                offset=Fraction(e.normal.dot(polytope.vertices[i])),
-                volume=e.lattice_length,
-            )
-            for i, e in enumerate(polytope.edges)
-        ]
+        # Edge i starts at vertex i; walk the vertices in the polygon's
+        # integer frame, (x, y) being vertex i times the common denominator.
+        common, dxs, dys = polytope._frame
+        first = polytope.vertices[0]
+        x = first.x.numerator * (common // first.x.denominator)
+        y = first.y.numerator * (common // first.y.denominator)
+        entries = []
+        for e, dx, dy in zip(polytope.edges, dxs, dys):
+            nx, ny = e.normal
+            entries.append(HalfSpaceEntry(normal=(nx, ny), offset=Fraction(nx * x + ny * y, common), volume=e.lattice_length))
+            x += dx
+            y += dy
         dim = 2
     elif isinstance(polytope, Polytope3):
         entries = [

@@ -314,9 +314,9 @@ def test_exhausted_perturbation_builds_only_its_attempts(built, monkeypatch):
     with pytest.raises(BudgetExceededError):
         perturb_generic(polygon)
     # Every attempt is settled in integers: the partial is the one polygon
-    # built, and no candidate is.
+    # built, from its integer frame, and no candidate is.
     assert len(attempts) == 1
-    assert built == {"frame": 0, "init": 1}
+    assert built == {"frame": 1, "init": 0}
 
 
 def test_reading_candidates_builds_each_once(built):

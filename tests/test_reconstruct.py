@@ -839,6 +839,8 @@ class TestBundleReconstruct:
     @pytest.mark.parametrize("extra, message", [
         (HalfSpaceEntry((1, 0), Fraction(2), Fraction(1)), "normals must be pairwise distinct"),
         (HalfSpaceEntry((2, 2), Fraction(5), Fraction(1)), r"normal \(2, 2\) is not a primitive"),
+        # A non-integer coordinate fails before the gcd is taken.
+        (HalfSpaceEntry((Fraction(1, 2), 1), Fraction(5), Fraction(1)), r"normal \(Fraction\(1, 2\), 1\) is not a primitive"),
     ])
     def test_rejects_malformed_normals(self, unit_square, extra, message):
         entries = bundle_facet_data(unit_square).entries + (extra,)
