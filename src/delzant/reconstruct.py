@@ -140,9 +140,8 @@ def angle_sort_oracle(edge_list: SignedEdgeList) -> Polygon:
         if ba != bb:
             return -1 if ba < bb else 1
         if ba in (0, 2):
-            if a.cross(b) == 0:
-                raise ReconstructionInfeasibleError("two edges share a direction; not strictly convex")
-            return 0
+            # Both are positive, or both negative, multiples of e1.
+            raise ReconstructionInfeasibleError("two edges share a direction; not strictly convex")
         c = orient * a.cross(b)
         if c == 0:
             raise ReconstructionInfeasibleError("two edges share a direction; not strictly convex")
@@ -271,10 +270,10 @@ class CandidateSet:
 def _quadratic_roots(b2: int, b1: int, b0: int) -> list[tuple[int, int]]:
     """Rational roots of b2 x^2 + b1 x + b0 = 0 on integer coefficients,
     ascending, as (numerator, denominator) in lowest terms with a positive
-    denominator (empty if none)."""
+    denominator (empty if none).  Never b2 = b1 = 0: :func:`_reconstruct`
+    passes b2 = D K2 != 0, and :func:`solve_three_pair_parameter` returns
+    before the call when both area coefficients are 0."""
     if b2 == 0:
-        if b1 == 0:
-            return []
         roots, den = [-b0 if b1 > 0 else b0], abs(b1)
     else:
         disc = b1 * b1 - 4 * b2 * b0
@@ -1045,17 +1044,15 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
                 for k in range(n):
                     for l in range(k + 1, n):
                         quad[k][l] = quad[l][k] = 2 * (next(pair_at) - disc[k] - disc[l])
-                pivot = next((k for k in range(n) if quad[k][k]), None)
-                if pivot is None:
-                    if any(any(row) for row in quad):
-                        continue
-                    root, w = 1, [0] * n
-                else:
-                    root, w = isqrt(max(quad[pivot][pivot], 0)), quad[pivot]
-                    if root * root != quad[pivot][pivot] or any(
-                        quad[k][l] * quad[pivot][pivot] != w[k] * w[l] for k in range(n) for l in range(n)
-                    ):
-                        continue
+                # A pivot exists: at u = 1 and zero class sums K0 = K1 = 0 and
+                # the own area is K2_own, so the u diagonal, 4 disc, is 16 (own_m
+                # m)^2 K2 K2_own, and K2 != 0 on every pattern (_reconstruct).
+                pivot = next(k for k in range(n) if quad[k][k])
+                root, w = isqrt(max(quad[pivot][pivot], 0)), quad[pivot]
+                if root * root != quad[pivot][pivot] or any(
+                    quad[k][l] * quad[pivot][pivot] != w[k] * w[l] for k in range(n) for l in range(n)
+                ):
+                    continue
                 # u = (-2 root B +- W) / (4 root A), with u_own = N / a in W.
                 big_b = edges([own_m * own_m * values[k][0][1] for k in range(r)])
                 root_w = [a * x + w[r] * y for x, y in zip(edges(w), big_n)]
@@ -1093,21 +1090,21 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
             raise ValueError(f"entry {index}: normal {tuple(e.normal)} has {len(e.normal)} coordinates, not {dim}")
         if not is_primitive_integer(e.normal):
             raise InconsistentSystemError(f"normal {tuple(e.normal)} is not a primitive integer vector")
-    given = {(e.normal, as_scalar(e.offset)): as_scalar(e.volume) for e in entries}
+    given = {e.normal: (as_scalar(e.offset), as_scalar(e.volume)) for e in entries}
     rebuilt = _reconstruct_polygon(entries) if dim == 2 else _reconstruct_polytope(entries)
-    derived = {(e.normal, e.offset): e.volume for e in bundle_facet_data(rebuilt).entries}
-    for key in derived:
-        if key not in given:
+    derived = {e.normal: (e.offset, e.volume) for e in bundle_facet_data(rebuilt).entries}
+    for normal, (offset, _) in derived.items():
+        if normal not in given or given[normal][0] != offset:
             raise ReconstructionInfeasibleError(
-                f"intersection is unbounded: extreme points span a facet {key[0]} absent from the data"
+                f"intersection is unbounded: extreme points span a facet {normal} absent from the data"
             )
-    for key, volume in given.items():
-        if key not in derived:
-            raise InconsistentSystemError(f"half-space {key[0]} is redundant (no facet)")
-        if derived[key] != volume:
+    for normal, (_, volume) in given.items():
+        if normal not in derived:
+            raise InconsistentSystemError(f"half-space {normal} is redundant (no facet)")
+        if derived[normal][1] != volume:
             raise InconsistentSystemError(_with_values(
-                lambda: f"facet {key[0]} has lattice volume {derived[key]}, data says {volume}",
-                f"facet {key[0]} has a lattice volume other than the data's",
+                lambda: f"facet {normal} has lattice volume {derived[normal][1]}, data says {volume}",
+                f"facet {normal} has a lattice volume other than the data's",
             ))
     _require_delzant(rebuilt)
     return rebuilt

@@ -396,18 +396,19 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
 
     def add(normals: tuple, lengths: tuple, remaining: int, pairs: int, sub: list[int]):
         """Count ``sub``, the leaf counts below a state, or walk the state's
-        children if it would cross the budget."""
+        children if it would cross the budget.  The children's counts add up
+        to ``sub``, so a walk always ends in the raise."""
         nonlocal total
         size = sum(sub)
         if remaining and total + size > max_instances:
             for child_normals, child_lengths, paired in children(normals, lengths, len(normals)):
                 below_child = below(child_normals, child_lengths, remaining - 1)
                 add(child_normals, child_lengths, remaining - 1, pairs + paired, below_child)
-            return
-        merge(histogram, sub, pairs)
-        total += size
-        if total > max_instances:
-            raise BudgetExceededError(f"census exceeded {max_instances} instances", partial=result())
+        else:
+            merge(histogram, sub, pairs)
+            total += size
+            if total > max_instances:
+                raise BudgetExceededError(f"census exceeded {max_instances} instances", partial=result())
 
     for m in range(0, bound + 1):
         # Corners 0 and 3 of a base are mirror images, as are corners 1 and

@@ -496,6 +496,12 @@ def test_sets_from_different_data_compare_unequal():
     assert compared > 0
 
 
+def test_a_set_leaves_another_type_to_the_other_operand():
+    candidates = enumerate_candidates(spectral_data(hirzebruch(1, 1, 1)))
+    assert candidates.__eq__(candidates.trace) is NotImplemented
+    assert candidates != candidates.trace
+
+
 def test_unread_set_equals_its_read_copy():
     for d, seed, twist in EQUAL:
         data = spectral_data(random_delzant(d, seed, 4, twist=twist))

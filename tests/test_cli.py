@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from delzant import CandidateSet, zoo
 from delzant.cli import main
 
 SQUARE = '{"dim":2,"vertices":[["0/1","0/1"],["1/1","0/1"],["1/1","1/1"],["0/1","1/1"]]}'
@@ -370,6 +371,24 @@ def test_roundtrip_genericity_budget_is_per_trial(monkeypatch, capsys):
     assert len(outcomes) == 5 and "genericity_budget" in outcomes
     assert doc["failures"] == outcomes.count("genericity_budget")
     assert "trials failed" in err
+
+
+def test_roundtrip_counts_a_source_missing_from_its_candidates(monkeypatch, capsys):
+    monkeypatch.setattr(CandidateSet, "__contains__", lambda self, polygon: False)
+    code, out, err = run(["roundtrip", "--edges", "4", "--seed", "1", "--trials", "1", "--json"], None, monkeypatch, capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert [row["outcome"] for row in doc["results"]] == ["missing"] and doc["failures"] == 1
+    assert err == "1 trials failed\n"
+
+
+def test_an_unmapped_error_is_raised_as_it_is(monkeypatch):
+    def fault(*args, **kwargs):
+        raise RuntimeError("fault")
+
+    monkeypatch.setattr(zoo, "random_delzant", fault)
+    with pytest.raises(RuntimeError, match="^fault$"):
+        main(["roundtrip", "--edges", "4", "--seed", "1", "--trials", "1"])
 
 
 RECORD = {"doubled": [], "signs": [1, 1], "splits": [], "parameter": None, "anchor": 1,

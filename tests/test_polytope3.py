@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 
 from delzant import (
+    InconsistentSystemError,
     Polytope3,
     ReconstructionInfeasibleError,
     StructuralPolygonError,
@@ -21,7 +22,7 @@ from delzant import (
 from delzant.polytope3 import Facet, _supporting
 from delzant.serialize import polytope_to_json
 from delzant.spectral import HalfSpaceEntry, HalfSpaceSystem
-from delzant.vectors import Vec2, Vec3, angle_order, integer_frame, primitive_part
+from delzant.vectors import Vec2, Vec3, angle_order, as_scalar, integer_frame, is_primitive_integer, primitive_part
 
 
 def test_cube_facets(unit_cube):
@@ -138,18 +139,41 @@ def test_supporting_keeps_the_unflipped_vector_of_a_flat_triple():
 def _reference_derive_facets(self):
     pts = self.vertices
     planes = {}
+    # The planes found so far through each point, when some point is off them.
+    on = [set() for _ in pts]
+    # The last point seen on each side of a plane: read first, as the next
+    # triple's plane is often near the last one.
+    seen = {}
     for i, j, k in combinations(range(len(pts)), 3):
+        # Three points on a found plane P with a point off it are collinear,
+        # or give a multiple of P's outward normal whose sides flip it back
+        # to P: nothing new, so skip them.
+        if on[i] & on[j] & on[k]:
+            continue
         n = (pts[j] - pts[i]).cross(pts[k] - pts[i])
         if n.is_zero():
             continue
         level = n.dot(pts[i])
-        above = any(n.dot(p) > level for p in pts)
-        if above and any(n.dot(p) < level for p in pts):
+        # The sides of the plane that hold points, read until both do.
+        sides = {0}
+        for p in [*seen.values(), *pts]:
+            x = n.dot(p)
+            side = (x > level) - (x < level)
+            sides.add(side)
+            seen[side] = p
+            if len(sides) == 3:
+                break
+        if len(sides) == 3:
             continue
-        outward = -n if above else n
+        outward = -n if 1 in sides else n
         u = primitive_part(outward)
         c = Fraction(u.dot(pts[i]))
-        planes.setdefault((tuple(u), c), (u, c))
+        if (tuple(u), c) not in planes:
+            planes[tuple(u), c] = (u, c)
+            members = [m for m, p in enumerate(pts) if u.dot(p) == c]
+            if len(members) < len(pts):
+                for m in members:
+                    on[m].add((tuple(u), c))
     facets = []
     for u, c in sorted(planes.values(), key=lambda pair: (tuple(pair[0]), pair[1])):
         members = [i for i, p in enumerate(pts) if u.dot(p) == c]
@@ -280,12 +304,91 @@ class TestIntegerFrame:
         cases = [lambda p=p: Polytope3(p) for p in solids + _clouds()]
         cases += [lambda s=s: bundle_reconstruct(s) for s in systems]
         got = [_outcome(make) for make in cases]
-        monkeypatch.setattr(Polytope3, "_derive_facets", _reference_derive_facets)
+        # One reference result per vertex tuple: several systems rebuild the same one.
+        shared = {}
+
+        def reference_facets(polytope):
+            if polytope.vertices not in shared:
+                shared[polytope.vertices] = _reference_derive_facets(polytope)
+            return shared[polytope.vertices]
+
+        monkeypatch.setattr(Polytope3, "_derive_facets", reference_facets)
         monkeypatch.setattr(reconstruct, "_reconstruct_polytope", _reference_reconstruct_polytope)
         expected = [_outcome(make) for make in cases]
         assert got == expected
         kinds = {line.split(":")[0] for line in got if not line.startswith("(")}
         assert kinds == {"StructuralPolygonError", "ReconstructionInfeasibleError", "InconsistentSystemError"}
+
+
+# -- bundle_reconstruct matches the entries to the rebuilt facets by normal ---
+
+
+def _reference_bundle_reconstruct(system):
+    """bundle_reconstruct as it was when it matched the entries to the
+    rebuilt facets on (normal, Fraction offset) keys."""
+    dim = system.dim
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim not in (2, 3):
+        raise ValueError(f"unsupported dimension {dim!r}: dim must be the int 2 or 3")
+    entries = list(system.entries)
+    if len(entries) <= dim:
+        raise ReconstructionInfeasibleError(f"a bounded {dim}-polytope needs at least {dim + 1} half-spaces")
+    if len(set(e.normal for e in entries)) != len(entries):
+        raise InconsistentSystemError("normals must be pairwise distinct")
+    for index, e in enumerate(entries):
+        if len(e.normal) != dim:
+            raise ValueError(f"entry {index}: normal {tuple(e.normal)} has {len(e.normal)} coordinates, not {dim}")
+        if not is_primitive_integer(e.normal):
+            raise InconsistentSystemError(f"normal {tuple(e.normal)} is not a primitive integer vector")
+    given = {(e.normal, as_scalar(e.offset)): as_scalar(e.volume) for e in entries}
+    rebuilt = (reconstruct._reconstruct_polygon if dim == 2 else reconstruct._reconstruct_polytope)(entries)
+    derived = {(e.normal, e.offset): e.volume for e in bundle_facet_data(rebuilt).entries}
+    for key in derived:
+        if key not in given:
+            raise ReconstructionInfeasibleError(
+                f"intersection is unbounded: extreme points span a facet {key[0]} absent from the data"
+            )
+    for key, volume in given.items():
+        if key not in derived:
+            raise InconsistentSystemError(f"half-space {key[0]} is redundant (no facet)")
+        if derived[key] != volume:
+            raise InconsistentSystemError(f"facet {key[0]} has lattice volume {derived[key]}, data says {volume}")
+    reconstruct._require_delzant(rebuilt)
+    return rebuilt
+
+
+def _planar_systems():
+    """2D round trips of random Delzant polygons, plain and twisted, and
+    versions where each entry in turn has its offset shifted by 1/3 or
+    negated, or its volume raised by 1."""
+    systems = []
+    for d in range(3, 10):
+        for seed in range(30):
+            for twist in (False, True):
+                entries = list(bundle_facet_data(random_delzant(d, seed, 4, twist=twist)).entries)
+                systems.append(entries)
+                for i, e in enumerate(entries):
+                    # By i mod 3: shifted by 1/3, negated, wrong volume.
+                    changed = [e._replace(offset=e.offset + Fraction(1, 3)), e._replace(offset=-e.offset),
+                               e._replace(volume=e.volume + 1)]
+                    systems.append(entries[:i] + [changed[i % 3]] + entries[i + 1:])
+    return [HalfSpaceSystem(2, tuple(entries)) for entries in systems]
+
+
+def _rebuilt(make):
+    try:
+        rebuilt = make()
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+    return repr(rebuilt.vertices)
+
+
+def test_entries_are_matched_by_normal_as_on_offset_keys():
+    systems = _systems(_solids()) + _planar_systems()
+    got = [_rebuilt(lambda s=s: bundle_reconstruct(s)) for s in systems]
+    assert got == [_rebuilt(lambda s=s: _reference_bundle_reconstruct(s)) for s in systems]
+    # Each refusal of the matching step is among them.
+    for message in ("absent from the data", "is redundant (no facet)", "has lattice volume"):
+        assert any(message in line for line in got), message
 
 
 @pytest.mark.parametrize("points", _solids() + [_prism(random_delzant(16, 1, 5), 1)])

@@ -85,6 +85,28 @@ class TestBuildMostObtuse:
         with pytest.raises(ReconstructionInfeasibleError):
             build_most_obtuse(SignedEdgeList(edges, Vec2(0, -1)))
 
+    @pytest.mark.parametrize("edges, message", [
+        ((Vec2(1, 0), Vec2(-1, 0)), "need at least three edges"),
+        ((Vec2(1, 0), Vec2(0, 0), Vec2(-1, 0)), "zero edge vector"),
+    ])
+    def test_edge_list_rejects(self, edges, message):
+        with pytest.raises(ReconstructionInfeasibleError, match=f"^{message}$"):
+            SignedEdgeList(edges, Vec2(0, -1))
+
+    @pytest.mark.parametrize("builder, edges, message", [
+        # Two edges turn left of (1, 0) by the same angle.
+        (build_most_obtuse, (Vec2(1, 0), Vec2(0, 1), Vec2(0, 1), Vec2(-1, -2)), "two edges share a direction"),
+        # Every edge left after (1, 0) is parallel to it.
+        (build_most_obtuse, (Vec2(1, 0), Vec2(-2, 0), Vec2(1, 0)), "no admissible next edge"),
+        # Two edges along (1, 0).
+        (angle_sort_oracle, (Vec2(1, 0), Vec2(1, 0), Vec2(-1, 1), Vec2(-1, -1)), "two edges share a direction"),
+        # Two equal edges left of (1, 0).
+        (angle_sort_oracle, (Vec2(1, 0), Vec2(0, 1), Vec2(0, 1), Vec2(-1, -2)), "two edges share a direction"),
+    ])
+    def test_builders_reject(self, builder, edges, message):
+        with pytest.raises(ReconstructionInfeasibleError, match=f"^{message}"):
+            builder(SignedEdgeList(edges, Vec2(0, -1)))
+
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 10), rotate=st.integers(0, 9),
            flip=st.booleans(), anchor_flip=st.booleans())
     @settings(max_examples=80, deadline=None)

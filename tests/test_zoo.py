@@ -248,19 +248,24 @@ class TestPerturbGeneric:
         test = next(i for i, line in enumerate(source) if "v[0] * own_m * own_m != t * m * m" in line)
         assert source[test + 1].strip() == "continue"
         skip, code, hits = first + test + 1, reconstruct._structural_twins.__code__, []
+        # A tracer already installed (a coverage run's) keeps seeing every frame.
+        previous = sys.gettrace()
 
         def trace(frame, event, arg):
+            outer = previous(frame, event, arg) if previous else None
             if frame.f_code is not code:
-                return None
+                return outer
 
             def line(frame, event, arg):
+                nonlocal outer
                 if event == "line" and frame.f_lineno == skip:
                     hits.append(skip)
+                if outer is not None:
+                    outer = outer(frame, event, arg)
                 return line
 
             return line
 
-        previous = sys.gettrace()
         sys.settrace(trace)
         try:
             widened = reconstruct._structural_twins(p, branches + tuple(others))
@@ -269,6 +274,11 @@ class TestPerturbGeneric:
         assert sum(len(patterns) for _, patterns in others) == 20
         assert len(hits) == 20
         assert widened == reconstruct._structural_twins(p, branches)
+
+    def test_structural_twins_need_two_or_three_pairs(self, unit_triangle):
+        """A source with fewer than two parallel pairs has no twins."""
+        _, branches = reconstruct._genericity(unit_triangle)
+        assert reconstruct._structural_twins(unit_triangle, branches) == (1, ())
 
     def test_lengths_decide_which_attempts_bound_a_polygon(self):
         """An attempt is skipped in integers exactly when the half-planes
