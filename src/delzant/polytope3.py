@@ -61,7 +61,7 @@ class Polytope3:
         for facet in self.facets:
             for i in facet.vertex_indices:
                 on_count[i] += 1
-        if len(self.facets) < 4 or any(c < 3 for c in on_count):
+        if any(c < 3 for c in on_count):  # < 4 facets too: 4+ vertices on 3 each are collinear; no scan yields that
             raise StructuralPolygonError("points are not the vertex set of a convex 3-polytope")
 
     def _derive_facets(self) -> tuple[Facet, ...]:

@@ -38,7 +38,7 @@ from .geometry import (
     EDGE_BUDGET, Polygon, _table, _translation_key, detect_subpolygons, polygon_from_halfplanes, validate_delzant,
 )
 from .polytope3 import Polytope3, _supporting
-from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, bundle_facet_data, spectral_data
+from .spectral import HalfSpaceEntry, HalfSpaceSystem, SpectralData, spectral_data
 from .vectors import (
     Vec2, Vec3, angle_order, as_flag, as_scalar, canonical_unsigned, format_rational, integer_frame, is_exact,
     is_primitive_integer,
@@ -139,10 +139,7 @@ def angle_sort_oracle(edge_list: SignedEdgeList) -> Polygon:
         ba, bb = bucket(a), bucket(b)
         if ba != bb:
             return -1 if ba < bb else 1
-        if ba in (0, 2):
-            # Both are positive, or both negative, multiples of e1.
-            raise ReconstructionInfeasibleError("two edges share a direction; not strictly convex")
-        c = orient * a.cross(b)
+        c = orient * a.cross(b)  # 0 in bucket 0 or 2, where both are multiples of e1
         if c == 0:
             raise ReconstructionInfeasibleError("two edges share a direction; not strictly convex")
         return -1 if c > 0 else 1
@@ -1092,18 +1089,20 @@ def bundle_reconstruct(system: HalfSpaceSystem) -> Union[Polygon, Polytope3]:
             raise InconsistentSystemError(f"normal {tuple(e.normal)} is not a primitive integer vector")
     given = {e.normal: (as_scalar(e.offset), as_scalar(e.volume)) for e in entries}
     rebuilt = _reconstruct_polygon(entries) if dim == 2 else _reconstruct_polytope(entries)
-    derived = {e.normal: (e.offset, e.volume) for e in bundle_facet_data(rebuilt).entries}
-    for normal, (offset, _) in derived.items():
-        if normal not in given or given[normal][0] != offset:
+    # Volumes by normal.  No offset is compared: each rebuild puts a facet with an entry's normal on its plane.
+    derived = ({tuple(e.normal): e.lattice_length for e in rebuilt.edges} if dim == 2
+               else {tuple(f.normal): f.lattice_area for f in rebuilt.facets})
+    for normal in derived:
+        if normal not in given:
             raise ReconstructionInfeasibleError(
                 f"intersection is unbounded: extreme points span a facet {normal} absent from the data"
             )
     for normal, (_, volume) in given.items():
         if normal not in derived:
             raise InconsistentSystemError(f"half-space {normal} is redundant (no facet)")
-        if derived[normal][1] != volume:
+        if derived[normal] != volume:
             raise InconsistentSystemError(_with_values(
-                lambda: f"facet {normal} has lattice volume {derived[normal][1]}, data says {volume}",
+                lambda: f"facet {normal} has lattice volume {derived[normal]}, data says {volume}",
                 f"facet {normal} has a lattice volume other than the data's",
             ))
     _require_delzant(rebuilt)
@@ -1168,9 +1167,9 @@ def _reconstruct_polytope(entries: Sequence[HalfSpaceEntry]) -> Polytope3:
     if len(points) < 4:
         raise ReconstructionInfeasibleError("half-space system has an empty or degenerate intersection")
     # With every kept w > 0 the intersection is bounded, and the rows through
-    # 3 or more of its vertices are its facets.  Otherwise it is unbounded or
-    # empty, and the vertex scan of Polytope3(points) finds the facet that
-    # bundle_reconstruct names as missing from the data.
+    # 3 or more of its vertices are its facets.  Otherwise it is unbounded, and
+    # the vertex scan of Polytope3(points) finds a facet missing from the data;
+    # a facet it finds with an entry's normal spans that entry's 2-face.
     planes = None
     if len(points) == len(kept):
         planes = [

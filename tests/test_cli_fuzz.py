@@ -265,6 +265,7 @@ SPECTRAL_FAULTS = [
      "class 0: normal must be a list of 2 integers, got [true, 0]"),
     (_spectral_doc(classes=[{"normal": [1, 0, 0], "lengthSum": "1"}]),
      "class 0: normal must be a list of 2 integers, got [1, 0, 0]"),
+    (_spectral_doc(classes=[{"normal": 1, "lengthSum": "1"}]), "class 0: normal must be a list of 2 integers, got 1"),
     (_spectral_doc(classes=[{"lengthSum": "1"}]), "class 0 is malformed: 'normal'"),
     (_spectral_doc(classes=[[[1, 0], "1"]]), 'class 0 must be an object, got [[1, 0], "1"]'),
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": True}]),
@@ -334,6 +335,41 @@ def test_reconstruct_past_the_edge_budget_exits_4_at_once(d, message, tmp_path, 
 def test_a_malformed_rational_names_its_field(argv, document, message, tmp_path, capsys):
     """The reader's error names the field of the rational, and the command
     reading the document exits 5 with it."""
+    _exits_5_with(argv, document, message, tmp_path, capsys)
+
+
+TRIANGLE_ENTRIES = [{"normal": n, "offset": c, "volume": "1"} for n, c in (([-1, 0], "0"), ([0, -1], "0"), ([1, 1], "1"))]
+
+# A document of the wrong shape in the other readers, listed as
+# RATIONAL_FIELD_FAULTS are.
+SHAPE_FAULTS = [
+    (["validate", "--in", "{doc}"], json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0]]}),
+     "'vertices' must be a list of at least 3 coordinate pairs"),
+    (["validate", "--in", "{doc}"], json.dumps({"dim": 2, "vertices": ["12", [1, 0], [0, 1]]}),
+     "vertex 0 is not a coordinate pair"),
+    (["validate", "--in", "{doc}"], json.dumps({"dim": 7, "vertices": [[0, 0], [1, 0], [0, 1]]}),
+     "expected dim 2, got 7"),
+    (["bundle-data", "--in", "{doc}"], json.dumps({"dim": 7, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
+     "expected dim 2 or 3, got 7"),
+    (["bundle-reconstruct", "--in", "{doc}"], json.dumps({"dim": 4, "entries": TRIANGLE_ENTRIES}),
+     "expected dim 2 or 3, got 4"),
+    (["bundle-reconstruct", "--in", "{doc}"], json.dumps({"dim": 2.0, "entries": TRIANGLE_ENTRIES}),
+     "expected dim 2 or 3, got 2.0"),
+    (["bundle-reconstruct", "--in", "{doc}"], json.dumps({"dim": "2", "entries": TRIANGLE_ENTRIES}),
+     "expected dim 2 or 3, got '2'"),
+    (["render", "--in", "{triangle}", "--overlay", "{doc}"],
+     json.dumps({"candidates": [], "assignmentTrace": [{"outcome": []}]}),
+     "trace record 0: outcome must be one of ['dropped_invalid', 'dropped_mismatch', 'emitted', 'inadmissible_split',"
+     " 'no_closure'], got []"),
+]
+
+
+@pytest.mark.parametrize("argv, document, message", SHAPE_FAULTS)
+def test_a_document_of_the_wrong_shape_exits_5(argv, document, message, tmp_path, capsys):
+    _exits_5_with(argv, document, message, tmp_path, capsys)
+
+
+def _exits_5_with(argv, document, message, tmp_path, capsys):
     (tmp_path / "doc.json").write_text(document)
     (tmp_path / "triangle.json").write_text(_shifted_triangle(0))
     argv = [str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a for a in argv]

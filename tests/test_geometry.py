@@ -39,7 +39,7 @@ class TestPolygonConstruction:
         assert all(c > 0 for c in crosses)
 
     def test_rejects_degenerate_input(self):
-        with pytest.raises(StructuralPolygonError):
+        with pytest.raises(StructuralPolygonError, match="^a polygon needs at least 3 vertices$"):
             Polygon(((0, 0), (1, 0)))
         with pytest.raises(StructuralPolygonError):
             Polygon(((0, 0), (1, 0), (1, 0), (0, 1)))

@@ -81,8 +81,14 @@ def test_rejects_flat_input():
 
 
 def test_rejects_too_few_points():
-    with pytest.raises(StructuralPolygonError):
+    with pytest.raises(StructuralPolygonError, match="^a 3D polytope needs at least 4 distinct vertices$"):
         Polytope3([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+
+
+@pytest.mark.parametrize("extra", [(Fraction(1, 2),) * 3, (Fraction(1, 2), 0, 0)], ids=["interior", "on_an_edge"])
+def test_rejects_a_point_that_is_not_a_vertex(unit_cube, extra):
+    with pytest.raises(StructuralPolygonError, match="^points are not the vertex set of a convex 3-polytope$"):
+        Polytope3(list(unit_cube.vertices) + [extra])
 
 
 def test_rejects_repeated_point(unit_simplex3):

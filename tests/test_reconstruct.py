@@ -79,6 +79,8 @@ class TestBuildMostObtuse:
     def test_rejects_bad_anchor(self):
         with pytest.raises(ReconstructionInfeasibleError):
             SignedEdgeList(SQUARE_EDGES, Vec2(1, 1))
+        with pytest.raises(ReconstructionInfeasibleError, match="^anchor normal must be nonzero"):
+            SignedEdgeList(SQUARE_EDGES, Vec2(0, 0))
 
     def test_rejects_duplicate_directions(self):
         edges = (Vec2(1, 0), Vec2(1, 0), Vec2(-1, 1), Vec2(-1, -1))
@@ -228,6 +230,18 @@ class TestEnumerateCandidates:
         classes = (NormalClass(Vec2(0, 1), Fraction(1), None), NormalClass(Vec2(1, 0), Fraction(1), None))
         data = SpectralData(vertex_count=2, classes=classes, area=Fraction(1))
         with pytest.raises(ReconstructionInfeasibleError, match="inconsistent data: 2 vertices"):
+            enumerate_candidates(data)
+
+    @pytest.mark.parametrize("normals, area", [
+        # More classes than vertices, with counts unknown.
+        (((0, 1), (1, 0), (1, 1), (1, -1)), Fraction(1)),
+        (((0, 1), (1, 0), (1, 1)), Fraction(0)),
+        (((0, 1), (1, 0), (1, 1)), Fraction(-1, 2)),
+    ])
+    def test_needs_no_more_classes_than_vertices_and_a_positive_area(self, normals, area):
+        classes = tuple(NormalClass(Vec2(*n), Fraction(1), None) for n in normals)
+        data = SpectralData(vertex_count=3, classes=classes, area=area)
+        with pytest.raises(ReconstructionInfeasibleError, match=f"^inconsistent data: 3 vertices, {len(normals)} normal"):
             enumerate_candidates(data)
 
     @pytest.mark.parametrize("d", range(3, 10))
@@ -749,7 +763,7 @@ class TestIsGeneric:
         from delzant import parallel_pair_count
 
         assert parallel_pair_count(octagon) == 4
-        with pytest.raises(UnsupportedAmbiguityError):
+        with pytest.raises(UnsupportedAmbiguityError, match="^4 parallel pairs are not supported by the genericity test$"):
             is_generic(octagon)
 
 
@@ -778,13 +792,15 @@ class TestBundleReconstruct:
             HalfSpaceEntry(n, Fraction(1), Fraction(1))
             for n in ((1, 0), (0, 1), (1, 1))
         )
-        with pytest.raises(ReconstructionInfeasibleError):
+        with pytest.raises(ReconstructionInfeasibleError, match="^normals fit in a half-plane"):
             bundle_reconstruct(HalfSpaceSystem(2, entries))
 
-    def test_redundant_halfspace(self, unit_square):
+    def test_redundant_halfplane_does_not_bound_a_polygon(self, unit_square):
+        # polygon_from_halfplanes refuses it before any facet is matched.
         system = bundle_facet_data(unit_square)
         entries = system.entries + (HalfSpaceEntry((1, 1), Fraction(5), Fraction(1)),)
-        with pytest.raises(InconsistentSystemError):
+        message = "half-planes do not bound a polygon: vertices do not bound a convex polygon"
+        with pytest.raises(InconsistentSystemError, match=f"^{message}$"):
             bundle_reconstruct(HalfSpaceSystem(2, entries))
 
     def test_wrong_volume(self, unit_square):

@@ -15,6 +15,7 @@ from delzant import (
     NormalClass,
     PoleError,
     Polygon,
+    ReconstructionInfeasibleError,
     SpectralData,
     Stratum,
     UnsupportedError,
@@ -59,6 +60,11 @@ class TestSpectralData:
     def test_translation_invariant(self, seed, d, dx, dy):
         p = random_delzant(d, seed, 4)
         assert spectral_data(p.translate(Vec2(dx, dy))).matches(spectral_data(p), with_counts=True)
+
+    def test_rejects_a_repeated_normal(self):
+        classes = [NormalClass(Vec2(*n), Fraction(1), None) for n in ((0, 1), (1, 0), (0, 1))]
+        with pytest.raises(ReconstructionInfeasibleError, match="^normal classes need distinct canonical"):
+            SpectralData(3, classes, Fraction(1, 2))
 
 
 class TestFixedPointStrata:

@@ -60,6 +60,8 @@ class TestHirzebruch:
             hirzebruch(-1, 1, 1)
         with pytest.raises(ValueError):
             hirzebruch(0, 0, 1)
+        with pytest.raises(ValueError, match="^width and height must be positive$"):
+            hirzebruch(0, 1, 0)
 
     @pytest.mark.parametrize("m", [-1, True, False, 1.0, Fraction(1), "1", None])
     def test_rejects_a_slope_that_is_not_a_nonnegative_int(self, m):
@@ -275,6 +277,18 @@ class TestPerturbGeneric:
         assert len(hits) == 20
         assert widened == reconstruct._structural_twins(p, branches)
 
+    @pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+    def test_structural_twins_need_a_rational_parameter(self, twist):
+        """A pattern whose discriminant in the three-pair parameter, a
+        quadratic form in the class sums, is not the square of a rational
+        linear form has no rational root, so no twin.  On this source two
+        patterns have such a discriminant: only the source's own two roots
+        are entries."""
+        p = random_delzant(7, 20, 4, twist=twist)
+        _, branches = reconstruct._genericity(p)
+        need, entries = reconstruct._structural_twins(p, branches)
+        assert (need, [weight for weight, _ in entries]) == (2, [1, 1])
+
     def test_structural_twins_need_two_or_three_pairs(self, unit_triangle):
         """A source with fewer than two parallel pairs has no twins."""
         _, branches = reconstruct._genericity(unit_triangle)
@@ -308,7 +322,8 @@ class TestPerturbGeneric:
         """Settling attempts in integers gives the result (or error and
         partial) of a full genericity test per attempt, and every attempt it
         settles is indeed not generic."""
-        polygons = [subpolygon_hexagon]
+        # Short edges: attempt 0 shifts an edge to a non-positive length.
+        polygons = [subpolygon_hexagon, random_delzant(8, 79, 1)]
         for d in range(6, 9):
             for seed in range(0, 60, 2):
                 for twist in (False, True):
