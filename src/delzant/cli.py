@@ -404,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="parallel-pair census over bounded parameters")
     p.add_argument("--edges", type=_integer, required=True)
     p.add_argument("--bound", type=_bound, required=True)
-    p.add_argument("--max-instances", type=_bound, default=5_000_000)
+    p.add_argument("--max-instances", type=_bound, default=zoo.MAX_INSTANCES)
     _add_io_arguments(p, reads_stdin=False)
     p.set_defaults(handler=_cmd_census)
 

@@ -96,9 +96,9 @@ def _convex_frame(xs: list[int], ys: list[int]) -> tuple[list[int], list[int], i
         dys = [ys[(i + 1) % d] - ys[i] for i in range(d)]
     elif any(c < 0 for c in crosses):
         raise StructuralPolygonError("vertices do not bound a convex polygon")
-    # Every turn is left and below pi, so the edge directions pass from
-    # the upper half-plane to the lower once per winding.
-    upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in zip(dxs, dys)]
+    # Every turn is left and below pi, so none steps over the open lower arc
+    # (pi, 2 pi): the directions leave the closed upper one once per winding.
+    upper = [dy >= 0 for dy in dys]
     if sum(upper[i - 1] and not upper[i] for i in range(d)) != 1:
         raise StructuralPolygonError("vertices wind around more than once")
     twice = sum(xs[i - 1] * ys[i] - ys[i - 1] * xs[i] for i in range(d))
@@ -265,10 +265,9 @@ def sl2z_equivalent(p: Polygon, q: Polygon) -> Optional[tuple]:
         a12 = f1.x * inv[0][1] + f2.x * inv[1][1]
         a21 = f1.y * inv[0][0] + f2.y * inv[1][0]
         a22 = f1.y * inv[0][1] + f2.y * inv[1][1]
-        if det_p != 1:
-            if any(v % det_p for v in (a11, a12, a21, a22)):
-                continue
-            a11, a12, a21, a22 = (v // det_p for v in (a11, a12, a21, a22))
+        if any(v % det_p for v in (a11, a12, a21, a22)):  # never for det_p = 1
+            continue
+        a11, a12, a21, a22 = (v // det_p for v in (a11, a12, a21, a22))
         matrix = ((a11, a12), (a21, a22))
         if a11 * a22 - a12 * a21 != 1:
             continue

@@ -252,8 +252,8 @@ class CandidateSet:
         if other.__class__ is not self.__class__:
             return NotImplemented
         # Equal integer forms make equal sets, so two sets that have them
-        # need no build.
-        if self._integer is not None and other._integer is not None and self._integer == other._integer:
+        # need no build (a None form equals no tuple).
+        if other._integer is not None and self._integer == other._integer:
             return True
         return (self.candidates, self.trace) == (other.candidates, other.trace)
 
@@ -895,7 +895,7 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
     assignments = tuple(sorted(tuple(normals[i] for i in choice) for choice in candidates._emitting))
     report = GenericityReport(
         generic=not subs and len(assignments) == 1 and len(candidates) <= _GENERIC_BOUND[p],
-        rectangle=data.vertex_count == 4 and len(data.classes) == 2,
+        rectangle=len(data.classes) == 2,  # a triangle has three classes
         subpolygons=subs,
         emitting_assignments=assignments,
         candidate_count=len(candidates),
@@ -979,8 +979,8 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
         return [coefficients[k] for k in classes]
 
     own_kernel, own_m, own_values = family(own_choice, own)
-    # Twice the own area at each point, times (2 own_m)^2.
-    target = [k0 + k1 * z[-1] + k2 * z[-1] ** 2 if p == 3 else k0 for z, ((k0, k1, k2), _) in zip(points, own_values)]
+    # Twice the own area at each point, times (2 own_m)^2 (K1 = K2 = 0 with two pairs).
+    target = [k0 + k1 * z[-1] + k2 * z[-1] ** 2 for z, ((k0, k1, k2), _) in zip(points, own_values)]
     if p == 3:
         # The shifted polygon's own u is N / a: its third doubled class c has
         # kernel entry a and split numerator N = m (length along - against).
@@ -1035,8 +1035,8 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
                     (own_m * own_m * k1) ** 2 - 4 * big_a * (own_m * own_m * k0 - m * m * t)
                     for ((k0, k1, _), _), t in zip(values, target)
                 ]
-                # 4 x the symmetric matrix of the discriminant.
-                quad = [[4 * disc[k] if k == l else 0 for l in range(n)] for k in range(n)]
+                # 4 x the discriminant's symmetric matrix: the diagonal here, the rest below.
+                quad = [[4 * disc[k]] * n for k in range(n)]
                 pair_at = iter(disc[n:])
                 for k in range(n):
                     for l in range(k + 1, n):

@@ -192,7 +192,7 @@ def is_primitive_integer(vector) -> bool:
     coords = tuple(vector)
     if not all(is_exact(c) and c.denominator == 1 for c in coords):
         return False
-    return any(coords) and math.gcd(*(c.numerator for c in coords)) == 1
+    return math.gcd(*(c.numerator for c in coords)) == 1  # 0 for zeros
 
 
 def canonical_unsigned(vector):
@@ -221,9 +221,7 @@ def angle_order(directions: Sequence[Vec2]) -> list[int]:
         ba, bb = bucket(a), bucket(b)
         if ba != bb:
             return -1 if ba < bb else 1
-        c = a.cross(b)
-        if c == 0:
-            return 0
-        return -1 if c > 0 else 1
+        # A tie is 1 both ways, "not less" as 0 would be: sorted asks only <.
+        return -1 if a.cross(b) > 0 else 1
 
     return sorted(range(len(directions)), key=cmp_to_key(compare))

@@ -204,8 +204,8 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
         step_den = common * (_PERTURB_BASE.denominator << attempt)
         return polygon_from_halfplanes(normals, [Fraction(c, step_den) for c in cs])
 
-    # The last attempt that bounds a polygon, and that polygon once built.
-    last = candidate = None
+    # The last attempt that bounds a polygon.
+    last = None
     for attempt in range(budget):
         rng = random.Random(attempt)
         moves = [rng.randint(0, 7) for _ in range(d)]
@@ -215,7 +215,7 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
         if min(lengths) <= 0:
             # polygon_from_halfplanes raises StructuralPolygonError here.
             continue
-        last, candidate = (cs, attempt), None
+        last = cs, attempt
         # Twins exist only on a smooth fan, where these are the lattice lengths
         # times common / step, and their forms are homogeneous.
         if sum(weight for weight, forms in twins if all(sum(map(mul, f, lengths)) > 0 for f in forms)) >= need:
@@ -223,9 +223,8 @@ def perturb_generic(polygon: Polygon, budget: int = 24) -> Polygon:
         candidate = build(cs, attempt)
         if is_generic(candidate):
             return candidate
-    if candidate is None and last is not None:
-        candidate = build(*last)
-    raise BudgetExceededError(f"no generic perturbation found in {budget} attempts", partial=candidate)
+    raise BudgetExceededError(f"no generic perturbation found in {budget} attempts",
+                              partial=None if last is None else build(*last))
 
 
 def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> list[int]:
@@ -282,7 +281,8 @@ def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> list[int]:
         # Leaves, and paired leaves, of the corners the chop leaves alone.
         rest = all_leaves - depth[h] - deepest - depth[j]
         rest1 = paired_leaves - flag[h] * depth[h] - p * deepest - flag[j] * depth[j]
-        if match is not None and match not in (h, j) and not flag[match]:
+        # flag[match] is off: c lies strictly between adjacent normals, so is absent.
+        if match is not None and match not in (h, j):
             rest1 += depth[match]
         l_in, l_out = lengths[h], lengths[i]
         top_h, top_j = capped[h - 1], capped[j]
@@ -301,7 +301,10 @@ def _last_two_chops(normals: tuple, lengths: tuple, cap: int) -> list[int]:
     return counts
 
 
-def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_000) -> ZooCensus:
+MAX_INSTANCES = 5_000_000  # the census's default budget, in the library and the CLI
+
+
+def parallel_pair_census(d: int, param_bound: int, max_instances: int = MAX_INSTANCES) -> ZooCensus:
     """Exhaustive census of bounded-parameter chopped trapezoids with d edges.
 
     Enumerates every Hirzebruch base with integer slope 0..bound and integer
@@ -381,8 +384,7 @@ def parallel_pair_census(d: int, param_bound: int, max_instances: int = 5_000_00
             sub = [0, 0]
             for i in range(len(normals)):
                 deepest = min(lengths[i - 1], lengths[i], cap) - 1
-                if deepest:
-                    sub[-(normals[i - 1] + normals[i]) in normals] += deepest
+                sub[-(normals[i - 1] + normals[i]) in normals] += deepest
             return sub
         sub = memo.get((normals, lengths))
         if sub is None:

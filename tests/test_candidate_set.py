@@ -489,6 +489,9 @@ def test_sets_from_different_data_compare_unequal():
             continue
         assert enumerate_candidates(data) != enumerate_candidates(other), (d, seed, twist)
         assert not enumerate_candidates(data) == enumerate_candidates(other), (d, seed, twist)
+        # Sets built by hand have no integer form to compare.
+        by_hand = [CandidateSet(c.candidates, c.trace) for c in map(enumerate_candidates, (data, other))]
+        assert by_hand[0] != by_hand[1], (d, seed, twist)
         if data.parallel_pairs > 0:
             # Trusted counts decide one choice: the same data, another trace.
             assert enumerate_candidates(data) != enumerate_candidates(data, trust_counts=True), (d, seed, twist)

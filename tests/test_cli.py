@@ -186,9 +186,16 @@ def test_strata_and_heat(monkeypatch, capsys):
     code, out, _ = run(["heat", "--theta", "0,0", "--eval", "1.0", "--json"], SQUARE,
                        monkeypatch, capsys)
     assert code == 0
-    terms = json.loads(out)["terms"]
-    assert terms[0]["tExponent"] == -2
-    assert terms[0]["value"] == pytest.approx((2 * 3.141592653589793) ** 2)
+    doc = json.loads(out)
+    assert doc["terms"][0]["tExponent"] == -2
+    assert doc["terms"][0]["value"] == pytest.approx((2 * 3.141592653589793) ** 2)
+    assert doc["evaluatedAt"] == 1.0
+
+    code, out, _ = run(["heat", "--theta", "1,0", "--json"], SQUARE, monkeypatch, capsys)
+    doc = json.loads(out)
+    assert code == 0 and "evaluatedAt" not in doc
+    # The two edge strata fixed by theta, then a vertex.
+    assert [term["direction"] for term in doc["terms"][:3]] == [[0, 1], [0, -1], None]
 
 
 def test_census_command(monkeypatch, capsys):
@@ -275,6 +282,9 @@ def test_info_command(monkeypatch, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["d"] == 4 and doc["delzant"] is True and doc["area"] == "1/1"
+    # Without --json the document is indented.
+    code, out, _ = run(["info"], SQUARE, monkeypatch, capsys)
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_in_and_out_files(tmp_path, monkeypatch, capsys):
@@ -545,6 +555,20 @@ def test_reconstruct_has_no_max_pairs_option(monkeypatch, capsys):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "hirzebruch", "--m", "1", "--w", "1", "--h", "1"],
+    ["random", "--edges", "5", "--seed", "1"],
+    ["roundtrip", "--edges", "5", "--seed", "1", "--trials", "1"],
+    ["census", "--edges", "4", "--bound", "2"],
+], ids=["generate", "random", "roundtrip", "census"])
+def test_a_command_that_reads_no_document_has_no_in_option(command, tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(SQUARE)
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + ["--in", str(path)])
+    assert exit_info.value.code == 2
+
+
 def test_chop_deeper_than_outgoing_edge_exit_2(monkeypatch, capsys):
     wide = '{"dim":2,"vertices":[["0/1","0/1"],["3/1","0/1"],["3/1","1/1"],["0/1","1/1"]]}'
     code, out, err = run(["chop", "--vertex", "1", "--depth", "2/1"], wide, monkeypatch, capsys)
@@ -555,7 +579,7 @@ def test_chop_deeper_than_outgoing_edge_exit_2(monkeypatch, capsys):
 def test_strata_malformed_theta_exit_5(monkeypatch, capsys):
     code, out, err = run(["strata", "--theta", "1"], SQUARE, monkeypatch, capsys)
     assert code == 5 and out == ""
-    assert "expected a direction like '1,0'" in err
+    assert err == "error: expected a direction like '1,0', got '1'\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -684,6 +708,7 @@ UNDECODABLE = {
     "invalid_utf8": b'{"dim": 2, "vertices": "\xff"}',
     "deep_nesting": b"[" * 1000 + b"]" * 1000,
     "long_digits": b'{"d": ' + b"7" * 5000 + b', "classes": [], "area": "1"}',
+    "utf16": SQUARE.encode("utf-16"),
 }
 
 

@@ -24,6 +24,7 @@ import pytest
 import delzant
 from delzant import (
     ChopSpec,
+    InconsistentSystemError,
     Polygon,
     Polytope3,
     SpectralData,
@@ -188,6 +189,9 @@ ENTRY_POINTS = [
     ("bundle_reconstruct.2d.volume", lambda x: bundle_reconstruct(_with_entry(SQUARE, volume=x)), TypeError),
     ("bundle_reconstruct.3d.offset", lambda x: bundle_reconstruct(_with_entry(CUBE, offset=x)), TypeError),
     ("bundle_reconstruct.3d.volume", lambda x: bundle_reconstruct(_with_entry(CUBE, volume=x)), TypeError),
+    # The normal (-1, 0) with its zero of the type of x: False or 0.0.
+    ("bundle_reconstruct.normal", lambda x: bundle_reconstruct(_with_entry(SQUARE, normal=(-1, type(x)(0)))),
+     InconsistentSystemError),
     ("ThreePairFamily.splits_at", FAMILY.splits_at, TypeError),
     ("ThreePairFamily.edge_multiset", FAMILY.edge_multiset, TypeError),
     ("ThreePairFamily.polygon_at", FAMILY.polygon_at, TypeError),

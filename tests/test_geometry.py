@@ -225,6 +225,11 @@ class TestVectorHelpers:
     def test_angle_order_keeps_ties_in_input_order(self, directions):
         assert angle_order(directions) == [0, 1]
 
+    def test_angle_order_sorts_around_ties(self):
+        directions = [Vec2(0, -1), Vec2(2, 2), Vec2(-1, 1), Vec2(1, 0), Vec2(1, 1), Vec2(-3, 0), Vec2(2, 0), Vec2(1, 3),
+                      Vec2(0, -2)]
+        assert angle_order(directions) == [3, 6, 1, 4, 7, 2, 5, 0, 8]
+
 
 class TestValidateDelzant:
     def test_projective_triangle_valid(self, projective_triangle):

@@ -63,9 +63,11 @@ def test_chopped_cube():
     assert diag.lattice_area == Fraction(1, 2)
 
 
-def test_vertex_set_equality(unit_cube):
+def test_vertex_set_equality(unit_cube, unit_simplex3):
     shuffled = Polytope3(list(reversed(unit_cube.vertices)))
     assert shuffled == unit_cube
+    assert unit_cube != unit_simplex3
+    assert unit_cube != unit_cube.vertex_set()
 
 
 def test_hash_and_repr(unit_cube):

@@ -689,10 +689,11 @@ class TestThreePairFamily:
 
     def test_linear_area_family(self, three_pair_hexagon):
         family = three_pair_family(three_pair_hexagon)
-        linear = replace(family, area_coefficients=(Fraction(3), Fraction(0)))
         lo, hi = family.admissible_interval
-        for t0, roots in ((lo + (hi - lo) * Fraction(2, 5), 1), (hi + 1, 0), (lo - Fraction(1, 3), 0)):
-            assert solve_three_pair_parameter(linear, linear.base_area + 3 * t0) == (t0,) * roots
+        for slope in (3, -3):
+            linear = replace(family, area_coefficients=(Fraction(slope), Fraction(0)))
+            for t0, roots in ((lo + (hi - lo) * Fraction(2, 5), 1), (hi + 1, 0), (lo - Fraction(1, 3), 0)):
+                assert solve_three_pair_parameter(linear, linear.base_area + slope * t0) == (t0,) * roots
 
     def test_shifted_target_roots(self, three_pair_hexagon):
         family = three_pair_family(three_pair_hexagon)
@@ -703,6 +704,10 @@ class TestThreePairFamily:
         assert probe in roots
         for t in roots:
             assert family.polygon_at(t).area == target
+        # The same probe on the family turned upside down, where B > 0.
+        a, b = family.area_coefficients
+        upturned = replace(family, area_coefficients=(-a, -b))
+        assert probe in solve_three_pair_parameter(upturned, upturned.predicted_area(probe))
 
     def test_hexagon_candidates_at_most_four(self, three_pair_hexagon):
         candidates = enumerate_candidates(spectral_data(three_pair_hexagon))
@@ -749,6 +754,15 @@ class TestIsGeneric:
         assert report.generic and report.rectangle
         assert report.candidate_count == 1
         assert report.emitting_assignments == (((0, 1), (1, 0)),)
+        assert not is_generic(hirzebruch(1, 1, 1)).rectangle
+
+    @pytest.mark.parametrize("twist", [False, True], ids=["plain", "twisted"])
+    def test_two_emitting_assignments_are_not_generic(self, twist):
+        """Three pairs allow four candidates, so two assignments that emit
+        two each break genericity on their own."""
+        report = is_generic(random_delzant(7, 8, 2, twist=twist))
+        assert (report.candidate_count, len(report.emitting_assignments), report.subpolygons) == (4, 2, ())
+        assert not report.generic
 
     def test_non_delzant_parallelogram_raises(self):
         with pytest.raises(ReconstructionInfeasibleError):

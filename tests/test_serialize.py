@@ -59,10 +59,12 @@ class TestPolygonFormat:
             parse_rational(text)
 
     def test_repeated_vertex(self):
-        with pytest.raises(ParseError, match="repeated"):
+        with pytest.raises(ParseError, match=r"^repeated vertex \(0, 0\)$"):
             parse_polygon(
                 '{"dim":2,"vertices":[["0/1","0/1"],["1/1","0/1"],["0/1","0/1"],["0/1","1/1"]]}'
             )
+        with pytest.raises(ParseError, match=r"^repeated vertex \(1, 0\)$"):
+            parse_polygon('{"dim":2,"vertices":[["0/1","0/1"],["1/1","0/1"],["1/1","0/1"],["0/1","1/1"]]}')
 
     def test_non_convex(self):
         doc = json.dumps(
@@ -110,6 +112,7 @@ class TestSpectralFormat:
         data = spectral_from_json(doc)
         assert not data.counts_known
         assert len(enumerate_candidates(data)) == 2
+        assert spectral_to_json(data) == doc
 
     def test_bad_count(self):
         doc = {

@@ -55,6 +55,12 @@ class TestSpectralData:
         assert classes == {(1, 0): (3, 2), (0, 1): (1, 1), (1, 1): (1, 1)}
         assert data.area == Fraction(3, 2)
 
+    def test_counts_decide_only_a_match_with_counts(self, hirzebruch_111):
+        data = spectral_data(hirzebruch_111)
+        uncounted = SpectralData(data.vertex_count, [c._replace(edge_count=None) for c in data.classes], data.area)
+        assert data.matches(uncounted) and uncounted.matches(data)
+        assert not data.matches(uncounted, with_counts=True)
+
     @given(seed=st.integers(0, 10**6), d=st.integers(3, 8), dx=rational, dy=rational)
     @settings(max_examples=40, deadline=None)
     def test_translation_invariant(self, seed, d, dx, dy):

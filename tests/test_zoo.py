@@ -289,10 +289,24 @@ class TestPerturbGeneric:
         need, entries = reconstruct._structural_twins(p, branches)
         assert (need, [weight for weight, _ in entries]) == (2, [1, 1])
 
-    def test_structural_twins_need_two_or_three_pairs(self, unit_triangle):
-        """A source with fewer than two parallel pairs has no twins."""
+    def test_structural_twins_need_two_or_three_pairs(self, unit_triangle, subpolygon_hexagon):
+        """A source with fewer than two parallel pairs has no twins, nor has
+        one whose every class is doubled: its own pattern is the only one."""
         _, branches = reconstruct._genericity(unit_triangle)
         assert reconstruct._structural_twins(unit_triangle, branches) == (1, ())
+        _, branches = reconstruct._genericity(subpolygon_hexagon)
+        assert reconstruct._structural_twins(subpolygon_hexagon, branches) == (2, ())
+
+    @pytest.mark.parametrize("source, need, weights", [
+        # Twins of the own doubled classes, each counted once with its
+        # reflection and weighing 1, with two pairs and with three.
+        (random_delzant(6, 42, 4), 1, [1]),
+        (random_delzant(8, 3, 4), 2, [1, 1, 1, 1, 1]),
+    ], ids=["two_pairs", "three_pairs"])
+    def test_structural_twins_weigh_each_twin_once(self, source, need, weights):
+        _, branches = reconstruct._genericity(source)
+        found, entries = reconstruct._structural_twins(source, branches)
+        assert (found, [weight for weight, _ in entries]) == (need, weights)
 
     def test_lengths_decide_which_attempts_bound_a_polygon(self):
         """An attempt is skipped in integers exactly when the half-planes
@@ -322,8 +336,10 @@ class TestPerturbGeneric:
         """Settling attempts in integers gives the result (or error and
         partial) of a full genericity test per attempt, and every attempt it
         settles is indeed not generic."""
-        # Short edges: attempt 0 shifts an edge to a non-positive length.
-        polygons = [subpolygon_hexagon, random_delzant(8, 79, 1)]
+        # Short edges: some attempts on the last two shift an edge to a
+        # non-positive length, and the last exhausts its budget on the 23
+        # attempts that bound a polygon.
+        polygons = [subpolygon_hexagon, random_delzant(8, 79, 1), random_delzant(7, 46, 1)]
         for d in range(6, 9):
             for seed in range(0, 60, 2):
                 for twist in (False, True):
@@ -339,17 +355,17 @@ class TestPerturbGeneric:
             return report
 
         monkeypatch.setattr(zoo, "is_generic", spy)
-        exhausted = settled = 0
+        exhausted = 0
         for polygon in polygons:
             tested.clear()
             reports = []
             expected = _outcome(_reference_perturb, polygon, reports)
             assert _outcome(perturb_generic, polygon) == expected
-            exhausted += expected.startswith("BudgetExceededError")
             # Every attempt that bounds a polygon is either tested in full,
             # in order, or settled in integers; both stop at the same one.
             full = iter(tested)
             pending = next(full, None)
+            settled = 0
             for candidate, generic in reports:
                 if candidate == pending:
                     pending = next(full, None)
@@ -357,7 +373,11 @@ class TestPerturbGeneric:
                     assert not generic
                     settled += 1
             assert pending is None
-        assert exhausted >= 10 and settled >= 24 * exhausted
+            if expected.startswith("BudgetExceededError"):
+                # An exhausting source settles each attempt that bounds a polygon.
+                exhausted += 1
+                assert settled == len(reports), polygon
+        assert exhausted >= 10
 
 
 def _reference_perturb(polygon, reports, budget=24):
