@@ -10,7 +10,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParseError
@@ -205,23 +204,23 @@ def canonical_unsigned(vector):
     raise ValueError("zero vector has no unsigned representative")
 
 
+class _AngleKey:
+    """``angle_order``'s sort key.  ``<`` is "strictly earlier", all that
+    ``sorted`` asks, so equal angles, earlier neither way, keep their order."""
+
+    def __init__(self, v: Vec2):
+        self.v = v
+        self.bucket = (0 if v.x > 0 else 2) if v.y == 0 else (1 if v.y > 0 else 3)
+
+    def __lt__(self, other: "_AngleKey") -> bool:
+        if self.bucket != other.bucket:
+            return self.bucket < other.bucket
+        return self.v.cross(other.v) > 0
+
+
 def angle_order(directions: Sequence[Vec2]) -> list[int]:
     """Indices sorted counterclockwise by direction angle, from (1, 0).
 
     Exact and stable: directions of equal angle keep their input order.
     """
-
-    def bucket(v: Vec2) -> int:
-        if v.y == 0:
-            return 0 if v.x > 0 else 2
-        return 1 if v.y > 0 else 3
-
-    def compare(i: int, j: int) -> int:
-        a, b = directions[i], directions[j]
-        ba, bb = bucket(a), bucket(b)
-        if ba != bb:
-            return -1 if ba < bb else 1
-        # A tie is 1 both ways, "not less" as 0 would be: sorted asks only <.
-        return -1 if a.cross(b) > 0 else 1
-
-    return sorted(range(len(directions)), key=cmp_to_key(compare))
+    return sorted(range(len(directions)), key=lambda i: _AngleKey(directions[i]))

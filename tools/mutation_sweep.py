@@ -23,11 +23,10 @@ takes longer than ``TIMEOUT_S`` counts as killed.  Stdlib only, apart from
 pytest in the copy's tests::
 
     python3 tools/mutation_sweep.py --operator branch --scratch /tmp/sweep
-    python3 tools/mutation_sweep.py --operator guard --commit HEAD~1 \
-        --scratch /tmp/sweep --workers 2 --modules zoo vectors
+    python3 tools/mutation_sweep.py --operator guard --commit HEAD~1 --scratch /tmp/sweep
 
-``--list`` prints the mutants without running them.  Survivors are printed
-as ``module.py:line  description`` and written, with every result, to
+``WORKERS`` copies run mutants side by side.  Survivors are printed as
+``module.py:line  description`` and written, with every result, to
 ``<scratch>/results.json``.
 """
 
@@ -65,6 +64,7 @@ OWNING_TESTS = {
 
 TIMEOUT_S = 900
 MEMORY_BYTES = 2 << 30
+WORKERS = 2
 
 
 def _is_main_guard(test: ast.expr) -> bool:
@@ -156,17 +156,18 @@ def extract(commit: str, target: Path) -> None:
     target.mkdir(parents=True)
     archive = subprocess.run(["git", "-C", str(REPO), "archive", commit], check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(target, filter="data")
+        # The archive is the repository's own; extraction filters exist
+        # from Python 3.10.12 and 3.11.4 on.
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(target, filter="data")
+        else:
+            tar.extractall(target)
     for path in (target / PACKAGE).glob("*.py"):
         path.write_text(ast.unparse(ast.parse(path.read_text())) + "\n")
 
 
 def _git(*args) -> str:
     return subprocess.run(["git", "-C", str(REPO), *args], check=True, capture_output=True, text=True).stdout
-
-
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
 def run_tests(copy: Path, first) -> tuple[bool, str]:
@@ -186,8 +187,7 @@ def _pytest(copy: Path, paths) -> tuple[bool, str]:
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", *paths]
     try:
         done = subprocess.run(
-            cmd, cwd=copy, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT_S, preexec_fn=_limit_memory,
+            cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
         )
     except subprocess.TimeoutExpired:
         return False, "timeout"
@@ -204,13 +204,8 @@ def main(argv=None) -> int:
     parser.add_argument("--operator", choices=("guard", "branch"), required=True)
     parser.add_argument("--commit", default="HEAD")
     parser.add_argument("--scratch", type=Path, required=True,
-                        help="directory for the copies and results.json (emptied)")
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--modules", nargs="*", help="module stems (default: all)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+                        help="directory for the copies and results.json")
     args = parser.parse_args(argv)
-    if not 1 <= args.workers <= 8:
-        parser.error("--workers must be 1..8")
 
     # Mutants are made from the commit's own source, not the work tree.
     names = _git("ls-tree", "--name-only", f"{args.commit}:{PACKAGE}").split()
@@ -218,20 +213,15 @@ def main(argv=None) -> int:
         name[:-3]: _git("show", f"{args.commit}:{PACKAGE}/{name}")
         for name in names if name.endswith(".py")
     }
-    todo = [
-        m for m in mutants(originals, args.operator)
-        if not args.modules or m[0] in args.modules
-    ]
+    todo = mutants(originals, args.operator)
     counts = {}
     for module, *_ in todo:
         counts[module] = counts.get(module, 0) + 1
     print(f"{len(todo)} mutants: " + ", ".join(f"{m} {n}" for m, n in sorted(counts.items())))
-    if args.list:
-        for module, k, lineno, text in todo:
-            print(f"{module}.py:{lineno}  {text}")
-        return 0
-
-    copies = [args.scratch / f"copy{w}" for w in range(args.workers)]
+    # Set here, before any thread starts, so that every pytest child
+    # inherits it: a preexec_fn is not safe in a threaded parent.
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+    copies = [args.scratch / f"copy{w}" for w in range(WORKERS)]
     for copy in copies:
         extract(args.commit, copy)
     ok, summary = run_tests(copies[0], [])
@@ -257,7 +247,7 @@ def main(argv=None) -> int:
         return {"module": module, "index": k, "line": lineno, "mutant": text,
                 "survived": survived, "summary": summary}
 
-    with ThreadPoolExecutor(args.workers) as pool:
+    with ThreadPoolExecutor(WORKERS) as pool:
         results = list(pool.map(one, todo))
     (args.scratch / "results.json").write_text(json.dumps(results, indent=1) + "\n")
     survivors = [r for r in results if r["survived"]]
