@@ -508,7 +508,9 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
        integer table per choice gives every pattern its residual or
        numerators, and one comprehension over it decides closure (with two
        pairs, admissibility) for every pattern; only the patterns it keeps
-       get a sign tuple and go on (:func:`_reconstruct`);
+       get a sign tuple and go on (:func:`_reconstruct`).  The pattern with
+       every single class flipped is the point-reflected branch, so only
+       half of the patterns are decided and the rest written from them;
     2. fan: the branch's signed edge directions, in angular order, must
        turn with determinant 1 at every vertex (``dropped_invalid``);
     3. area: the edges chained in that order must enclose the data's area
@@ -619,13 +621,15 @@ def _residual(edges: Sequence[Vec2], singles, signs) -> tuple[int, int]:
     return -sum(signs[i] * edges[i].x for i in singles), -sum(signs[i] * edges[i].y for i in singles)
 
 
-def _cramer(w1: Vec2, w2: Vec2, rx: int, ry: int) -> tuple[tuple[int, int], int]:
-    """Cramer's rule: ``((n1, n2), m)`` with ``(n1 w1 + n2 w2) / m = (rx,
-    ry)`` and ``m = |w1 x w2|``: how :func:`_reconstruct` solves the
-    closure of a choice with two or three doubled classes."""
-    det = w1.cross(w2)
-    sign = 1 if det > 0 else -1
-    return (sign * (rx * w2.y - ry * w2.x), sign * (w1.x * ry - w1.y * rx)), abs(det)
+def _cramer(w1: Vec2, w2: Vec2, vectors) -> tuple[list[tuple[int, int]], int]:
+    """Cramer's rule on every ``(rx, ry)`` of ``vectors``: the numerator
+    pairs ``(n1, n2)`` with ``(n1 w1 + n2 w2) / m = (rx, ry)``, and ``m =
+    |w1 x w2|``: how :func:`_reconstruct` solves the closure of a choice
+    with two or three doubled classes, all of its vectors in one call."""
+    (x1, y1), (x2, y2) = w1, w2
+    det = x1 * y2 - y1 * x2
+    sign, m = (1, det) if det > 0 else (-1, -det)
+    return [(sign * (x * y2 - y * x2), sign * (x1 * y - y1 * x)) for x, y in vectors], m
 
 
 # The ends of a one-pair branch whose split is inadmissible, as its record lists them.
@@ -662,6 +666,17 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     along its ring, dying at closure when no root is admissible.  Only the
     kept patterns get a sign tuple and go on to the fan, area and key steps;
     most patterns die in the comprehension.
+
+    Pattern ``top - k`` (``top = 2^len(singles) - 1``) flips every single
+    class of pattern ``k``: it is the point-reflected branch.  Its residual
+    and numerators are pattern ``k``'s negated, so it closes and is
+    admissible exactly when pattern ``k`` is; its ring is pattern ``k``'s
+    turned half round, with the same determinants; and it chains the
+    reflection of pattern ``k``'s polygons, of the same area.  Every edge
+    negates, which swaps each split pair end for end and, with three pairs,
+    negates the root u (K1 negates, K0 and K2 do not), so the records run in
+    reverse.  So only the patterns below half are decided, and each kept
+    one's mirror is written from it.
 
     Returns one block per choice, the emitted canonical keys in first-seen
     order, and the branches that emitted: each choice's sign tuples, in
@@ -704,7 +719,10 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     scale, int_sums = integer_frame([c.length_sum for c in data.classes])
     twice_area = 2 * data.area
     fan = _fan(dirs)
-    edges = [w * s for w, s in zip(dirs, int_sums)]
+    # Each class's edge vector, its direction times its sum, by component.
+    ex = [w.x * s for w, s in zip(dirs, int_sums)]
+    ey = [w.y * s for w, s in zip(dirs, int_sums)]
+    total_x, total_y = sum(ex), sum(ey)
 
     blocks: list[tuple] = []
     emitted: dict[tuple, None] = {}
@@ -718,17 +736,22 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
         # differences must sum to; a solution lists them as integer
         # numerators over a common denominator, a multiple of scale.  With
         # two or more pairs the table holds the Cramer numerators of the
-        # first two doubled directions instead, over q = scale m.
-        start = _residual(edges, singles, (1,) * r)
-        steps = [(2 * edges[i].x, 2 * edges[i].y) for i in singles]
+        # first two doubled directions instead, over q = scale m.  The
+        # all-plus residual is minus the single classes' edges: the doubled
+        # classes' edges minus all of them.
+        start = (sum([ex[i] for i in choice]) - total_x, sum([ey[i] for i in choice]) - total_y)
+        steps = [(2 * ex[i], 2 * ey[i]) for i in singles]
         if p >= 2:
-            w1, w2 = dirs[choice[0]], dirs[choice[1]]
-            start, m = _cramer(w1, w2, *start)
-            steps = [_cramer(w1, w2, x, y)[0] for x, y in steps]
+            (start, *steps), m = _cramer(dirs[choice[0]], dirs[choice[1]], [start, *steps])
             q = scale * m
         # Pattern k has the residual or numerators (us[k], vs[k]): start plus
-        # steps[j] for each bit j of k.
-        us, vs = _table(start, steps)
+        # steps[j] for each bit j of k.  Only the patterns k <= top // 2,
+        # whose last single class keeps +1, are decided; pattern top - k
+        # mirrors pattern k (below).  Two pairs keep the whole table, which
+        # their dead entries read; the others stop at half (a whole one
+        # would only decide patterns their mirrors rewrite unchanged).
+        top = (1 << len(singles)) - 1
+        us, vs = _table(start, steps if p == 2 else steps[:-1])
         dead = None
         if p == 0:
             kept = [k for k, u in enumerate(us) if u == 0 and vs[k] == 0]
@@ -738,7 +761,7 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
             kept = [k for k, u in enumerate(us) if u * wy == vs[k] * wx]
         elif p == 2:
             b1, b2 = int_sums[choice[0]] * m, int_sums[choice[1]] * m
-            kept = [k for k, u in enumerate(us) if -b1 < u < b1 and -b2 < vs[k] < b2]
+            kept = [k for k in range(top // 2 + 1) if -b1 < us[k] < b1 and -b2 < vs[k] < b2]
             dead = (b1, b2, 2 * q, us, vs)
         else:
             kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice))))
@@ -826,6 +849,21 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
                 else:
                     ends = ((1, "dropped_invalid", None), (-1, "dropped_invalid", None))
                 records.append((splits, parameter, ends))
+        # Each kept pattern's mirror, in pattern order (see the docstring).
+        # Its anchors build the same polygons when class 0 is single, whose
+        # sign flips with the chain, and swap them when it is doubled.  With
+        # no single class the one pattern is its own mirror, rewritten
+        # unchanged: its residual is 0, so its splits are symmetric and its
+        # polygon its own reflection, or, with three pairs, its roots pair
+        # up as +-u, each record the other's mirror.
+        swap = 0 in chosen
+        for k in reversed([*opened]):
+            opened[top - k] = [(
+                (den, tuple(pair[::-1] for pair in pairs)), None if parameter is None else (-parameter[0], parameter[1]),
+                tuple((a, o, key) for (a, o, _), (_, _, key) in zip(ends, ends[::-1])) if swap else ends,
+            ) for (den, pairs), parameter, ends in reversed(opened[k])]
+        for signs in [*emitting.get(choice, ())][::-1]:
+            emitting[choice][tuple([-s if b else s for s, b in zip(signs, bits)])] = None
         blocks.append((doubled_normals, singles, dead, opened))
     return blocks, list(emitted), emitting
 
@@ -967,9 +1005,10 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
         singles = [i for i in range(r) if i not in choice]
         ring = [(i, s) for i, s in fan if s == signs[i] or i in choice]
         kernel = dict(zip(choice, _family_kernel(*(dirs[i] for i in choice)) if p == 3 else (0, 0)))
+        residuals = [_residual([w * s for w, s in zip(dirs, z)], singles, signs) for z in points]
+        pairs, m = _cramer(dirs[choice[0]], dirs[choice[1]], residuals)
         values = []
-        for z in points:
-            pair, m = _cramer(dirs[choice[0]], dirs[choice[1]], *_residual([w * s for w, s in zip(dirs, z)], singles, signs))
+        for z, pair in zip(points, pairs):
             base = dict(zip(choice, pair + (0,)))
             values.append((_family_quadratic(dirs, ring, z[:r], m, base, kernel), base))
         return kernel, m, values

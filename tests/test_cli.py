@@ -418,8 +418,11 @@ RECORD = {"doubled": [], "signs": [1, 1], "splits": [], "parameter": None, "anch
     ('{"candidates": [], "assignmentTrace": [5]}', "trace record 0 must be an object, got 5"),
     (json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, splits=[["1/1"]])]}),
      'trace record 0: splits must be pairs of rationals, got [["1/1"]]'),
+    # A two-character string has length 2 too, but is not a pair.
+    (json.dumps({"candidates": [], "assignmentTrace": [dict(RECORD, splits=["12"])]}),
+     'trace record 0: splits must be pairs of rationals, got ["12"]'),
 ], ids=["invalid_json", "top_level_list", "trace_not_a_list", "doubled_not_a_list", "float_sign", "bool_anchor",
-        "candidate_not_an_object", "record_not_an_object", "split_not_a_pair"])
+        "candidate_not_an_object", "record_not_an_object", "split_not_a_pair", "split_a_two_character_string"])
 def test_render_rejects_malformed_overlay_exit_5(overlay, message, tmp_path, monkeypatch, capsys):
     path = tmp_path / "overlay.json"
     path.write_text(overlay)

@@ -256,6 +256,7 @@ SPECTRAL_FAULTS = [
     (_spectral_doc(classes=[{"normal": [2, 0], "lengthSum": "1"}]),
      "class 0: normal [2, 0] must be primitive with its first nonzero coordinate positive"),
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "-1/2"}]), "class 0: length sum must be positive"),
+    (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "0/1"}]), "class 0: length sum must be positive"),
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": 1.0}]),
      "class 0: count must be an integer, got 1.0"),
     (_spectral_doc(classes=[{"normal": [1, 0], "lengthSum": "1", "count": 3}]), "class 0: count must be 1 or 2"),
@@ -313,20 +314,23 @@ def test_each_spectral_fault_keeps_its_message(document, message, tmp_path, caps
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("d, message", [
-    (17, "enumeration over 17 vertices is past the budget of 16 vertices"),
+@pytest.mark.parametrize("d, n, area, code, message", [
+    (17, 15, "1/2", 4, "enumeration over 17 vertices is past the budget of 16 vertices"),
     # Four or more pairs keep their own message, whatever the vertex count.
-    (20, "5 parallel pairs admit no finite reconstruction (supported: up to 3)"),
+    (20, 15, "1/2", 4, "5 parallel pairs admit no finite reconstruction (supported: up to 3)"),
+    # The budget itself is enumerated: sixteen classes, no pair, and no
+    # Delzant polygon has them with area 1.
+    (16, 16, "1", 3, "no Delzant polygon is consistent with the data"),
 ])
-def test_reconstruct_past_the_edge_budget_exits_4_at_once(d, message, tmp_path, capsys):
+def test_reconstruct_past_the_edge_budget_exits_4_at_once(d, n, area, code, message, tmp_path, capsys):
     """Fifteen classes with 17 vertices (two pairs) would need a 2^13 sign
     table for each of 105 doubled-class choices; the budget refuses them
-    before any is built."""
-    classes = [{"normal": [1, k], "lengthSum": "1"} for k in range(15)]
+    before any is built.  Sixteen vertices are within it."""
+    classes = [{"normal": [1, k], "lengthSum": "1"} for k in range(n)]
     infile = tmp_path / "in.json"
-    infile.write_text(_spectral_doc(classes, d=d))
+    infile.write_text(_spectral_doc(classes, d=d, area=area))
     start = time.perf_counter()
-    assert main(["reconstruct", "--in", str(infile)]) == 4
+    assert main(["reconstruct", "--in", str(infile)]) == code
     assert time.perf_counter() - start < 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -207,6 +207,21 @@ class TestEnumerateCandidates:
         with pytest.raises(ReconstructionInfeasibleError):
             enumerate_candidates(data)
 
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("vertices", [((0, 0), (2, 0), (0, 2)), ((0, 0), (1, 0), (0, 1))])
+    def test_a_one_pair_split_at_either_end_is_inadmissible(self, vertices, order):
+        """A triangle's classes read as a 4-gon's: each doubled class closes
+        with the split 0 | sum, and its mirror pattern with sum | 0, the two
+        ends of the open interval.  Both are inadmissible, so nothing is
+        emitted; taking either end in would emit degenerate 4-gons.  Only
+        the patterns below half are decided, and which end they meet
+        depends on the class order, so both orders are given."""
+        data = spectral_data(Polygon(vertices))
+        classes = tuple(c._replace(edge_count=None) for c in data.classes)[::order]
+        data = replace(data, vertex_count=4, classes=classes)
+        with pytest.raises(ReconstructionInfeasibleError, match="^no Delzant polygon"):
+            enumerate_candidates(data)
+
     @pytest.mark.parametrize("normals, counts", [
         (((1, 0), (2, 0)), (2, 2)),
         (((0, 1), (-1, 0)), (2, 2)),

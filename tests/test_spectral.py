@@ -67,9 +67,16 @@ class TestSpectralData:
         p = random_delzant(d, seed, 4)
         assert spectral_data(p.translate(Vec2(dx, dy))).matches(spectral_data(p), with_counts=True)
 
-    def test_rejects_a_repeated_normal(self):
-        classes = [NormalClass(Vec2(*n), Fraction(1), None) for n in ((0, 1), (1, 0), (0, 1))]
-        with pytest.raises(ReconstructionInfeasibleError, match="^normal classes need distinct canonical"):
+    @pytest.mark.parametrize("normals, sums", [
+        (((0, 1), (1, 0), (0, 1)), (1, 1, 1)),
+        (((0, 1), (1, 0), (1, 1)), (1, 0, 1)),
+    ], ids=["repeated_normal", "zero_length_sum"])
+    def test_rejects_a_repeated_normal(self, normals, sums):
+        classes = [NormalClass(Vec2(*n), Fraction(s), None) for n, s in zip(normals, sums)]
+        with pytest.raises(
+            ReconstructionInfeasibleError,
+            match="^normal classes need distinct canonical primitive normals and positive length sums$",
+        ):
             SpectralData(3, classes, Fraction(1, 2))
 
 
