@@ -606,10 +606,10 @@ def enumerate_candidates(data: SpectralData, trust_counts: bool = False) -> Cand
 def _fan(dirs: Sequence[Vec2]) -> list[tuple[int, int]]:
     """Every (class, sign) of the pairwise non-parallel class directions
     ``dirs`` in angular order from (1, 0); the ring of every branch is a
-    subsequence of it.  Each class has one signed direction in the half-turn
-    [0, pi), and the other half-turn holds their negatives in the same
-    order."""
-    half = [(i, 1 if w.y > 0 or w.y == 0 < w.x else -1) for i, w in enumerate(dirs)]
+    subsequence of it.  Each w is a canonical normal n turned a quarter, so
+    w.y = n.x >= 0, and w.y = 0 only at w = (-1, 0): one of w, -w lies in
+    [0, pi), and the other half-turn holds the negatives in the same order."""
+    half = [(i, 1 if w.y > 0 else -1) for i, w in enumerate(dirs)]
     first = [half[k] for k in angle_order([dirs[i] * s for i, s in half])]
     return first + [(i, -s) for i, s in first]
 
@@ -914,8 +914,9 @@ def is_generic(polygon: Polygon) -> GenericityReport:
     Generic means: no subpolygons, a unique doubled-class assignment
     produces candidates, and the candidate set collapses to at most two
     polygons (four with three parallel pairs).  Parallelograms (four
-    vertices, two normal directions) take the same test; a Delzant one is
-    the only polygon with its data, so it is generic with one candidate.
+    vertices, two normal directions) take the same test, and are generic
+    with one candidate.  A polygon that is not Delzant raises
+    :class:`ReconstructionInfeasibleError`, naming a vertex.
     """
     return _genericity(polygon)[0]
 
@@ -927,6 +928,10 @@ def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
     p = data.parallel_pairs
     if p > 3:
         raise UnsupportedAmbiguityError(f"{p} parallel pairs are not supported by the genericity test")
+    bad = validate_delzant(polygon).failures
+    if bad:
+        raise ReconstructionInfeasibleError(
+            f"polygon is not Delzant: vertex {bad[0].vertex_index} has determinant {bad[0].determinant}")
     subs = detect_subpolygons(polygon).subsets
     candidates = enumerate_candidates(data)
     normals = [tuple(c.normal) for c in data.classes]
@@ -976,22 +981,17 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
     own_choice = tuple(k for k, c in enumerate(data.classes) if c.edge_count == 2)
     p = len(own_choice)
     need = _GENERIC_BOUND[p] // 2
-    if p not in (2, 3):
-        return need, ()
     r = len(normals)
+    # With every class doubled the own pattern is the only one.  Any other
+    # source emits its own: it is Delzant (_genericity refuses the rest).
+    if p not in (2, 3) or p == r:
+        return need, ()
     dirs = [n.perp_ccw() for n in normals]
     index = {n: k for k, n in enumerate(normals)}
     classes = [index[canonical_unsigned(e.normal)] for e in polygon.edges]
     # Each edge runs along its class direction (+1) or against it (-1).
     sides = [1 if e.normal == normals[k] else -1 for e, k in zip(polygon.edges, classes)]
-    signs = [1] * r
-    for k, side in zip(classes, sides):
-        if k not in own_choice:
-            signs[k] = side
-    own = tuple(signs)
-    # With every class doubled the own pattern is the only one.
-    if r == p or own not in dict(branches).get(own_choice, ()):
-        return need, ()
+    own = tuple(1 if k in own_choice else sides[classes.index(k)] for k in range(r))
     fan = _fan(dirs)
     # The variables: the class sums and, with three pairs, the own u.  A
     # quadratic form is fixed by its values at every e_k and e_k + e_l.

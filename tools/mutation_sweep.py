@@ -2,7 +2,7 @@
 
 Each mutant changes one condition of one module, and the test suite is run
 against it; a mutant that passes every test in ``tests/`` survives, which means
-no test decides that condition.  Two operators:
+no test decides that condition.  Three operators:
 
 ``guard``
     every ``if`` whose body starts with ``raise`` or ``continue``: its test
@@ -12,6 +12,10 @@ no test decides that condition.  Two operators:
     every other ``if`` (not the ``__main__`` guard) and every conditional
     expression: the test replaced by ``True``, then by ``False``; every clause
     of an ``and``: replaced by ``True``; every comprehension filter: removed.
+``boundary``
+    every ``<``, ``<=``, ``>``, ``>=``: flipped to its strict or non-strict
+    partner, one op of a chain at a time; every clause of an ``or`` that is
+    not the test of a guard (those are ``guard``'s): replaced by ``False``.
 
 The sweep runs on copies extracted with ``git archive``, one per worker, in
 which every module has been through ``ast.unparse`` (a mutant is written the
@@ -26,8 +30,8 @@ pytest in the copy's tests::
     python3 tools/mutation_sweep.py --operator guard --commit HEAD~1 --scratch /tmp/sweep
 
 ``WORKERS`` copies run mutants side by side.  Survivors are printed as
-``module.py:line  description`` and written, with every result, to
-``<scratch>/results.json``.
+``module.py:line  description`` and written, with every result, the
+operator and the commit's full hash, to ``<scratch>/results.json``.
 """
 
 from __future__ import annotations
@@ -75,15 +79,27 @@ def _is_main_guard(test: ast.expr) -> bool:
     )
 
 
+# Each ordering comparison and its strict or non-strict partner.
+PARTNER = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+SYMBOL = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
+
+
+def _is_guard(node: ast.If) -> bool:
+    return isinstance(node.body[0], (ast.Raise, ast.Continue))
+
+
 def _sites(tree: ast.AST, operator: str):
     """Yield ``(lineno, description, apply)`` for each mutant of ``tree``.
 
     ``apply()`` mutates ``tree`` in place.  The walk order is fixed, so the
     k-th site of a fresh parse of the same source is the same mutant.
     """
+    if operator == "boundary":
+        yield from _boundary_sites(tree)
+        return
     for node in ast.walk(tree):
         if isinstance(node, ast.If):
-            guard = isinstance(node.body[0], (ast.Raise, ast.Continue))
+            guard = _is_guard(node)
             if operator == "guard" and guard:
                 yield node.lineno, "if False", _set(node, "test", False)
                 if isinstance(node.test, ast.BoolOp) and isinstance(node.test.op, ast.Or):
@@ -102,20 +118,37 @@ def _sites(tree: ast.AST, operator: str):
         elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
             for i, clause in enumerate(node.values):
                 text = ast.unparse(clause)
-                yield clause.lineno, f"and-clause `{text}` -> True", _set_item(node.values, i)
+                yield clause.lineno, f"and-clause `{text}` -> True", _set_item(node.values, i, True)
         elif isinstance(node, ast.comprehension):
             for i, cond in enumerate(node.ifs):
                 text = ast.unparse(cond)
                 yield cond.lineno, f"without filter `if {text}`", _drop_item(node.ifs, i)
 
 
+def _boundary_sites(tree: ast.AST):
+    guard_tests = {id(node.test) for node in ast.walk(tree) if isinstance(node, ast.If) and _is_guard(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for i, op in enumerate(node.ops):
+                if type(op) in PARTNER:
+                    left = node.left if i == 0 else node.comparators[i - 1]
+                    text = f"{ast.unparse(left)} {SYMBOL[type(op)]} {ast.unparse(node.comparators[i])}"
+                    flipped = PARTNER[type(op)]
+                    yield node.lineno, f"`{text}` -> `{SYMBOL[flipped]}`", _set_item(node.ops, i, flipped())
+        elif isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or) and id(node) not in guard_tests:
+            for i, clause in enumerate(node.values):
+                text = ast.unparse(clause)
+                yield clause.lineno, f"or-clause `{text}` -> False", _set_item(node.values, i, False)
+
+
 def _set(node, field, value):
     return lambda: setattr(node, field, ast.Constant(value))
 
 
-def _set_item(values, i):
+def _set_item(values, i, value):
+    """Replace ``values[i]`` by ``value``: a constant or an ast node."""
     def apply():
-        values[i] = ast.Constant(True)
+        values[i] = value if isinstance(value, ast.AST) else ast.Constant(value)
     return apply
 
 
@@ -201,16 +234,17 @@ def _pytest(copy: Path, paths) -> tuple[bool, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--operator", choices=("guard", "branch"), required=True)
+    parser.add_argument("--operator", choices=("guard", "branch", "boundary"), required=True)
     parser.add_argument("--commit", default="HEAD")
     parser.add_argument("--scratch", type=Path, required=True,
                         help="directory for the copies and results.json")
     args = parser.parse_args(argv)
+    commit = _git("rev-parse", "--verify", f"{args.commit}^{{commit}}").strip()
 
     # Mutants are made from the commit's own source, not the work tree.
-    names = _git("ls-tree", "--name-only", f"{args.commit}:{PACKAGE}").split()
+    names = _git("ls-tree", "--name-only", f"{commit}:{PACKAGE}").split()
     originals = {
-        name[:-3]: _git("show", f"{args.commit}:{PACKAGE}/{name}")
+        name[:-3]: _git("show", f"{commit}:{PACKAGE}/{name}")
         for name in names if name.endswith(".py")
     }
     todo = mutants(originals, args.operator)
@@ -223,7 +257,7 @@ def main(argv=None) -> int:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
     copies = [args.scratch / f"copy{w}" for w in range(WORKERS)]
     for copy in copies:
-        extract(args.commit, copy)
+        extract(commit, copy)
     ok, summary = run_tests(copies[0], [])
     print(f"unmutated copy: {summary}", flush=True)
     if not ok:
@@ -249,7 +283,8 @@ def main(argv=None) -> int:
 
     with ThreadPoolExecutor(WORKERS) as pool:
         results = list(pool.map(one, todo))
-    (args.scratch / "results.json").write_text(json.dumps(results, indent=1) + "\n")
+    record = {"operator": args.operator, "commit": commit, "results": results}
+    (args.scratch / "results.json").write_text(json.dumps(record, indent=1) + "\n")
     survivors = [r for r in results if r["survived"]]
     print(f"\n{len(survivors)} of {len(results)} mutants survived:")
     for r in survivors:
