@@ -42,6 +42,16 @@ def three_pair_hexagon():
 
 
 @pytest.fixture
+def non_delzant_heptagon():
+    """The data of random_delzant(7, 42, 4), not among its two candidates:
+    determinant 2 at vertex 1."""
+    return Polygon([
+        (0, 0), (Fraction(11, 16), Fraction(-11, 16)), (1, Fraction(-3, 8)), (1, Fraction(17, 8)),
+        (Fraction(13, 16), Fraction(37, 16)), (Fraction(3, 16), Fraction(37, 16)), (0, Fraction(17, 8)),
+    ])
+
+
+@pytest.fixture
 def unit_cube():
     return Polytope3([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 

@@ -579,10 +579,16 @@ def test_chop_deeper_than_outgoing_edge_exit_2(monkeypatch, capsys):
     assert "of edge 1 out of vertex 1" in err
 
 
-def test_strata_malformed_theta_exit_5(monkeypatch, capsys):
-    code, out, err = run(["strata", "--theta", "1"], SQUARE, monkeypatch, capsys)
+@pytest.mark.parametrize("theta, quoted", [
+    ("1", "'1'"),
+    # 64 characters are quoted whole, and one more is cut to them.
+    ("1" * 64, repr("1" * 64)),
+    ("1" * 65, f"{'1' * 64!r}... (65 characters)"),
+], ids=["short", "64_characters", "65_characters"])
+def test_strata_malformed_theta_exit_5(theta, quoted, monkeypatch, capsys):
+    code, out, err = run(["strata", "--theta", theta], SQUARE, monkeypatch, capsys)
     assert code == 5 and out == ""
-    assert err == "error: expected a direction like '1,0', got '1'\n"
+    assert err == f"error: expected a direction like '1,0', got {quoted}\n"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -710,6 +710,18 @@ class TestThreePairFamily:
             for t0, roots in ((lo + (hi - lo) * Fraction(2, 5), 1), (hi + 1, 0), (lo - Fraction(1, 3), 0)):
                 assert solve_three_pair_parameter(linear, linear.base_area + slope * t0) == (t0,) * roots
 
+    def test_root_on_an_end_of_the_interval_is_not_admissible(self, three_pair_hexagon):
+        """The interval is open: the t = 0 root, put on either end of it,
+        has a zero-length edge and is not returned."""
+        family = three_pair_family(three_pair_hexagon)
+        lo, hi = family.admissible_interval
+        roots = solve_three_pair_parameter(family, family.base_area)
+        assert Fraction(0) in roots
+        for interval in ((Fraction(0), hi), (lo, Fraction(0))):
+            ended = replace(family, admissible_interval=interval)
+            expected = tuple(t for t in roots if interval[0] < t < interval[1])
+            assert solve_three_pair_parameter(ended, ended.base_area) == expected
+
     def test_shifted_target_roots(self, three_pair_hexagon):
         family = three_pair_family(three_pair_hexagon)
         lo, hi = family.admissible_interval
@@ -779,9 +791,11 @@ class TestIsGeneric:
         assert (report.candidate_count, len(report.emitting_assignments), report.subpolygons) == (4, 2, ())
         assert not report.generic
 
-    def test_non_delzant_parallelogram_raises(self):
-        with pytest.raises(ReconstructionInfeasibleError):
-            is_generic(Polygon(((0, 0), (2, 0), (3, 2), (1, 2))))
+    def test_non_delzant_source_raises(self, non_delzant_heptagon):
+        """Also one whose data has candidates, none of them the source."""
+        for polygon, vertex in ((Polygon(((0, 0), (2, 0), (3, 2), (1, 2))), 0), (non_delzant_heptagon, 1)):
+            with pytest.raises(ReconstructionInfeasibleError, match=f"^polygon is not Delzant: vertex {vertex} has determinant 2$"):
+                is_generic(polygon)
 
     def test_too_many_pairs(self):
         base = Polygon(((0, 0), (4, 0), (4, 4), (0, 4)))
@@ -816,11 +830,13 @@ class TestBundleReconstruct:
         rebuilt = bundle_reconstruct(bundle_facet_data(moved))
         assert set(rebuilt.vertices) == set(moved.vertices)
 
-    def test_unbounded_system(self):
-        entries = tuple(
-            HalfSpaceEntry(n, Fraction(1), Fraction(1))
-            for n in ((1, 0), (0, 1), (1, 1))
-        )
+    @pytest.mark.parametrize("normals", [
+        ((1, 0), (0, 1), (1, 1)),
+        # Angle-adjacent normals that are opposite: a zero cross product.
+        ((1, 0), (0, 1), (-1, 0)),
+    ], ids=["acute", "opposite"])
+    def test_unbounded_system(self, normals):
+        entries = tuple(HalfSpaceEntry(n, Fraction(1), Fraction(1)) for n in normals)
         with pytest.raises(ReconstructionInfeasibleError, match="^normals fit in a half-plane"):
             bundle_reconstruct(HalfSpaceSystem(2, entries))
 

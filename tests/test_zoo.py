@@ -17,6 +17,7 @@ from delzant import (
     ChopError,
     ChopSpec,
     Polygon,
+    ReconstructionInfeasibleError,
     StructuralPolygonError,
     Vec2,
     ZooCensus,
@@ -327,6 +328,25 @@ class TestPerturbGeneric:
                     bounded = False
                 assert (min(zoo._lattice_lengths(normals, offsets)) > 0) == bounded
 
+    @pytest.mark.parametrize("source, scale, found", [
+        # Attempt 1 gives an edge of lattice length 0: it bounds no polygon
+        # with the fan and is skipped before any build.
+        ((7, 20), 64, "Polygon[(-1/1024, 47/1024), (17/1024, 11/1024), (29/1024, -1/1024), (27/512, -1/1024), "
+                      "(27/512, 7/1024), (49/1024, 17/1024), (-1/1024, 67/1024)]"),
+        # At attempt 3 a twin's form is 0: its split is not strictly
+        # admissible, so it emits nothing, and the attempt is generic.
+        ((7, 4), 128, "Polygon[(-7/512, 5/256), (5/512, -1/256), (17/512, -1/256), (17/512, -1/512), "
+                      "(1/32, 1/512), (5/512, 3/128), (-7/512, 3/128)]"),
+    ], ids=["zero_length", "zero_twin_form"])
+    def test_an_attempt_on_a_boundary(self, source, scale, found):
+        p = random_delzant(*source, 4)
+        assert repr(perturb_generic(Polygon([(Fraction(x, scale), Fraction(y, scale)) for x, y in p.vertices]))) == found
+
+    def test_rejects_a_non_delzant_source(self, non_delzant_heptagon):
+        """Its genericity test raises, so it is never returned unchanged."""
+        with pytest.raises(ReconstructionInfeasibleError, match="^polygon is not Delzant: vertex 1 has determinant 2$"):
+            perturb_generic(non_delzant_heptagon)
+
     @pytest.mark.parametrize("budget", [-1, True, False, 2.5, "24"])
     def test_rejects_bad_budget(self, subpolygon_hexagon, budget):
         with pytest.raises(ValueError, match="budget must be a nonnegative integer"):
@@ -496,6 +516,19 @@ class TestCensus:
         with pytest.raises(BudgetExceededError) as info:
             parallel_pair_census(6, 3, max_instances=10)
         assert info.value.partial == ZooCensus(edge_count=6, histogram={3: 7, 2: 4}, total=11)
+
+    def test_a_subtree_that_meets_the_budget_is_counted_whole(self, handed):
+        """A budget equal to the count is not crossed: the census returns
+        after the 47 ``_last_two_chops`` calls of an unbounded one.  One
+        instance fewer is crossed at the last leaf."""
+        full = parallel_pair_census(7, 3)
+        assert (full.total, len(handed)) == (348, 47)
+        handed.clear()
+        assert parallel_pair_census(7, 3, max_instances=348) == full
+        assert len(handed) == 47
+        with pytest.raises(BudgetExceededError) as info:
+            parallel_pair_census(7, 3, max_instances=347)
+        assert (str(info.value), info.value.partial) == ("census exceeded 347 instances", full)
 
     def test_rejects_triangles(self):
         with pytest.raises(ValueError):
