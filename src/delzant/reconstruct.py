@@ -679,8 +679,9 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
     one's mirror is written from it.
 
     Returns one block per choice, the emitted canonical keys in first-seen
-    order, and the branches that emitted: each choice's sign tuples, in
-    trace order.  A block is ``(doubled, singles, dead, opened)``, all in
+    order, and the decided branches that emitted (a mirror emits exactly
+    when its pattern does): each choice's sign tuples, in trace order.  A
+    block is ``(doubled, singles, dead, opened)``, all in
     integers:
 
     - ``doubled``, the doubled classes' normals, and ``singles``, the single
@@ -862,8 +863,6 @@ def _reconstruct(data: SpectralData, choices) -> tuple[list[tuple], list[tuple],
                 (den, tuple(pair[::-1] for pair in pairs)), None if parameter is None else (-parameter[0], parameter[1]),
                 tuple((a, o, key) for (a, o, _), (_, _, key) in zip(ends, ends[::-1])) if swap else ends,
             ) for (den, pairs), parameter, ends in reversed(opened[k])]
-        for signs in [*emitting.get(choice, ())][::-1]:
-            emitting[choice][tuple([-s if b else s for s, b in zip(signs, bits)])] = None
         blocks.append((doubled_normals, singles, dead, opened))
     return blocks, list(emitted), emitting
 
@@ -922,8 +921,8 @@ def is_generic(polygon: Polygon) -> GenericityReport:
 
 
 def _genericity(polygon: Polygon) -> tuple[GenericityReport, tuple]:
-    """:func:`is_generic`'s report, with the branches that emitted as
-    ``(doubled classes, sign tuples)``, in trace order."""
+    """:func:`is_generic`'s report, with the branches that emitted, one of
+    each mirror pair, as ``(doubled classes, sign tuples)``, in trace order."""
     data = spectral_data(polygon)
     p = data.parallel_pairs
     if p > 3:
@@ -951,7 +950,8 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
     where their splits are strictly admissible, as linear forms in the
     edges' lattice lengths.
 
-    ``branches`` are :func:`_genericity`'s.  A sign pattern's splits solve
+    ``branches`` are :func:`_genericity`'s: one pattern of each mirror pair,
+    so a twin and its reflection count once.  A sign pattern's splits solve
     its closure by Cramer's rule, as in :func:`_reconstruct`, so they are
     linear in the class sums (and, with three pairs, in the family
     parameter u), and twice its area is the integer quadratic of
@@ -1056,10 +1056,10 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
         return entries
 
     entries = emitting(1, own_choice, own_kernel, own_m, own_values, roots)
-    seen = {own, tuple(s if k in own_choice else -s for k, s in enumerate(own))}
+    own_pair = {own, tuple(s if k in own_choice else -s for k, s in enumerate(own))}
     for choice, patterns in branches:
         for signs in patterns:
-            if choice == own_choice and signs in seen:
+            if choice == own_choice and signs in own_pair:
                 continue
             kernel, m, values = family(choice, signs)
             if p == 2:
@@ -1096,8 +1096,6 @@ def _structural_twins(polygon: Polygon, branches) -> tuple[int, tuple[tuple[int,
                     (4 * root * big_a * a, [-2 * root * a * x + sign * y for x, y in zip(big_b, root_w)], apart)
                     for sign, apart in ((1, None), (-1, root_w))
                 ]
-            if choice == own_choice:
-                seen.add(tuple(s if k in choice else -s for k, s in enumerate(signs)))
             entries += emitting(1 if choice == own_choice else need, choice, kernel, m, values, at_roots)
     return need, tuple(entries)
 
